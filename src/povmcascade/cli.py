@@ -18,27 +18,17 @@ import sys
 import numpy as np
 
 from . import demos
-from .optics import PhotonState, build_cascade_network, exit_amplitudes, exit_vector, propagate
-from .povm import (
-    DensityMatrix,
-    IncompleteSum,
-    NotUnitary,
-    density_matrix,
-    kraus_from_povm,
-    validate_povm,
-    validation_residuals,
-)
-from .qmath import NotHermitian, NotPsd, dagger, eig_hermitian2, max_abs
+from .optics import PhotonState, build_cascade_network, exit_amplitudes, propagate
+from .povm import density_matrix, kraus_from_povm, validate_povm, validation_residuals
+from .qmath import dagger, max_abs
 from .synthesis import (
     CascadePlan,
     DomainError,
-    EigenvalueOutOfRange,
     ModuleSettings,
-    UnsupportedOperator,
     reconstruct_kraus,
     synthesize_cascade,
 )
-from .verify import VerificationReport, verify_plan
+from .verify import simulate_density, verify_plan
 
 __all__ = ["main"]
 
@@ -47,16 +37,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 SCHEMA_VERSION = "1"
-
-_DOMAIN_ERRORS = (
-    NotHermitian,
-    NotPsd,
-    IncompleteSum,
-    NotUnitary,
-    DomainError,
-    EigenvalueOutOfRange,
-    UnsupportedOperator,
-)
 
 
 class DocumentError(ValueError):
@@ -237,7 +217,10 @@ def _print_settings(plan: CascadePlan) -> None:
     print(_fmt_matrix(plan.final_exit_unitary))
 
 
-def _print_report(report: VerificationReport) -> None:
+def _verify_and_report(kraus, plan: CascadePlan, args) -> int:
+    """Run verify_plan with the command's --trials/--seed, print the report,
+    write it to --report if given, and map the verdict to an exit code."""
+    report = verify_plan(kraus, plan, trial_states=args.trials, seed=args.seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -246,6 +229,9 @@ def _print_report(report: VerificationReport) -> None:
         )
     verdict = "PASS" if report.passed else "FAIL"
     print(f"verification: {verdict} ({report.case_count} trial states, seed {report.seed})")
+    if args.report:
+        _write_json(args.report, report.to_dict())
+    return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
 def _print_exits(records) -> None:
@@ -277,7 +263,7 @@ def _cmd_validate(args) -> int:
     print(f"completeness residual: {completeness:.3e}")
     try:
         validate_povm(elements)
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         print(f"INVALID: {exc}")
         return EXIT_DOMAIN
     print("POVM valid")
@@ -293,11 +279,7 @@ def _cmd_synthesize(args) -> int:
     _write_json(args.output, plan_document(plan))
     print(f"plan written to {args.output}")
     _print_settings(plan)
-    report = verify_plan(kraus, plan, trial_states=args.trials, seed=args.seed)
-    _print_report(report)
-    if args.report:
-        _write_json(args.report, report.to_dict())
-    return EXIT_OK if report.passed else EXIT_DOMAIN
+    return _verify_and_report(kraus, plan, args)
 
 
 def _parse_pure(text: str) -> np.ndarray:
@@ -319,30 +301,20 @@ def _parse_pure(text: str) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     plan = parse_plan_document(_load_json(args.plan))
-    network = build_cascade_network(plan)
     if args.pure is not None:
         psi = _parse_pure(args.pure)
+        network = build_cascade_network(plan)
         out = propagate(PhotonState.pure(network.input, psi), network)
         _print_exits(exit_amplitudes(out, network))
         return EXIT_OK
     rho = density_matrix(matrix_from_json(_load_json(args.density), "density matrix"))
-    lam, basis = eig_hermitian2(rho.rho)
-    probs = np.zeros(plan.n)
-    posts = [np.zeros((2, 2), dtype=complex) for _ in range(plan.n)]
-    for k, weight in enumerate(lam):
-        if weight <= 1e-12:
-            continue
-        out = propagate(PhotonState.pure(network.input, basis[:, k]), network)
-        for i, mode in enumerate(network.exits):
-            vec = exit_vector(out, mode)
-            probs[i] += weight * float(np.vdot(vec, vec).real)
-            posts[i] += weight * np.outer(vec, vec.conj())
-    for i in range(plan.n):
-        print(f"exit E{i + 1}: probability {probs[i]:.12g}")
-        if probs[i] >= 1e-12:
+    records, _ = simulate_density(plan, rho)
+    for record in records:
+        print(f"exit E{record.index}: probability {record.probability:.12g}")
+        if record.post_state is not None:
             print("  conditional state:")
-            print(_fmt_matrix(posts[i] / probs[i], indent="    "))
-    print(f"total probability: {float(np.sum(probs)):.12g}")
+            print(_fmt_matrix(record.post_state.rho, indent="    "))
+    print(f"total probability: {float(np.sum([r.probability for r in records])):.12g}")
     return EXIT_OK
 
 
@@ -355,11 +327,7 @@ def _cmd_verify(args) -> int:
         plan = parse_plan_document(_load_json(args.plan))
     else:
         plan = synthesize_cascade(kraus)
-    report = verify_plan(kraus, plan, trial_states=args.trials, seed=args.seed)
-    _print_report(report)
-    if args.report:
-        _write_json(args.report, report.to_dict())
-    return EXIT_OK if report.passed else EXIT_DOMAIN
+    return _verify_and_report(kraus, plan, args)
 
 
 def _cmd_demo(args) -> int:
@@ -379,11 +347,7 @@ def _cmd_demo(args) -> int:
         for a, b in zip(reconstruct_kraus(plan), kraus)
     )
     print(f"settings reproduce the operators to {residual:.3e}")
-    report = verify_plan(kraus, plan, trial_states=args.trials, seed=args.seed)
-    _print_report(report)
-    if args.report:
-        _write_json(args.report, report.to_dict())
-    return EXIT_OK if report.passed else EXIT_DOMAIN
+    return _verify_and_report(kraus, plan, args)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +363,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_verification_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trials", type=_trial_count, default=100, help="verification trial states (>= 1)")
+    parser.add_argument("--seed", type=int, default=42, help="verification seed")
+    parser.add_argument("--report", help="write the verification report (JSON) here")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="povm",
@@ -412,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synthesize", help="compile a POVM document into a plan")
     p_synth.add_argument("input", help="POVM document (JSON)")
     p_synth.add_argument("-o", "--output", required=True, help="plan document to write")
-    p_synth.add_argument("--trials", type=int, default=100, help="verification trial states")
-    p_synth.add_argument("--seed", type=int, default=42, help="verification seed")
-    p_synth.add_argument("--report", help="write the verification report (JSON) here")
+    _add_verification_options(p_synth)
 
     p_sim = sub.add_parser("simulate", help="propagate a state through a plan")
     p_sim.add_argument("plan", help="plan document (JSON)")
@@ -425,17 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a plan against a POVM document")
     p_verify.add_argument("input", help="POVM document (JSON)")
     p_verify.add_argument("--plan", help="plan document (default: synthesize internally)")
-    p_verify.add_argument("--trials", type=int, default=100, help="verification trial states")
-    p_verify.add_argument("--seed", type=int, default=42, help="verification seed")
-    p_verify.add_argument("--report", help="write the verification report (JSON) here")
+    _add_verification_options(p_verify)
 
     p_demo = sub.add_parser("demo", help="run a built-in example")
     p_demo.add_argument("name", choices=("trine", "ekert"))
     p_demo.add_argument("--alpha", type=float, default=0.0, help="ekert: first polarization (degrees)")
     p_demo.add_argument("--beta", type=float, default=45.0, help="ekert: second polarization (degrees)")
-    p_demo.add_argument("--trials", type=int, default=100, help="verification trial states")
-    p_demo.add_argument("--seed", type=int, default=42, help="verification seed")
-    p_demo.add_argument("--report", help="write the verification report (JSON) here")
+    _add_verification_options(p_demo)
     return parser
 
 
@@ -460,9 +434,6 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

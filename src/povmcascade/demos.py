@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import KrausSet, PovmSet, kraus_from_povm, validate_povm
-from .qmath import NotPsd, aligning_unitary, dagger, eig_hermitian2, identity2, rotation
-from .synthesis import CascadePlan, DomainError, ModuleSettings, ekert_alpha_prime
+from .qmath import identity2, rotation
+from .synthesis import CascadePlan, _plan_from_stages, ekert_alpha_prime
 
 __all__ = ["EkertParams", "trine_povm", "ekert_povm"]
 
@@ -40,29 +40,7 @@ class EkertParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
-        delta = self.beta - self.alpha
-        if math.cos(delta) <= 1e-12 or abs(math.sin(delta)) <= 1e-12:
-            raise DomainError(
-                f"polarization separation {delta!r} rad outside the valid region "
-                "(need cos(beta - alpha) > 0 and beta != alpha)"
-            )
-
-
-def _plan_for(stages, kraus: KrausSet) -> CascadePlan:
-    """Assemble a plan from (theta, phi, pre_unitary) stages, deriving the
-    exit unitaries that make the plan realize exactly the given Kraus set."""
-    modules = []
-    prefix = identity2()
-    for (theta, phi, pre), target in zip(stages, kraus):
-        settings = ModuleSettings(theta=theta, phi=phi, pre_unitary=pre)
-        staged = pre @ prefix
-        exit_unitary = aligning_unitary(target, settings.exit_transfer() @ staged)
-        modules.append(
-            ModuleSettings(theta=theta, phi=phi, pre_unitary=pre, exit_unitary=exit_unitary)
-        )
-        prefix = settings.pass_transfer() @ staged
-    final = aligning_unitary(kraus[len(stages)], prefix)
-    return CascadePlan(tuple(modules), final)
+        ekert_alpha_prime(self.alpha, self.beta)  # raises DomainError outside the region
 
 
 def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
@@ -89,11 +67,8 @@ def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
     ]
     kraus = kraus_from_povm(povm, exit_gauges)
 
-    stages = [
-        (math.acos(math.sqrt(2.0 / 3.0)), math.pi / 2, identity2()),
-        (0.0, math.pi / 2, rotation(-math.pi / 4)),
-    ]
-    return povm, kraus, _plan_for(stages, kraus)
+    stages = [((2.0 / 3.0, 0.0), identity2()), ((1.0, 0.0), rotation(-math.pi / 4))]
+    return povm, kraus, _plan_from_stages(kraus, lambda j, m, prefix: stages[j - 1])
 
 
 def ekert_povm(params: EkertParams) -> tuple[PovmSet, CascadePlan]:
@@ -123,18 +98,9 @@ def ekert_povm(params: EkertParams) -> tuple[PovmSet, CascadePlan]:
     f1 = excluded(alpha)
     f2 = excluded(beta)
     f3 = identity2() - f1 - f2
-    lam, _ = eig_hermitian2(0.5 * (f3 + dagger(f3)))
-    if lam[1] < -1e-9:
-        raise NotPsd(
-            f"inconclusive operator has eigenvalue {lam[1]:.3e}",
-            min_eigenvalue=float(lam[1]),
-        )
     povm = validate_povm([f1, f2, f3])
     kraus = kraus_from_povm(povm)
 
     alpha_prime = ekert_alpha_prime(alpha, beta)
-    stages = [
-        (math.pi / 2, math.acos(math.sqrt(k)), rotation(-alpha)),
-        (math.pi / 2, 0.0, rotation(-alpha_prime)),
-    ]
-    return povm, _plan_for(stages, kraus)
+    stages = [((0.0, k), rotation(-alpha)), ((0.0, 1.0), rotation(-alpha_prime))]
+    return povm, _plan_from_stages(kraus, lambda j, m, prefix: stages[j - 1])

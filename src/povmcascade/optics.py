@@ -26,6 +26,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .povm import PROBABILITY_FLOOR
 from .qmath import as_matrix2, phase_fixed, rotation
 from .synthesis import CascadePlan, ModuleSettings
 
@@ -44,7 +45,6 @@ __all__ = [
     "ExitAmplitude",
     "apply_element",
     "propagate",
-    "exit_vector",
     "exit_amplitudes",
     "dark_port_leakage",
     "build_module_network",
@@ -241,22 +241,18 @@ def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
     return current
 
 
-def exit_vector(state: PhotonState, mode: ModeLabel) -> np.ndarray:
-    """Raw (unnormalized) amplitude pair arriving at an exit mode."""
-    return state.mode_vector(mode)
-
-
 def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmplitude]:
     """Probability and conditional polarization at each exit of a propagated state.
 
     Conditional states are reported in the fixed phase gauge (largest
-    component real positive); exits with probability below 1e-12 get None.
+    component real positive); exits with probability below PROBABILITY_FLOOR
+    get None.
     """
     records = []
     for i, mode in enumerate(network.exits, start=1):
         vec = state.mode_vector(mode)
         p = float(np.vdot(vec, vec).real)
-        if p >= 1e-12:
+        if p >= PROBABILITY_FLOOR:
             records.append(ExitAmplitude(i, p, phase_fixed(vec / math.sqrt(p))))
         else:
             records.append(ExitAmplitude(i, p, None))

@@ -19,7 +19,7 @@ from .qmath import (
     NotPsd,
     as_matrix2,
     dagger,
-    eig_hermitian2,
+    hermitian_residuals,
     identity2,
     is_unitary,
     max_abs,
@@ -93,10 +93,6 @@ class KrausSet:
     def __getitem__(self, i):
         return self.operators[i]
 
-    def povm_elements(self) -> tuple[np.ndarray, ...]:
-        """The measurement operators F_i = M_i^dag M_i (exit-unitary independent)."""
-        return tuple(dagger(m) @ m for m in self.operators)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -129,23 +125,20 @@ def validate_povm(elements, tol: float = DEFAULT_TOL) -> PovmSet:
     mats = [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
     if len(mats) < 2:
         raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
-    for i, f in enumerate(mats):
-        herm_residual = max_abs(f - dagger(f))
+    per_element, residual = validation_residuals(mats)
+    for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
         if herm_residual > tol:
             raise NotHermitian(
                 f"element {i + 1}: hermiticity residual {herm_residual:.3e}",
                 index=i,
                 residual=herm_residual,
             )
-        lam, _ = eig_hermitian2(0.5 * (f + dagger(f)), tol=np.inf)
-        if lam[1] < -tol:
+        if min_eigenvalue < -tol:
             raise NotPsd(
-                f"element {i + 1}: minimum eigenvalue {lam[1]:.3e}",
+                f"element {i + 1}: minimum eigenvalue {min_eigenvalue:.3e}",
                 index=i,
-                min_eigenvalue=float(lam[1]),
+                min_eigenvalue=min_eigenvalue,
             )
-    total = sum(mats[1:], start=mats[0])
-    residual = max_abs(total - identity2())
     if residual > tol:
         raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
     return PovmSet(tuple(mats))
@@ -188,12 +181,11 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None, tol: float = DEFAULT_TOL
 def density_matrix(rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a 2x2 density matrix (Hermitian, PSD, unit trace)."""
     rho = as_matrix2(rho, name="density matrix")
-    herm_residual = max_abs(rho - dagger(rho))
+    herm_residual, min_eigenvalue = hermitian_residuals(rho)
     if herm_residual > tol:
         raise NotHermitian(f"density matrix hermiticity residual {herm_residual:.3e}", residual=herm_residual)
-    lam, _ = eig_hermitian2(0.5 * (rho + dagger(rho)), tol=np.inf)
-    if lam[1] < -tol:
-        raise NotPsd(f"density matrix minimum eigenvalue {lam[1]:.3e}", min_eigenvalue=float(lam[1]))
+    if min_eigenvalue < -tol:
+        raise NotPsd(f"density matrix minimum eigenvalue {min_eigenvalue:.3e}", min_eigenvalue=min_eigenvalue)
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > tol:
         raise ValueError(f"density matrix trace {trace:.12g} is not 1")
@@ -235,10 +227,5 @@ def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
     """Diagnostic residuals for reporting: per element (hermiticity residual,
     minimum eigenvalue) plus the completeness residual ||sum F - I||."""
     mats = [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
-    per_element = []
-    for f in mats:
-        herm_residual = max_abs(f - dagger(f))
-        lam, _ = eig_hermitian2(0.5 * (f + dagger(f)), tol=np.inf)
-        per_element.append((herm_residual, float(lam[1])))
     total = sum(mats[1:], start=mats[0])
-    return per_element, max_abs(total - identity2())
+    return [hermitian_residuals(f) for f in mats], max_abs(total - identity2())

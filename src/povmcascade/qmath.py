@@ -28,13 +28,12 @@ __all__ = [
     "identity2",
     "rotation",
     "phase_fixed",
-    "is_hermitian",
     "is_unitary",
-    "is_psd",
+    "hermitian_residuals",
     "eig_hermitian2",
     "sqrt_psd",
     "svd2",
-    "pinv2",
+    "pinv_support",
     "aligning_unitary",
 ]
 
@@ -111,20 +110,19 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return max_abs(m - dagger(m)) <= tol
-
-
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(dagger(m) @ m - identity2()) <= tol
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian (within tol) with eigenvalues >= -tol."""
-    if not is_hermitian(m, tol):
-        return False
+def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
+    """(Hermiticity residual max|m - m^dag|, minimum eigenvalue of the Hermitian part).
+
+    m is Hermitian within tol when the first is <= tol, and also positive
+    semidefinite within tol when the second is >= -tol.
+    """
+    residual = max_abs(m - dagger(m))
     lam, _ = eig_hermitian2(0.5 * (m + dagger(m)), tol=np.inf)
-    return bool(lam[1] >= -tol)
+    return residual, float(lam[1])
 
 
 def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +220,17 @@ def svd2(m) -> Svd2:
     return Svd2(v, scale * d, u)
 
 
-def pinv2(m, cutoff: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values <= cutoff are treated as exactly 0."""
+def pinv_support(m, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Moore-Penrose pseudo-inverse of m, projector onto the support of m^dag m).
+
+    Singular values <= cutoff are treated as exactly 0 in both.
+    """
     v, d, u = svd2(m)
-    dplus = np.array([1.0 / x if x > cutoff else 0.0 for x in d])
-    return dagger(u) @ np.diag(dplus) @ dagger(v)
+    keep = d > cutoff
+    dplus = np.array([1.0 / x if ok else 0.0 for x, ok in zip(d, keep)])
+    pinv = dagger(u) @ np.diag(dplus) @ dagger(v)
+    projector = dagger(u) @ np.diag(keep.astype(float)) @ u
+    return pinv, projector
 
 
 def aligning_unitary(target, source) -> np.ndarray:

@@ -37,7 +37,7 @@ from .qmath import (
     identity2,
     is_unitary,
     max_abs,
-    svd2,
+    pinv_support,
 )
 
 __all__ = [
@@ -96,10 +96,6 @@ class UnsupportedOperator(ValueError):
         self.residual = residual
 
 
-def _identity_factory() -> np.ndarray:
-    return identity2()
-
-
 @dataclass(frozen=True)
 class ModuleSettings:
     """Physical knobs of one cascade stage.
@@ -114,13 +110,13 @@ class ModuleSettings:
     phi: float
     zeta: float = 0.0
     xi: float = 0.0
-    pre_unitary: np.ndarray = field(default_factory=_identity_factory)
-    exit_unitary: np.ndarray = field(default_factory=_identity_factory)
+    pre_unitary: np.ndarray = field(default_factory=identity2)
+    exit_unitary: np.ndarray = field(default_factory=identity2)
 
     def __post_init__(self):
         for label in ("theta", "phi"):
             value = float(getattr(self, label))
-            if not (-1e-12 <= value <= math.pi / 2 + 1e-12):
+            if not (-BOUNDARY_EPS <= value <= math.pi / 2 + BOUNDARY_EPS):
                 raise ValueError(f"{label} = {value!r} outside [0, pi/2]")
             object.__setattr__(self, label, value)
         for label in ("zeta", "xi"):
@@ -197,24 +193,40 @@ class SynthesisStep:
     eigenvalues: tuple[float, float]
 
 
-def _support_projector(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pseudo-inverse of prefix, projector onto the support of prefix^dag prefix)."""
-    v, d, u = svd2(prefix)
-    keep = d > PINV_CUTOFF
-    dplus = np.array([1.0 / x if ok else 0.0 for x, ok in zip(d, keep)])
-    pinv = dagger(u) @ np.diag(dplus) @ dagger(v)
-    projector = dagger(u) @ np.diag(keep.astype(float)) @ u
-    return pinv, projector
+def _plan_from_stages(kraus: KrausSet, stage) -> CascadePlan:
+    """Walk the cascade over the running pass-arm prefix T (T_0 = I).
+
+    stage(j, m_j, T_{j-1}) gives stage j's eigenvalue pair
+    (cos^2 theta, cos^2 phi) and pre-unitary U_j.  The stage's exit unitary
+    aligns its exit arm diag(sqrt(lam)) U_j T_{j-1} onto m_j, and its pass
+    arm diag(sqrt(1 - lam)) U_j T_{j-1} becomes T_j; the final exit unitary
+    aligns T_{n-1} onto m_n.
+    """
+    modules = []
+    prefix = identity2()
+    for j, m in enumerate(kraus.operators[:-1], start=1):
+        lam, pre = stage(j, m, prefix)
+        lam = np.asarray(lam, dtype=float)
+        exit_diag = np.diag(np.sqrt(lam)).astype(complex)
+        pass_diag = np.diag(np.sqrt(1.0 - lam)).astype(complex)
+        modules.append(
+            ModuleSettings(
+                theta=math.acos(math.sqrt(lam[0])),
+                phi=math.acos(math.sqrt(lam[1])),
+                pre_unitary=pre,
+                exit_unitary=aligning_unitary(m, exit_diag @ pre @ prefix),
+            )
+        )
+        prefix = pass_diag @ pre @ prefix
+    return CascadePlan(tuple(modules), aligning_unitary(kraus.operators[-1], prefix))
 
 
 def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[SynthesisStep]]:
-    operators = kraus.operators
-    modules = []
     steps = []
-    prefix = identity2()
-    for j, m in enumerate(operators[:-1], start=1):
+
+    def read_stage(j: int, m: np.ndarray, prefix: np.ndarray):
         f = dagger(m) @ m
-        pinv, projector = _support_projector(prefix)
+        pinv, projector = pinv_support(prefix, PINV_CUTOFF)
         outside = max_abs(f - projector @ f @ projector)
         if outside > SUPPORT_TOL:
             raise UnsupportedOperator(j, outside)
@@ -228,18 +240,9 @@ def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[SynthesisStep]]:
         lam[lam < EIG_SNAP] = 0.0
         lam[lam > 1.0 - EIG_SNAP] = 1.0
         steps.append(SynthesisStep(prefix, g, (float(lam[0]), float(lam[1]))))
-        pre = dagger(basis)
-        theta = math.acos(math.sqrt(lam[0]))
-        phi = math.acos(math.sqrt(lam[1]))
-        exit_diag = np.diag(np.sqrt(lam)).astype(complex)
-        pass_diag = np.diag(np.sqrt(1.0 - lam)).astype(complex)
-        exit_unitary = aligning_unitary(m, exit_diag @ pre @ prefix)
-        modules.append(
-            ModuleSettings(theta=theta, phi=phi, pre_unitary=pre, exit_unitary=exit_unitary)
-        )
-        prefix = pass_diag @ pre @ prefix
-    final = aligning_unitary(operators[-1], prefix)
-    return CascadePlan(tuple(modules), final), steps
+        return lam, dagger(basis)
+
+    return _plan_from_stages(kraus, read_stage), steps
 
 
 def synthesize_cascade(kraus: KrausSet) -> CascadePlan:

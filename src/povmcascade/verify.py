@@ -13,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import (
-    PhotonState,
-    build_cascade_network,
-    dark_port_leakage,
-    exit_vector,
-    propagate,
-)
+from .optics import PhotonState, build_cascade_network, dark_port_leakage, propagate
 from .povm import (
+    PROBABILITY_FLOOR,
     DensityMatrix,
     KrausSet,
+    OutcomeRecord,
     PovmSet,
     outcome_probabilities,
     validate_povm,
@@ -38,6 +34,7 @@ __all__ = [
     "random_povm",
     "random_rank_one_povm",
     "verify_plan",
+    "simulate_density",
     "verify_density",
 ]
 
@@ -101,52 +98,47 @@ def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _inverse_sqrt(total: np.ndarray, floor: float = 1e-12) -> np.ndarray | None:
-    lam, basis = eig_hermitian2(0.5 * (total + dagger(total)))
-    if lam[1] < floor:
-        return None
-    return basis @ np.diag(1.0 / np.sqrt(lam)) @ dagger(basis)
+def _sandwich_povm(n: int, seed: int, shape, positive) -> PovmSet:
+    """POVM from G_i = positive(complex Gaussian of the given shape), i = 1..n,
+    drawn in order from one seeded stream and sandwiched as in random_povm."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 outcomes, got {n}")
+    rng = np.random.default_rng(seed)
+    while True:
+        positives = [positive(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)]
+        total = sum(positives[1:], start=positives[0])
+        lam, basis = eig_hermitian2(0.5 * (total + dagger(total)))
+        if lam[1] < 1e-12:
+            continue
+        inv_sqrt = basis @ np.diag(1.0 / np.sqrt(lam)) @ dagger(basis)
+        elements = []
+        for g in positives:
+            f = inv_sqrt @ g @ inv_sqrt
+            elements.append(0.5 * (f + dagger(f)))
+        return validate_povm(elements)
 
 
 def random_povm(n: int, seed: int) -> PovmSet:
-    """Random n-outcome POVM: sandwich random positive matrices G_i between
-    S^{-1/2} factors of their sum S, which forces completeness exactly.
+    """Random n-outcome POVM: sandwich random positive matrices G_i = A A^dag
+    between S^{-1/2} factors of their sum S, which forces completeness exactly.
 
     Deterministic under seed; near-singular sums (eigenvalue below 1e-12)
     are rejected and redrawn from the same stream.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 outcomes, got {n}")
-    rng = np.random.default_rng(seed)
-    while True:
-        raw = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
-        positives = [a @ dagger(a) for a in raw]
-        inv_sqrt = _inverse_sqrt(sum(positives[1:], start=positives[0]))
-        if inv_sqrt is None:
-            continue
-        elements = []
-        for g in positives:
-            f = inv_sqrt @ g @ inv_sqrt
-            elements.append(0.5 * (f + dagger(f)))
-        return validate_povm(elements)
+    return _sandwich_povm(n, seed, (2, 2), lambda a: a @ dagger(a))
 
 
 def random_rank_one_povm(n: int, seed: int) -> PovmSet:
     """Random projective (all elements rank 1) n-outcome POVM, same sandwich trick."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 outcomes, got {n}")
-    rng = np.random.default_rng(seed)
-    while True:
-        kets = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
-        positives = [np.outer(k, k.conj()) for k in kets]
-        inv_sqrt = _inverse_sqrt(sum(positives[1:], start=positives[0]))
-        if inv_sqrt is None:
-            continue
-        elements = []
-        for g in positives:
-            f = inv_sqrt @ g @ inv_sqrt
-            elements.append(0.5 * (f + dagger(f)))
-        return validate_povm(elements)
+    return _sandwich_povm(n, seed, 2, lambda k: np.outer(k, k.conj()))
+
+
+def _report(residuals: dict[str, float], seed: int, case_count: int) -> VerificationReport:
+    checks = tuple(
+        CheckResult(name, bool(value <= TOLERANCES[name]), float(value), TOLERANCES[name])
+        for name, value in residuals.items()
+    )
+    return VerificationReport(checks, seed, case_count)
 
 
 def verify_plan(
@@ -164,8 +156,11 @@ def verify_plan(
     ``trial_states`` random pure inputs; conditional comparison is
     1 - |overlap|, global-phase free), dark_port 1e-10, norm 1e-9.
     Residual failures are report entries, never exceptions; only an
-    outcome-count mismatch between plan and Kraus set raises.
+    outcome-count mismatch between plan and Kraus set, or trial_states < 1
+    (which would pass vacuously), raises.
     """
+    if trial_states < 1:
+        raise ValueError(f"trial_states must be at least 1, got {trial_states}")
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
     reconstructed = reconstruct_kraus(plan)
@@ -189,10 +184,10 @@ def verify_plan(
         for mode, m in zip(network.exits, kraus):
             target = m @ psi
             p_oracle = float(np.vdot(target, target).real)
-            vec = exit_vector(out, mode)
+            vec = out.mode_vector(mode)
             p_sim = float(np.vdot(vec, vec).real)
             prob_res = max(prob_res, abs(p_sim - p_oracle))
-            if p_oracle >= 1e-12 and p_sim >= 1e-12:
+            if p_oracle >= PROBABILITY_FLOOR and p_sim >= PROBABILITY_FLOOR:
                 overlap = abs(np.vdot(vec, target)) / np.sqrt(p_sim * p_oracle)
                 cond_res = max(cond_res, 1.0 - min(overlap, 1.0))
 
@@ -204,56 +199,48 @@ def verify_plan(
         "dark_port": dark_res,
         "norm": norm_res,
     }
-    checks = tuple(
-        CheckResult(name, bool(value <= TOLERANCES[name]), float(value), TOLERANCES[name])
-        for name, value in residuals.items()
-    )
-    return VerificationReport(checks, seed, trial_states)
+    return _report(residuals, seed, trial_states)
 
 
-def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> VerificationReport:
-    """Mixed-state contract: simulate the eigen-mixture of rho and compare
-    recombined exit statistics and post states against the analytic oracle.
+def simulate_density(plan: CascadePlan, rho: DensityMatrix) -> tuple[list[OutcomeRecord], int]:
+    """Exit statistics of a mixed state, simulated through the plan's network.
 
-    The state is decomposed into its eigencomponents, each pure component is
-    propagated, and exit probabilities / unnormalized conditional projectors
-    are recombined with the eigenvalue weights.  case_count reports how many
-    components carried weight.
+    rho is decomposed into its eigencomponents; each one with weight above
+    PROBABILITY_FLOOR is propagated, and exit probabilities / unnormalized
+    conditional projectors are recombined with the eigenvalue weights.
+    Returns one record per exit (post_state None below PROBABILITY_FLOOR)
+    and the number of components propagated.
     """
-    if plan.n != len(kraus):
-        raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
     lam, basis = eig_hermitian2(rho.rho)
-    components = [(float(q), basis[:, k]) for k, q in enumerate(lam) if q > 1e-12]
+    components = [(float(q), basis[:, k]) for k, q in enumerate(lam) if q > PROBABILITY_FLOOR]
     network = build_cascade_network(plan)
-    n = len(kraus)
-    probs = np.zeros(n)
-    posts = [np.zeros((2, 2), dtype=complex) for _ in range(n)]
+    probs = np.zeros(plan.n)
+    posts = [np.zeros((2, 2), dtype=complex) for _ in range(plan.n)]
     for weight, psi in components:
         out = propagate(PhotonState.pure(network.input, psi), network)
         for i, mode in enumerate(network.exits):
-            vec = exit_vector(out, mode)
+            vec = out.mode_vector(mode)
             probs[i] += weight * float(np.vdot(vec, vec).real)
             posts[i] += weight * np.outer(vec, vec.conj())
+    records = [
+        OutcomeRecord(i + 1, float(p), DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None)
+        for i, (p, post) in enumerate(zip(probs, posts))
+    ]
+    return records, len(components)
 
+
+def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> VerificationReport:
+    """Mixed-state contract: compare :func:`simulate_density` exit statistics
+    and post states against the analytic oracle.  case_count reports how
+    many eigencomponents of rho carried weight.
+    """
+    if plan.n != len(kraus):
+        raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
+    simulated, components = simulate_density(plan, rho)
     prob_res = 0.0
     post_res = 0.0
-    for i, record in enumerate(outcome_probabilities(rho, kraus)):
-        prob_res = max(prob_res, abs(probs[i] - record.probability))
-        if record.post_state is not None and probs[i] >= 1e-12:
-            post_res = max(post_res, max_abs(posts[i] / probs[i] - record.post_state.rho))
-
-    checks = (
-        CheckResult(
-            "probability",
-            bool(prob_res <= TOLERANCES["probability"]),
-            float(prob_res),
-            TOLERANCES["probability"],
-        ),
-        CheckResult(
-            "post_state",
-            bool(post_res <= TOLERANCES["post_state"]),
-            float(post_res),
-            TOLERANCES["post_state"],
-        ),
-    )
-    return VerificationReport(checks, 0, len(components))
+    for sim, record in zip(simulated, outcome_probabilities(rho, kraus)):
+        prob_res = max(prob_res, abs(sim.probability - record.probability))
+        if record.post_state is not None and sim.post_state is not None:
+            post_res = max(post_res, max_abs(sim.post_state.rho - record.post_state.rho))
+    return _report({"probability": prob_res, "post_state": post_res}, 0, components)

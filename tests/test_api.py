@@ -1,0 +1,50 @@
+"""Public surface: package exports, CLI exit codes and the document schema version.
+
+These are stable across releases; a change here must be listed in CHANGES.md.
+"""
+
+import povmcascade
+from povmcascade import cli
+
+
+def test_package_exports():
+    assert povmcascade.__all__ == [
+        "CascadePlan",
+        "DensityMatrix",
+        "EkertParams",
+        "KrausSet",
+        "ModeLabel",
+        "ModuleSettings",
+        "OpticalNetwork",
+        "OutcomeRecord",
+        "PhotonState",
+        "PovmSet",
+        "Svd2",
+        "VerificationReport",
+        "build_cascade_network",
+        "build_module_network",
+        "density_matrix",
+        "eig_hermitian2",
+        "ekert_alpha_prime",
+        "ekert_povm",
+        "exit_amplitudes",
+        "kraus_from_povm",
+        "outcome_probabilities",
+        "propagate",
+        "random_povm",
+        "reconstruct_kraus",
+        "sqrt_psd",
+        "svd2",
+        "synthesize_cascade",
+        "trine_povm",
+        "validate_povm",
+        "verify_density",
+        "verify_plan",
+    ]
+    for name in povmcascade.__all__:
+        assert hasattr(povmcascade, name), name
+
+
+def test_cli_exit_codes_and_schema_version():
+    assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DOMAIN) == (0, 1, 2)
+    assert cli.SCHEMA_VERSION == "1"

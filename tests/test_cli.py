@@ -202,6 +202,25 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert out.count("0.333333333333") == 3
 
+    def test_density_rank_one_matches_pure(self, trine_file, tmp_path, capsys):
+        # a pure state as a density matrix has one zero-weight eigencomponent,
+        # which the mixed-state path skips
+        plan_path = tmp_path / "plan.json"
+        main(["synthesize", trine_file, "-o", str(plan_path), "--trials", "5"])
+        psi = np.array([0.6, 0.8j])
+        rho_path = write_json(tmp_path / "rho.json", matrix_to_json(np.outer(psi, psi.conj())))
+        capsys.readouterr()
+
+        def probabilities(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [float(line.split("probability")[1].split(",")[0]) for line in lines if line.startswith("exit E")]
+
+        pure = probabilities(["simulate", str(plan_path), "--pure", "0.6,0,0,0.8"])
+        mixed = probabilities(["simulate", str(plan_path), "--density", rho_path])
+        assert len(pure) == len(mixed) == 3
+        assert mixed == pytest.approx(pure, abs=1e-12)
+
     def test_norm_deviation_warns(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "2,0,0,0"]) == 0
         assert "normalizing" in capsys.readouterr().err
@@ -234,6 +253,22 @@ class TestVerifyCommand:
     def test_verify_outcome_count_mismatch_is_domain_error(self, trine_file, hv_plan_file, capsys):
         assert main(["verify", trine_file, "--plan", hv_plan_file, "--trials", "5"]) == 2
         assert "outcomes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("command", ["synthesize", "verify", "demo"])
+def test_trials_below_one_is_usage_error(command, trials, trine_file, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    argv = {
+        "synthesize": ["synthesize", trine_file, "-o", str(plan_path)],
+        "verify": ["verify", trine_file],
+        "demo": ["demo", "trine"],
+    }[command]
+    assert main(argv + ["--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and "--trials" in captured.err
+    assert "verification" not in captured.out
+    assert not plan_path.exists()
 
 
 class TestDemoCommand:

@@ -22,7 +22,6 @@ from povmcascade.optics import (
     build_module_network,
     dark_port_leakage,
     exit_amplitudes,
-    exit_vector,
     propagate,
 )
 from povmcascade.povm import density_from_pure, kraus_from_povm, outcome_probabilities
@@ -115,10 +114,10 @@ class TestModuleNetwork:
             out = propagate(PhotonState.pure(network.input, psi), network)
             p1, p2 = network.exits
             np.testing.assert_allclose(
-                exit_vector(out, p1), settings.exit_transfer() @ psi, atol=1e-12
+                out.mode_vector(p1), settings.exit_transfer() @ psi, atol=1e-12
             )
             np.testing.assert_allclose(
-                exit_vector(out, p2), settings.pass_transfer() @ psi, atol=1e-12
+                out.mode_vector(p2), settings.pass_transfer() @ psi, atol=1e-12
             )
 
     def test_unitaries_dress_the_module(self):
@@ -131,10 +130,10 @@ class TestModuleNetwork:
         out = propagate(PhotonState.pure(network.input, psi), network)
         p1, p2 = network.exits
         np.testing.assert_allclose(
-            exit_vector(out, p1), exit_u @ settings.exit_transfer() @ pre @ psi, atol=1e-12
+            out.mode_vector(p1), exit_u @ settings.exit_transfer() @ pre @ psi, atol=1e-12
         )
         np.testing.assert_allclose(
-            exit_vector(out, p2), settings.pass_transfer() @ pre @ psi, atol=1e-12
+            out.mode_vector(p2), settings.pass_transfer() @ pre @ psi, atol=1e-12
         )
 
     def test_fully_transmissive_module_passes_input_through(self):
@@ -142,8 +141,8 @@ class TestModuleNetwork:
         network = build_module_network(settings)
         out = propagate(PhotonState.pure(network.input, [0.6, 0.8j]), network)
         p1, p2 = network.exits
-        np.testing.assert_allclose(exit_vector(out, p1), [0.6, 0.8j], atol=1e-15)
-        assert max_abs(exit_vector(out, p2)) <= 1e-15
+        np.testing.assert_allclose(out.mode_vector(p1), [0.6, 0.8j], atol=1e-15)
+        assert max_abs(out.mode_vector(p2)) <= 1e-15
 
     def test_dark_ports_stay_dark_even_with_phases(self):
         rng = np.random.default_rng(54)
@@ -224,7 +223,7 @@ class TestPropagate:
         _, _, plan = trine_povm()
         network = build_cascade_network(plan)
         out = propagate(PhotonState.pure(network.input, [1.0, 0.0]), network)
-        weights = [float(np.vdot(v, v).real) for v in (exit_vector(out, m) for m in network.exits)]
+        weights = [float(np.vdot(v, v).real) for v in (out.mode_vector(m) for m in network.exits)]
         np.testing.assert_allclose(weights, [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
 

@@ -114,7 +114,7 @@ class TestSynthesizeCascade:
         for n in (2, 4, 6):
             for seed in range(10):
                 kraus = random_kraus(n, seed)
-                elements = kraus.povm_elements()
+                elements = [dagger(m) @ m for m in kraus]
                 steps = synthesis_steps(kraus)
                 assert len(steps) == n - 1
                 for j, step in enumerate(steps):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povmcascade.demos import trine_povm
-from povmcascade.optics import PhotonState, build_cascade_network, exit_vector, propagate
+from povmcascade.optics import PhotonState, build_cascade_network, propagate
 from povmcascade.povm import (
     density_from_pure,
     density_matrix,
@@ -59,6 +59,13 @@ class TestVerifyPlan:
         for check in report.checks:
             assert check.max_residual <= 1e-12
 
+    def test_rejects_fewer_than_one_trial_state(self):
+        # zero trial states would make every photon-level check pass vacuously
+        _, kraus, plan = trine_povm()
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trial_states"):
+                verify_plan(kraus, plan, trial_states=trials)
+
     def test_reports_are_deterministic(self):
         _, kraus, plan = trine_povm()
         first = verify_plan(kraus, plan, trial_states=25, seed=7)
@@ -86,7 +93,7 @@ class TestVerifyDensity:
         for k, weight in enumerate(lam):
             out = propagate(PhotonState.pure(network.input, basis[:, k]), network)
             for i, mode in enumerate(network.exits):
-                vec = exit_vector(out, mode)
+                vec = out.mode_vector(mode)
                 probs[i] += weight * float(np.vdot(vec, vec).real)
         np.testing.assert_allclose(probs, [1.0 / 3.0] * 3, atol=1e-12)
 
