@@ -45,6 +45,7 @@ __all__ = [
     "ExitAmplitude",
     "apply_element",
     "propagate",
+    "transfer_matrices",
     "exit_amplitudes",
     "dark_port_leakage",
     "build_module_network",
@@ -239,6 +240,21 @@ def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
     for element in network.elements:
         current = apply_element(current, element)
     return current
+
+
+def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
+    """The network's linear map, read off by propagating |H> and |V> once each.
+
+    For every mode a propagated state carries (exits, dark ports and any
+    other live mode), the 2x2 matrix T with
+    ``propagate(PhotonState.pure(network.input, psi), network).mode_vector(mode)
+    == T @ psi``: column 0 is the image of |H>, column 1 of |V>.
+    """
+    from_h = propagate(PhotonState.pure(network.input, (1.0, 0.0)), network).amplitudes
+    from_v = propagate(PhotonState.pure(network.input, (0.0, 1.0)), network).amplitudes
+    modes = list(dict.fromkeys(mode for mode, _ in from_h))
+    stacked = np.array([[[from_h[(m, p)], from_v[(m, p)]] for p in (H, V)] for m in modes], dtype=complex)
+    return dict(zip(modes, stacked))
 
 
 def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmplitude]:

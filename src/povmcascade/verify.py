@@ -1,10 +1,11 @@
 """End-to-end checks: compiled-and-simulated cascade vs the analytic oracle.
 
-verify_plan drives random pure states through the optical network built
-from a plan and compares exit statistics and conditional states against
-direct application of the Kraus operators, alongside operator-level
-round-trip residuals, dark-port leakage, and norm conservation.  Reports
-are deterministic for fixed inputs and seed.
+verify_plan simulates the optical network built from a plan once, reading
+its linear map off |H> and |V> (optics.transfer_matrices), applies that map
+to random pure states and compares exit statistics and conditional states
+against direct application of the Kraus operators, alongside
+operator-level round-trip residuals, dark-port leakage, and norm
+conservation.  Reports are deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import PhotonState, build_cascade_network, dark_port_leakage, propagate
+from .optics import build_cascade_network, transfer_matrices
 from .povm import (
     PROBABILITY_FLOOR,
     DensityMatrix,
@@ -155,6 +156,14 @@ def verify_plan(
     conditional_state 1e-9 (simulated exits vs the analytic oracle over
     ``trial_states`` random pure inputs; conditional comparison is
     1 - |overlap|, global-phase free), dark_port 1e-10, norm 1e-9.
+
+    The photon-level residuals come from one simulation: the network's
+    per-mode maps T (:func:`optics.transfer_matrices`, two propagations)
+    are applied to all trial states at once, so exit i of trial psi is
+    T[exit i] @ psi.  norm sums |T @ psi|^2 over every mode the propagated
+    state carries, not only exits and dark ports, so stray light shows.
+    Trial states are drawn one random_pure_state per trial, in order;
+    case_count is trial_states.
     Residual failures are report entries, never exceptions; only an
     outcome-count mismatch between plan and Kraus set, or trial_states < 1
     (which would pass vacuously), raises.
@@ -171,25 +180,24 @@ def verify_plan(
         k_res = max(k_res, max_abs(produced - wanted))
 
     network = build_cascade_network(plan)
+    transfer = transfer_matrices(network)
     rng = np.random.default_rng(seed)
-    prob_res = 0.0
-    cond_res = 0.0
-    dark_res = 0.0
-    norm_res = 0.0
-    for _ in range(trial_states):
-        psi = random_pure_state(rng)
-        out = propagate(PhotonState.pure(network.input, psi), network)
-        dark_res = max(dark_res, dark_port_leakage(out, network))
-        norm_res = max(norm_res, abs(out.total_probability() - 1.0))
-        for mode, m in zip(network.exits, kraus):
-            target = m @ psi
-            p_oracle = float(np.vdot(target, target).real)
-            vec = out.mode_vector(mode)
-            p_sim = float(np.vdot(vec, vec).real)
-            prob_res = max(prob_res, abs(p_sim - p_oracle))
-            if p_oracle >= PROBABILITY_FLOOR and p_sim >= PROBABILITY_FLOOR:
-                overlap = abs(np.vdot(vec, target)) / np.sqrt(p_sim * p_oracle)
-                cond_res = max(cond_res, 1.0 - min(overlap, 1.0))
+    psis = np.array([random_pure_state(rng) for _ in range(trial_states)]).T
+
+    def images(operators) -> np.ndarray:
+        """Amplitudes operator @ psi, indexed (operator, polarization, trial)."""
+        return np.array(list(operators)) @ psis
+
+    sim = images(transfer[mode] for mode in network.exits)
+    target = images(kraus)
+    p_sim = np.sum(np.abs(sim) ** 2, axis=1)
+    p_oracle = np.sum(np.abs(target) ** 2, axis=1)
+    live = (p_oracle >= PROBABILITY_FLOOR) & (p_sim >= PROBABILITY_FLOOR)
+    overlap = np.abs(np.sum(sim.conj() * target, axis=1))[live] / np.sqrt(p_sim * p_oracle)[live]
+    prob_res = np.max(np.abs(p_sim - p_oracle))
+    cond_res = np.max(1.0 - np.minimum(overlap, 1.0), initial=0.0)
+    dark_res = np.max(np.abs(images(transfer[mode] for mode in network.dark_ports)))
+    norm_res = np.max(np.abs(np.sum(np.abs(images(transfer.values())) ** 2, axis=(0, 1)) - 1.0))
 
     residuals = {
         "f_roundtrip": f_res,
@@ -202,45 +210,42 @@ def verify_plan(
     return _report(residuals, seed, trial_states)
 
 
-def simulate_density(plan: CascadePlan, rho: DensityMatrix) -> tuple[list[OutcomeRecord], int]:
+def simulate_density(plan: CascadePlan, rho: DensityMatrix) -> list[OutcomeRecord]:
     """Exit statistics of a mixed state, simulated through the plan's network.
 
-    rho is decomposed into its eigencomponents; each one with weight above
-    PROBABILITY_FLOOR is propagated, and exit probabilities / unnormalized
-    conditional projectors are recombined with the eigenvalue weights.
-    Returns one record per exit (post_state None below PROBABILITY_FLOOR)
-    and the number of components propagated.
+    Each exit's unnormalized conditional state is T rho T^dag, with T the
+    exit's map from :func:`optics.transfer_matrices`; its trace is the exit
+    probability.  Returns one record per exit, post_state normalized (and
+    Hermitian-symmetrized, as the oracle does) or None below PROBABILITY_FLOOR.
     """
-    lam, basis = eig_hermitian2(rho.rho)
-    components = [(float(q), basis[:, k]) for k, q in enumerate(lam) if q > PROBABILITY_FLOOR]
     network = build_cascade_network(plan)
-    probs = np.zeros(plan.n)
-    posts = [np.zeros((2, 2), dtype=complex) for _ in range(plan.n)]
-    for weight, psi in components:
-        out = propagate(PhotonState.pure(network.input, psi), network)
-        for i, mode in enumerate(network.exits):
-            vec = out.mode_vector(mode)
-            probs[i] += weight * float(np.vdot(vec, vec).real)
-            posts[i] += weight * np.outer(vec, vec.conj())
-    records = [
-        OutcomeRecord(i + 1, float(p), DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None)
-        for i, (p, post) in enumerate(zip(probs, posts))
-    ]
-    return records, len(components)
+    transfer = transfer_matrices(network)
+    records = []
+    for i, mode in enumerate(network.exits, start=1):
+        post = transfer[mode] @ rho.rho @ dagger(transfer[mode])
+        post = 0.5 * (post + dagger(post))
+        p = float(np.trace(post).real)
+        records.append(OutcomeRecord(i, p, DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None))
+    return records
 
 
 def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> VerificationReport:
     """Mixed-state contract: compare :func:`simulate_density` exit statistics
-    and post states against the analytic oracle.  case_count reports how
-    many eigencomponents of rho carried weight.
+    and post states against the analytic oracle.
+
+    case_count is the rank of rho: the number of its eigenvalues above
+    PROBABILITY_FLOOR.  It is counted from rho, not from propagated
+    components; the simulation itself propagates |H> and |V> whatever the
+    rank.
     """
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
-    simulated, components = simulate_density(plan, rho)
+    simulated = simulate_density(plan, rho)
     prob_res = 0.0
     post_res = 0.0
     for sim, record in zip(simulated, outcome_probabilities(rho, kraus)):
         prob_res = max(prob_res, abs(sim.probability - record.probability))
         if record.post_state is not None and sim.post_state is not None:
             post_res = max(post_res, max_abs(sim.post_state.rho - record.post_state.rho))
-    return _report({"probability": prob_res, "post_state": post_res}, 0, components)
+    rank = int(np.sum(eig_hermitian2(rho.rho)[0] > PROBABILITY_FLOOR))
+    return _report({"probability": prob_res, "post_state": post_res}, 0, rank)

@@ -203,8 +203,8 @@ class TestSimulateCommand:
         assert out.count("0.333333333333") == 3
 
     def test_density_rank_one_matches_pure(self, trine_file, tmp_path, capsys):
-        # a pure state as a density matrix has one zero-weight eigencomponent,
-        # which the mixed-state path skips
+        # a pure state as a density matrix is rank one; T rho T^dag on each
+        # exit must give the same probabilities as propagating the state
         plan_path = tmp_path / "plan.json"
         main(["synthesize", trine_file, "-o", str(plan_path), "--trials", "5"])
         psi = np.array([0.6, 0.8j])

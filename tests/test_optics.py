@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from povmcascade.demos import trine_povm
+from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.optics import (
     H,
     V,
@@ -23,11 +23,12 @@ from povmcascade.optics import (
     dark_port_leakage,
     exit_amplitudes,
     propagate,
+    transfer_matrices,
 )
 from povmcascade.povm import density_from_pure, kraus_from_povm, outcome_probabilities
 from povmcascade.qmath import max_abs, phase_fixed, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, synthesize_cascade
-from povmcascade.verify import random_povm, random_pure_state
+from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
 
 I2 = np.eye(2, dtype=complex)
 IN = ModeLabel(0, "in")
@@ -265,3 +266,48 @@ class TestExitAmplitudes:
             oracle = outcome_probabilities(density_from_pure(psi), kraus)
             for record, expected in zip(records, oracle):
                 assert record.probability == pytest.approx(expected.probability, abs=1e-9)
+
+
+def linearity_network(spec):
+    kind, *params = spec
+    if kind == "trine":
+        return build_cascade_network(trine_povm()[2])
+    if kind == "ekert":
+        alpha, beta = params
+        return build_cascade_network(ekert_povm(EkertParams(math.radians(alpha), math.radians(beta)))[1])
+    if kind == "module":
+        theta, phi, zeta, xi = params
+        settings = ModuleSettings(
+            theta=theta,
+            phi=phi,
+            zeta=zeta,
+            xi=xi,
+            pre_unitary=rotation(0.4),
+            exit_unitary=rotation(-1.1) @ np.diag([1.0, np.exp(0.2j)]),
+        )
+        return build_module_network(settings, module_index=3)
+    family, n = {"random": random_povm, "rank_one": random_rank_one_povm}[kind], params[0]
+    return build_cascade_network(synthesize_cascade(kraus_from_povm(family(n, n))))
+
+
+LINEARITY_SPECS = (
+    [("trine",), ("ekert", 0.0, 45.0), ("ekert", 10.0, 70.0)]
+    + [("module", 0.0, 0.0, 0.0, 0.0), ("module", 0.5, 1.2, 0.3, -2.0), ("module", math.pi / 2, 0.7, -1.0, 2.5)]
+    + [(kind, n) for kind in ("random", "rank_one") for n in range(2, 21)]
+)
+
+
+class TestTransferMatrices:
+    @pytest.mark.parametrize("spec", LINEARITY_SPECS, ids=lambda spec: "-".join(map(str, spec)))
+    def test_map_reproduces_propagation_on_every_mode(self, spec):
+        # verification reads the network off |H> and |V> alone; that is only
+        # sound because propagation is linear, which this pins down
+        network = linearity_network(spec)
+        transfer = transfer_matrices(network)
+        rng = np.random.default_rng(57)
+        for _ in range(3):
+            psi = random_pure_state(rng)
+            out = propagate(PhotonState.pure(network.input, psi), network)
+            assert set(transfer) == out.modes()
+            for mode in out.modes():
+                assert max_abs(transfer[mode] @ psi - out.mode_vector(mode)) <= 1e-14, mode

@@ -19,7 +19,7 @@ from povmcascade.synthesis import (
     synthesis_steps,
     synthesize_cascade,
 )
-from povmcascade.verify import random_povm, random_rank_one_povm
+from povmcascade.verify import random_povm, random_rank_one_povm, verify_plan
 
 I2 = np.eye(2, dtype=complex)
 
@@ -162,6 +162,15 @@ class TestSynthesizeCascade:
         with pytest.raises(UnsupportedOperator) as info:
             synthesize_cascade(bad)
         assert info.value.module_index == 2
+
+    @pytest.mark.xfail(
+        raises=EigenvalueOutOfRange,
+        reason="known defect: round-off in the nearly exhausted pass-arm prefix pushes "
+        "module 71's effective eigenvalue to 1.00000000104",
+    )
+    def test_own_rank_one_generator_output_compiles(self):
+        kraus = kraus_from_povm(random_rank_one_povm(72, 35))
+        assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
 
 
 class TestReconstructKraus:

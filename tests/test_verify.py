@@ -1,15 +1,18 @@
 """Verification harness: reports, random generators, and failure detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from povmcascade.demos import trine_povm
-from povmcascade.optics import PhotonState, build_cascade_network, propagate
+from povmcascade.optics import PhotonState, build_cascade_network, dark_port_leakage, propagate
 from povmcascade.povm import (
     density_from_pure,
     density_matrix,
     kraus_from_povm,
     validate_kraus,
+    validate_povm,
 )
 from povmcascade.qmath import dagger, eig_hermitian2, max_abs, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, synthesize_cascade
@@ -48,9 +51,21 @@ class TestVerifyPlan:
         report = verify_plan(kraus, CascadePlan(tuple(tampered), plan.final_exit_unitary))
         assert not report.passed
         assert not report.check("kraus_roundtrip").passed
+        assert not report.check("conditional_state").passed
         assert report.check("f_roundtrip").passed
         assert report.check("probability").passed
         assert report.check("dark_port").passed
+
+    def test_shifted_theta_fails_probability_but_stays_lossless(self):
+        # a mis-set rotator moves weight between exits: the photon-level
+        # probability check must fire, while the network stays unitary
+        _, kraus, plan = trine_povm()
+        tampered = list(plan.modules)
+        tampered[0] = dataclasses.replace(tampered[0], theta=tampered[0].theta + 0.05)
+        report = verify_plan(kraus, CascadePlan(tuple(tampered), plan.final_exit_unitary))
+        assert not report.check("probability").passed
+        assert report.check("dark_port").passed
+        assert report.check("norm").passed
 
     def test_projective_pair_is_exact(self):
         kraus = validate_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -58,6 +73,36 @@ class TestVerifyPlan:
         assert report.passed
         for check in report.checks:
             assert check.max_residual <= 1e-12
+
+    def test_photon_residuals_match_per_state_propagation(self):
+        # reference: every trial state propagated element by element, one at a
+        # time; the mis-set plan makes probability and conditional_state large,
+        # so agreement there is not agreement of round-off
+        _, trine_kraus, trine_plan = trine_povm()
+        mis_set = list(trine_plan.modules)
+        mis_set[1] = dataclasses.replace(mis_set[1], theta=mis_set[1].theta + 0.05)
+        plans = [(trine_kraus, trine_plan), (trine_kraus, CascadePlan(tuple(mis_set), trine_plan.final_exit_unitary))]
+        for kraus in (kraus_from_povm(random_povm(5, 3)), kraus_from_povm(random_rank_one_povm(4, 2))):
+            plans.append((kraus, synthesize_cascade(kraus)))
+        for kraus, plan in plans:
+            network = build_cascade_network(plan)
+            rng = np.random.default_rng(11)
+            worst = dict.fromkeys(("probability", "conditional_state", "dark_port", "norm"), 0.0)
+            for _ in range(20):
+                psi = random_pure_state(rng)
+                out = propagate(PhotonState.pure(network.input, psi), network)
+                worst["dark_port"] = max(worst["dark_port"], dark_port_leakage(out, network))
+                worst["norm"] = max(worst["norm"], abs(out.total_probability() - 1.0))
+                for mode, m in zip(network.exits, kraus):
+                    vec, target = out.mode_vector(mode), m @ psi
+                    p_sim, p_oracle = np.vdot(vec, vec).real, np.vdot(target, target).real
+                    worst["probability"] = max(worst["probability"], abs(p_sim - p_oracle))
+                    if min(p_sim, p_oracle) >= 1e-12:
+                        overlap = abs(np.vdot(vec, target)) / np.sqrt(p_sim * p_oracle)
+                        worst["conditional_state"] = max(worst["conditional_state"], 1.0 - min(overlap, 1.0))
+            report = verify_plan(kraus, plan, trial_states=20, seed=11)
+            for name, value in worst.items():
+                assert abs(report.check(name).max_residual - value) <= 1e-14, name
 
     def test_rejects_fewer_than_one_trial_state(self):
         # zero trial states would make every photon-level check pass vacuously
@@ -71,6 +116,21 @@ class TestVerifyPlan:
         first = verify_plan(kraus, plan, trial_states=25, seed=7)
         second = verify_plan(kraus, plan, trial_states=25, seed=7)
         assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="known defect: square roots of round-off eigenvalues give a ~1.8e-8 "
+        "Kraus residual on this valid rank-deficient POVM",
+    )
+    def test_near_rank_deficient_povm_passes(self):
+        eps = 1e-4
+        r = rotation(0.3)
+        f1 = r @ np.diag([1.0 - eps, 0.5]) @ dagger(r)
+        f2 = r @ np.diag([eps, 0.25]) @ dagger(r)
+        kraus = kraus_from_povm(validate_povm([f1, f2, I2 - f1 - f2]))
+        report = verify_plan(kraus, synthesize_cascade(kraus))
+        assert report.check("kraus_roundtrip").passed
+        assert report.passed
 
     def test_report_dict_schema(self):
         _, kraus, plan = trine_povm()
