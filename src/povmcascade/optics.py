@@ -16,6 +16,10 @@ All beamsplitters share one polarization basis: H transmits, V reflects,
 with no extra reflection phase (any physical phase belongs to the unitary
 elements).  Vacuum inputs are explicit zero-amplitude modes, which makes
 the whole transfer manifestly unitary.
+
+propagate keeps one amplitude table per call and lets each element act on
+it in place, so a network costs the same per element at any depth; the
+caller's state is never modified.
 """
 
 from __future__ import annotations
@@ -192,9 +196,8 @@ def _mode_pair(amps, mode: ModeLabel) -> tuple[complex, complex]:
         raise UnknownMode(mode) from None
 
 
-def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:
-    """Act with one element; amplitudes on untouched modes pass through."""
-    amps = dict(state.amplitudes)
+def _act(amps, element: OpticalElement) -> None:
+    """Act with one element on an amplitude table, in place."""
     if isinstance(element, PolarizingBeamsplitter):
         a_h, a_v = _mode_pair(amps, element.in_a)
         b_h, b_v = _mode_pair(amps, element.in_b)
@@ -205,7 +208,7 @@ def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:
         amps[(element.out_a, V)] = b_v
         amps[(element.out_b, H)] = b_h
         amps[(element.out_b, V)] = a_v
-        return PhotonState(amps)
+        return
     if isinstance(element, Rotator):
         matrix = rotation(element.angle)
     elif isinstance(element, PhaseShifter):
@@ -218,28 +221,36 @@ def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:
     vec = matrix @ np.array([a_h, a_v])
     amps[(element.mode, H)] = complex(vec[0])
     amps[(element.mode, V)] = complex(vec[1])
+
+
+def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:
+    """Act with one element; amplitudes on untouched modes pass through.
+
+    Returns a new state; the caller's state is left untouched.
+    """
+    amps = dict(state.amplitudes)
+    _act(amps, element)
     return PhotonState(amps)
 
 
 def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
     """Feed a state through the network, seeding all vacuum ports with zeros.
 
-    The input state must live on the network's external input modes.
+    The input state must live on the network's external input modes.  The
+    elements act in place on one fresh amplitude table per call, so the cost
+    is linear in the number of elements and the caller's state is left
+    untouched.
     """
     external = network.external_inputs()
     allowed = set(external)
     for mode in state.modes():
         if mode not in allowed:
             raise UnknownMode(mode)
-    amps: dict[tuple[ModeLabel, str], complex] = {}
-    for mode in external:
-        amps[(mode, H)] = 0.0j
-        amps[(mode, V)] = 0.0j
+    amps = {(mode, pol): 0.0j for mode in external for pol in (H, V)}
     amps.update({k: complex(v) for k, v in state.amplitudes.items()})
-    current = PhotonState(amps)
     for element in network.elements:
-        current = apply_element(current, element)
-    return current
+        _act(amps, element)
+    return PhotonState(amps)
 
 
 def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:

@@ -161,7 +161,9 @@ def verify_plan(
     per-mode maps T (:func:`optics.transfer_matrices`, two propagations)
     are applied to all trial states at once, so exit i of trial psi is
     T[exit i] @ psi.  norm sums |T @ psi|^2 over every mode the propagated
-    state carries, not only exits and dark ports, so stray light shows.
+    state carries, not only exits and dark ports, so it checks the whole
+    network for loss or gain; light sent to a stray mode keeps the norm and
+    shows in probability instead.
     Trial states are drawn one random_pure_state per trial, in order;
     case_count is trial_states.
     Residual failures are report entries, never exceptions; only an

@@ -220,6 +220,37 @@ class TestPropagate:
             out = propagate(PhotonState.pure(IN, random_pure_state(rng)), network)
             assert abs(out.total_probability() - 1.0) <= 1e-12
 
+    def test_caller_state_is_left_untouched(self):
+        network = build_cascade_network(synthesize_cascade(kraus_from_povm(random_povm(6, 13))))
+        pbs = PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)
+        cases = [
+            (PhotonState.pure(network.input, [0.6, 0.8j]), lambda state: propagate(state, network)),
+            (state_with_vacuum(IN, [0.6, 0.8j], AUX), lambda state: apply_element(state, pbs)),
+        ]
+        for state, run in cases:
+            before = list(state.amplitudes.items())
+            first = run(state)
+            assert list(state.amplitudes.items()) == before
+            assert first.amplitudes is not state.amplitudes
+            assert list(run(state).amplitudes.items()) == list(first.amplitudes.items())
+
+    def test_consumed_mode_raises_unknown_mode(self):
+        # the beamsplitter takes IN away, so the rotator after it has nothing to act on
+        network = OpticalNetwork(
+            (PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B), Rotator(IN, 0.1)), (OUT_A, OUT_B), IN
+        )
+        with pytest.raises(UnknownMode) as caught:
+            propagate(PhotonState.pure(IN, [0.6, 0.8]), network)
+        assert caught.value.mode == IN
+
+    def test_beamsplitter_onto_live_mode_raises(self):
+        # OUT_A is seeded as a vacuum input, so the beamsplitter would overwrite it
+        network = OpticalNetwork(
+            (Rotator(OUT_A, 0.1), PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)), (OUT_A, OUT_B), IN
+        )
+        with pytest.raises(ValueError, match="already occupied"):
+            propagate(PhotonState.pure(IN, [0.6, 0.8]), network)
+
     def test_trine_exit_weights_for_horizontal_input(self):
         _, _, plan = trine_povm()
         network = build_cascade_network(plan)
@@ -293,7 +324,7 @@ def linearity_network(spec):
 LINEARITY_SPECS = (
     [("trine",), ("ekert", 0.0, 45.0), ("ekert", 10.0, 70.0)]
     + [("module", 0.0, 0.0, 0.0, 0.0), ("module", 0.5, 1.2, 0.3, -2.0), ("module", math.pi / 2, 0.7, -1.0, 2.5)]
-    + [(kind, n) for kind in ("random", "rank_one") for n in range(2, 21)]
+    + [(kind, n) for kind in ("random", "rank_one") for n in (*range(2, 21), 40, 80)]
 )
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from povmcascade.demos import trine_povm
-from povmcascade.optics import PhotonState, build_cascade_network, dark_port_leakage, propagate
+from povmcascade.optics import (
+    ModeLabel,
+    ModeUnitary,
+    PhotonState,
+    PolarizingBeamsplitter,
+    build_cascade_network,
+    dark_port_leakage,
+    propagate,
+)
 from povmcascade.povm import (
     density_from_pure,
     density_matrix,
@@ -25,6 +33,25 @@ from povmcascade.verify import (
 )
 
 I2 = np.eye(2, dtype=complex)
+
+
+def declare_first_exit_dark(network):
+    # exit 1 carries light, so declaring it dark must show as leakage
+    return dataclasses.replace(network, dark_ports=network.dark_ports + (network.exits[0],))
+
+
+def attenuate_last_exit(network):
+    # a 0.9 attenuator on the last exit loses light
+    lossy = ModeUnitary(network.exits[-1], 0.9 * I2)
+    return dataclasses.replace(network, elements=network.elements + (lossy,))
+
+
+def split_last_exit_to_stray_mode(network):
+    # the last exit's V light leaves for a fresh mode that is neither an exit
+    # nor a dark port; nothing is lost
+    last = network.exits[-1]
+    split = PolarizingBeamsplitter(last, ModeLabel(99, "vac"), last, ModeLabel(99, "stray"))
+    return dataclasses.replace(network, elements=network.elements + (split,))
 
 
 class TestVerifyPlan:
@@ -103,6 +130,24 @@ class TestVerifyPlan:
             report = verify_plan(kraus, plan, trial_states=20, seed=11)
             for name, value in worst.items():
                 assert abs(report.check(name).max_residual - value) <= 1e-14, name
+
+    @pytest.mark.parametrize(
+        "tamper, failing",
+        [
+            (declare_first_exit_dark, {"dark_port"}),
+            (attenuate_last_exit, {"probability", "norm"}),
+            (split_last_exit_to_stray_mode, {"probability", "conditional_state"}),
+        ],
+        ids=lambda value: value.__name__ if callable(value) else "+".join(sorted(value)),
+    )
+    def test_each_photon_check_can_fire(self, monkeypatch, tamper, failing):
+        kraus = kraus_from_povm(random_povm(5, 3))
+        plan = synthesize_cascade(kraus)
+        monkeypatch.setattr("povmcascade.verify.build_cascade_network", lambda p: tamper(build_cascade_network(p)))
+        report = verify_plan(kraus, plan, trial_states=20)
+        assert {c.name for c in report.checks if not c.passed} == failing
+        for name in failing:
+            assert report.check(name).max_residual > 1e-2, name
 
     def test_rejects_fewer_than_one_trial_state(self):
         # zero trial states would make every photon-level check pass vacuously
