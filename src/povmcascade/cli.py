@@ -19,7 +19,7 @@ import numpy as np
 
 from . import demos
 from .optics import PhotonState, build_cascade_network, exit_amplitudes, propagate
-from .povm import density_matrix, kraus_from_povm, validate_povm, validation_residuals
+from .povm import _check_residuals, density_matrix, kraus_from_povm, validate_povm, validation_residuals
 from .synthesis import CascadePlan, DomainError, ModuleSettings, synthesize_cascade
 from .verify import simulate_density, verify_plan
 
@@ -258,7 +258,7 @@ def _cmd_validate(args) -> int:
         print(f"{name}: hermiticity residual {herm:.3e}, min eigenvalue {min_eig:+.3e}")
     print(f"completeness residual: {completeness:.3e}")
     try:
-        validate_povm(elements)
+        _check_residuals(per_element, completeness)
     except ValueError as exc:
         print(f"INVALID: {exc}")
         return EXIT_DOMAIN

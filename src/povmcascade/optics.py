@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -160,8 +161,12 @@ class OpticalNetwork:
         """Modes consumed by some element before any element produced them.
 
         These are the photon input plus the vacuum ports; propagate seeds
-        them all with explicit zero amplitudes.
+        them all with explicit zero amplitudes.  Computed once per network.
         """
+        return self._external_inputs
+
+    @cached_property
+    def _external_inputs(self) -> tuple[ModeLabel, ...]:
         produced: set[ModeLabel] = set()
         needed: list[ModeLabel] = [self.input]
         seen: set[ModeLabel] = {self.input}

@@ -17,9 +17,9 @@ from .qmath import (
     DEFAULT_TOL,
     NotHermitian,
     NotPsd,
+    _hermitian_residuals,
     as_matrix2,
     dagger,
-    hermitian_residuals,
     identity2,
     is_unitary,
     max_abs,
@@ -122,10 +122,15 @@ def validate_povm(elements, tol: float = DEFAULT_TOL) -> PovmSet:
     residual of sum(F) - I.  Zero elements are legal; they arise in
     degenerate parameterizations and the algebra tolerates them.
     """
-    mats = [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
+    mats = _as_elements(elements)
     if len(mats) < 2:
         raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
-    per_element, residual = validation_residuals(mats)
+    _check_residuals(*_residuals(mats), tol)
+    return PovmSet(tuple(mats))
+
+
+def _check_residuals(per_element, residual: float, tol: float = DEFAULT_TOL) -> None:
+    """Raise the first violation among validation_residuals' output at tol."""
     for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
         if herm_residual > tol:
             raise NotHermitian(
@@ -141,7 +146,6 @@ def validate_povm(elements, tol: float = DEFAULT_TOL) -> PovmSet:
             )
     if residual > tol:
         raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
-    return PovmSet(tuple(mats))
 
 
 def validate_kraus(operators, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -181,7 +185,7 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None, tol: float = DEFAULT_TOL
 def density_matrix(rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a 2x2 density matrix (Hermitian, PSD, unit trace)."""
     rho = as_matrix2(rho, name="density matrix")
-    herm_residual, min_eigenvalue = hermitian_residuals(rho)
+    herm_residual, min_eigenvalue = _hermitian_residuals(rho)
     if herm_residual > tol:
         raise NotHermitian(f"density matrix hermiticity residual {herm_residual:.3e}", residual=herm_residual)
     if min_eigenvalue < -tol:
@@ -226,6 +230,13 @@ def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRe
 def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
     """Diagnostic residuals for reporting: per element (hermiticity residual,
     minimum eigenvalue) plus the completeness residual ||sum F - I||."""
-    mats = [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
+    return _residuals(_as_elements(elements))
+
+
+def _as_elements(elements) -> list[np.ndarray]:
+    return [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
+
+
+def _residuals(mats: list[np.ndarray]) -> tuple[list[tuple[float, float]], float]:
     total = sum(mats[1:], start=mats[0])
-    return [hermitian_residuals(f) for f in mats], max_abs(total - identity2())
+    return [_hermitian_residuals(f) for f in mats], max_abs(total - identity2())

@@ -6,6 +6,13 @@ calls so that results are bit-stable across runs.  Unitary factors follow a
 fixed phase gauge: each gauge-free column is scaled so its largest-modulus
 entry is real and positive, which keeps golden-file comparisons meaningful.
 
+Public functions check their input (shape, finiteness, Hermiticity at
+``tol``).  The private cores behind them (``_eig``, ``_svd``, ``_align``,
+``_hermitian_residuals``) assume an input already checked and, for ``_eig``,
+already symmetrized; the package calls them on arrays it has just built.
+Both paths run the same floating-point operations, so results are
+bit-identical.
+
 Basis convention throughout the package: index 0 is horizontal polarization
 |H>, index 1 is vertical polarization |V>.
 """
@@ -71,7 +78,7 @@ def as_matrix2(m, name: str = "matrix") -> np.ndarray:
     out = np.array(m, dtype=complex)
     if out.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -83,11 +90,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def max_abs(m) -> float:
     """Entrywise max-modulus norm (the comparison metric used everywhere)."""
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def identity2() -> np.ndarray:
     return np.eye(2, dtype=complex)
+
+
+_IDENTITY = identity2()
+_IDENTITY.flags.writeable = False
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -98,11 +109,27 @@ def rotation(angle: float) -> np.ndarray:
 
 def phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale a 2-vector by a unit phase so its largest-modulus entry is real >= 0."""
-    i = int(np.argmax(np.abs(v)))
+    i = int(np.abs(v).argmax())
     pivot = v[i]
     if pivot == 0:
         return np.array(v, dtype=complex)
     return np.asarray(v, dtype=complex) * (np.conj(pivot) / abs(pivot))
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a contiguous complex vector, without the wrapper: same operations
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _columns(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    # np.column_stack([v1, v2]) for 2-vectors: the same C-contiguous array
+    return np.array([v1, v2]).T.copy()
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    # np.diag(d) for a real 2-vector
+    return np.array([[d[0], 0.0], [0.0, d[1]]])
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -111,7 +138,7 @@ def _perp(v: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return max_abs(dagger(m) @ m - identity2()) <= tol
+    return max_abs(dagger(m) @ m - _IDENTITY) <= tol
 
 
 def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
@@ -120,9 +147,12 @@ def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
     m is Hermitian within tol when the first is <= tol, and also positive
     semidefinite within tol when the second is >= -tol.
     """
-    residual = max_abs(m - dagger(m))
-    lam, _ = eig_hermitian2(0.5 * (m + dagger(m)), tol=np.inf)
-    return residual, float(lam[1])
+    return _hermitian_residuals(as_matrix2(m))
+
+
+def _hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
+    lam, _ = _eig(0.5 * (m + dagger(m)))
+    return max_abs(m - dagger(m)), float(lam[1])
 
 
 def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +175,10 @@ def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
             f"hermiticity residual {residual:.3e} exceeds tolerance {tol:.1e}",
             residual=residual,
         )
-    h = 0.5 * (h + dagger(h))
+    return _eig(0.5 * (h + dagger(h)))
+
+
+def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max_abs(h)
     if scale == 0.0:
         return np.zeros(2), identity2()
@@ -159,13 +192,13 @@ def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     top = t + r
     cand_a = np.array([b, top - a], dtype=complex)
     cand_b = np.array([top - c, np.conj(b)], dtype=complex)
-    cand = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    norm = np.linalg.norm(cand)
+    norm_a, norm_b = _norm(cand_a), _norm(cand_b)
+    cand, norm = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
     if norm == 0.0:
         return lam, identity2()
     v1 = phase_fixed(cand / norm)
     v2 = phase_fixed(_perp(v1))
-    return lam, np.column_stack([v1, v2])
+    return lam, _columns(v1, v2)
 
 
 def sqrt_psd(f, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -176,8 +209,7 @@ def sqrt_psd(f, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"minimum eigenvalue {lam[1]:.3e} below -{tol:.1e}",
             min_eigenvalue=float(lam[1]),
         )
-    lam = np.maximum(lam, 0.0)
-    root = w @ np.diag(np.sqrt(lam)) @ dagger(w)
+    root = w @ _diag(np.sqrt(np.maximum(lam, 0.0))) @ dagger(w)
     return 0.5 * (root + dagger(root))
 
 
@@ -190,16 +222,19 @@ def svd2(m) -> Svd2:
     are unitary to machine precision and the product reconstructs m to
     machine precision even for rank-deficient input.
     """
-    m = as_matrix2(m)
+    return _svd(as_matrix2(m))
+
+
+def _svd(m: np.ndarray) -> Svd2:
     scale = max_abs(m)
     if scale == 0.0:
         return Svd2(identity2(), np.zeros(2), identity2())
     ms = m / scale
     h = dagger(ms) @ ms
-    _, w = eig_hermitian2(0.5 * (h + dagger(h)), tol=np.inf)
+    _, w = _eig(0.5 * (h + dagger(h)))
     c1 = ms @ w[:, 0]
     c2 = ms @ w[:, 1]
-    d1 = float(np.linalg.norm(c1))
+    d1 = _norm(c1)
     if d1 == 0.0:
         return Svd2(identity2(), np.zeros(2), dagger(w))
     v1 = c1 / d1
@@ -210,7 +245,7 @@ def svd2(m) -> Svd2:
         v2 = vp * (beta / d2)
     else:
         v2 = phase_fixed(vp)
-    v = np.column_stack([v1, v2])
+    v = _columns(v1, v2)
     d = np.array([d1, d2])
     u = dagger(w)
     if d[1] > d[0]:
@@ -228,8 +263,8 @@ def pinv_support(m, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     v, d, u = svd2(m)
     keep = d > cutoff
     dplus = np.array([1.0 / x if ok else 0.0 for x, ok in zip(d, keep)])
-    pinv = dagger(u) @ np.diag(dplus) @ dagger(v)
-    projector = dagger(u) @ np.diag(keep.astype(float)) @ u
+    pinv = dagger(u) @ _diag(dplus) @ dagger(v)
+    projector = dagger(u) @ _diag(keep.astype(float)) @ u
     return pinv, projector
 
 
@@ -243,4 +278,9 @@ def aligning_unitary(target, source) -> np.ndarray:
     :func:`svd2`, so the completion is reproducible.
     """
     v, _, u = svd2(as_matrix2(target) @ dagger(as_matrix2(source)))
+    return v @ u
+
+
+def _align(target: np.ndarray, source: np.ndarray) -> np.ndarray:
+    v, _, u = _svd(target @ dagger(source))
     return v @ u

@@ -30,10 +30,11 @@ import numpy as np
 from .povm import KrausSet, validate_kraus
 from .qmath import (
     DEFAULT_TOL,
-    aligning_unitary,
+    _align,
+    _diag,
+    _eig,
     as_matrix2,
     dagger,
-    eig_hermitian2,
     identity2,
     is_unitary,
     max_abs,
@@ -207,18 +208,18 @@ def _plan_from_stages(kraus: KrausSet, stage) -> CascadePlan:
     for j, m in enumerate(kraus.operators[:-1], start=1):
         lam, pre = stage(j, m, prefix)
         lam = np.asarray(lam, dtype=float)
-        exit_diag = np.diag(np.sqrt(lam)).astype(complex)
-        pass_diag = np.diag(np.sqrt(1.0 - lam)).astype(complex)
+        exit_diag = _diag(np.sqrt(lam)).astype(complex)
+        pass_diag = _diag(np.sqrt(1.0 - lam)).astype(complex)
         modules.append(
             ModuleSettings(
                 theta=math.acos(math.sqrt(lam[0])),
                 phi=math.acos(math.sqrt(lam[1])),
                 pre_unitary=pre,
-                exit_unitary=aligning_unitary(m, exit_diag @ pre @ prefix),
+                exit_unitary=_align(m, exit_diag @ pre @ prefix),
             )
         )
         prefix = pass_diag @ pre @ prefix
-    return CascadePlan(tuple(modules), aligning_unitary(kraus.operators[-1], prefix))
+    return CascadePlan(tuple(modules), _align(kraus.operators[-1], prefix))
 
 
 def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[SynthesisStep]]:
@@ -232,11 +233,11 @@ def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[SynthesisStep]]:
             raise UnsupportedOperator(j, outside)
         g = dagger(pinv) @ f @ pinv
         g = 0.5 * (g + dagger(g))
-        lam, basis = eig_hermitian2(g, tol=np.inf)
+        lam, basis = _eig(g)
         if lam[0] > 1.0 + EIG_SLACK or lam[1] < -EIG_SLACK:
             bad = lam[0] if lam[0] > 1.0 + EIG_SLACK else lam[1]
             raise EigenvalueOutOfRange(j, float(bad))
-        lam = np.clip(lam, 0.0, 1.0)
+        lam = lam.clip(0.0, 1.0)
         lam[lam < EIG_SNAP] = 0.0
         lam[lam > 1.0 - EIG_SNAP] = 1.0
         steps.append(SynthesisStep(prefix, g, (float(lam[0]), float(lam[1]))))

@@ -16,7 +16,7 @@ from povmcascade.cli import (
     povm_document,
 )
 from povmcascade.demos import trine_povm
-from povmcascade.povm import kraus_from_povm, validate_kraus
+from povmcascade.povm import IncompleteSum, NotHermitian, NotPsd, kraus_from_povm, validate_kraus, validate_povm
 from povmcascade.qmath import max_abs
 from povmcascade.synthesis import reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm
@@ -99,6 +99,23 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "INVALID" in out
         assert "1.000e-01" in out
+
+    @pytest.mark.parametrize(
+        "elements, error",
+        [
+            ([np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]])], NotHermitian),
+            ([np.diag([1.0, 0.5]), np.diag([0.0, 0.5]), np.diag([0.0, -1e-3])], NotPsd),
+            ([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])], IncompleteSum),
+        ],
+    )
+    def test_invalid_line_is_validate_povms_error(self, tmp_path, capsys, elements, error):
+        path = write_json(tmp_path / "bad.json", povm_document(elements))
+        with pytest.raises(error) as raised:
+            validate_povm(elements)
+        assert main(["validate", path]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"INVALID: {raised.value}"
+        assert len(lines) == len(elements) + 2
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -198,6 +198,21 @@ class TestPropagate:
         out = propagate(PhotonState.pure(IN, [0.6, 0.8]), network)
         np.testing.assert_allclose(out.mode_vector(IN), [0.6, 0.8])
 
+    def test_external_inputs_are_the_modes_consumed_before_produced(self):
+        plan = synthesize_cascade(kraus_from_povm(random_povm(4, 2)))
+        for network in (build_module_network(ModuleSettings(theta=0.1, phi=0.2)), build_cascade_network(plan)):
+            produced, expected = set(), [network.input]
+            for element in network.elements:
+                if isinstance(element, PolarizingBeamsplitter):
+                    consumed, outputs = (element.in_a, element.in_b), (element.out_a, element.out_b)
+                else:
+                    consumed, outputs = (element.mode,), ()
+                expected += [m for m in consumed if m not in produced and m not in expected]
+                produced.update(outputs)
+            assert network.external_inputs() == tuple(expected)
+            # computed once per network: every call returns the same tuple
+            assert network.external_inputs() is network.external_inputs()
+
     def test_rejects_state_on_unknown_mode(self):
         network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
         with pytest.raises(UnknownMode):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from povmcascade import qmath
 from povmcascade.qmath import (
     NotHermitian,
     NotPsd,
@@ -245,3 +246,86 @@ class TestGaugeAndHelpers:
         first = identity2()
         first[0, 0] = 5.0
         assert identity2()[0, 0] == 1.0
+
+
+BAD_INPUTS = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[1.0, 0.0], [0.0, np.inf]]),
+    "3x3": np.eye(3),
+    "2-vector": np.array([1.0, 0.0]),
+}
+
+
+class TestPublicChecks:
+    """Every public entry point checks its input, even though the private cores do not."""
+
+    @pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    @pytest.mark.parametrize(
+        "call",
+        [
+            eig_hermitian2,
+            sqrt_psd,
+            svd2,
+            hermitian_residuals,
+            lambda m: pinv_support(m, 1e-10),
+            lambda m: aligning_unitary(m, I2),
+            lambda m: aligning_unitary(I2, m),
+        ],
+        ids=["eig_hermitian2", "sqrt_psd", "svd2", "hermitian_residuals", "pinv_support", "aligning_target", "aligning_source"],
+    )
+    def test_rejects_non_finite_and_wrong_shape(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_aligning_unitary_rejects_overflowing_product(self):
+        # both factors are finite; their product is not
+        big = np.full((2, 2), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            aligning_unitary(big, big)
+
+    def test_finite_tolerance_still_enforced(self):
+        skew = np.array([[1.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(NotHermitian):
+            eig_hermitian2(skew)
+        with pytest.raises(NotHermitian):
+            sqrt_psd(skew)
+        with pytest.raises(NotPsd):
+            sqrt_psd(np.diag([1.0, -1e-3]))
+
+
+def bits(*arrays):
+    return [np.asarray(a).dtype.str + np.ascontiguousarray(a).tobytes().hex() for a in arrays]
+
+
+class TestPrivateStandIns:
+    """The private stand-ins for numpy wrappers and the cores give the same bits."""
+
+    def test_norm_matches_linalg_norm(self):
+        rng = np.random.default_rng(2024)
+        scales = 10.0 ** rng.uniform(-150, 150, size=(10_000, 1))
+        vectors = scales * (rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2)))
+        for v in vectors:
+            v = v.copy()
+            assert qmath._norm(v) == np.linalg.norm(v)
+        assert qmath._norm(np.zeros(2, dtype=complex)) == 0.0
+
+    def test_columns_and_diag_match_numpy(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            stacked = qmath._columns(v1, v2)
+            assert stacked.flags.c_contiguous
+            assert bits(stacked) == bits(np.column_stack([v1, v2]))
+            d = rng.standard_normal(2)
+            assert bits(qmath._diag(d)) == bits(np.diag(d))
+
+    def test_cores_match_public_functions(self):
+        rng = np.random.default_rng(99)
+        cases = [random_complex_matrix(rng) for _ in range(300)]
+        cases += [np.zeros((2, 2), complex), I2.copy(), np.diag([0.5, 0.0]).astype(complex)]
+        for m in cases:
+            h = 0.5 * (m + dagger(m))
+            assert bits(*qmath._eig(h)) == bits(*eig_hermitian2(h))
+            assert bits(*qmath._svd(m)) == bits(*svd2(m))
+            assert bits(qmath._align(m, h)) == bits(aligning_unitary(m, h))
+            assert qmath._hermitian_residuals(m) == hermitian_residuals(m)

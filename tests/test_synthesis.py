@@ -51,6 +51,10 @@ class TestModuleSettings:
     def test_unitarity_enforced(self):
         with pytest.raises(ValueError):
             ModuleSettings(theta=0.1, phi=0.2, pre_unitary=2.0 * I2)
+        with pytest.raises(ValueError, match="exit_unitary"):
+            ModuleSettings(theta=0.1, phi=0.2, exit_unitary=2.0 * I2)
+        with pytest.raises(ValueError, match="final_exit_unitary"):
+            CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), 2.0 * I2)
 
     def test_plan_requires_modules(self):
         with pytest.raises(ValueError):
@@ -162,6 +166,15 @@ class TestSynthesizeCascade:
         with pytest.raises(UnsupportedOperator) as info:
             synthesize_cascade(bad)
         assert info.value.module_index == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", [0, 2, 3])
+    def test_unvalidated_non_finite_operator_rejected(self, bad, position):
+        # KrausSet can be built without validate_kraus; synthesis must still refuse
+        ops = [m.copy() for m in random_kraus(4, 1)]
+        ops[position][0, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+            synthesize_cascade(KrausSet(tuple(ops)))
 
     @pytest.mark.xfail(
         raises=EigenvalueOutOfRange,
