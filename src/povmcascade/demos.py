@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import KrausSet, PovmSet, kraus_from_povm, validate_povm
-from .qmath import identity2, rotation
-from .synthesis import CascadePlan, _plan_from_stages, ekert_alpha_prime
+from .qmath import aligning_unitary, identity2, rotation
+from .synthesis import CascadePlan, ModuleSettings, ekert_alpha_prime
 
 __all__ = ["EkertParams", "trine_povm", "ekert_povm"]
 
@@ -41,6 +41,33 @@ class EkertParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         ekert_alpha_prime(self.alpha, self.beta)  # raises DomainError outside the region
+
+
+def _plan_from_stages(kraus: KrausSet, stages) -> CascadePlan:
+    """Walk the cascade over the running pass-arm prefix T (T_0 = I).
+
+    Stage j has the published eigenvalue pair lam = (cos^2 theta,
+    cos^2 phi) and pre-unitary U_j.  Its exit unitary aligns the exit arm
+    diag(sqrt(lam)) U_j T_{j-1} onto m_j, and its pass arm
+    diag(sqrt(1 - lam)) U_j T_{j-1} becomes T_j; the final exit unitary
+    aligns T_{n-1} onto m_n.
+    """
+    modules = []
+    prefix = identity2()
+    for m, (lam, pre) in zip(kraus.operators[:-1], stages):
+        lam = np.asarray(lam, dtype=float)
+        exit_diag = np.diag(np.sqrt(lam)).astype(complex)
+        pass_diag = np.diag(np.sqrt(1.0 - lam)).astype(complex)
+        modules.append(
+            ModuleSettings(
+                theta=math.acos(math.sqrt(lam[0])),
+                phi=math.acos(math.sqrt(lam[1])),
+                pre_unitary=pre,
+                exit_unitary=aligning_unitary(m, exit_diag @ pre @ prefix),
+            )
+        )
+        prefix = pass_diag @ pre @ prefix
+    return CascadePlan(tuple(modules), aligning_unitary(kraus.operators[-1], prefix))
 
 
 def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
@@ -68,7 +95,7 @@ def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
     kraus = kraus_from_povm(povm, exit_gauges)
 
     stages = [((2.0 / 3.0, 0.0), identity2()), ((1.0, 0.0), rotation(-math.pi / 4))]
-    return povm, kraus, _plan_from_stages(kraus, lambda j, m, prefix: stages[j - 1])
+    return povm, kraus, _plan_from_stages(kraus, stages)
 
 
 def ekert_povm(params: EkertParams) -> tuple[PovmSet, CascadePlan]:
@@ -103,4 +130,4 @@ def ekert_povm(params: EkertParams) -> tuple[PovmSet, CascadePlan]:
 
     alpha_prime = ekert_alpha_prime(alpha, beta)
     stages = [((0.0, k), rotation(-alpha)), ((0.0, 1.0), rotation(-alpha_prime))]
-    return povm, _plan_from_stages(kraus, lambda j, m, prefix: stages[j - 1])
+    return povm, _plan_from_stages(kraus, stages)

@@ -7,7 +7,7 @@ fixed phase gauge: each gauge-free column is scaled so its largest-modulus
 entry is real and positive, which keeps golden-file comparisons meaningful.
 
 Public functions check their input (shape, finiteness, Hermiticity at
-``tol``).  The private cores behind them (``_eig``, ``_svd``, ``_align``,
+``tol``).  The private cores behind them (``_eig``, ``_svd``,
 ``_hermitian_residuals``) assume an input already checked and, for ``_eig``,
 already symmetrized; the package calls them on arrays it has just built.
 Both paths run the same floating-point operations, so results are
@@ -40,11 +40,12 @@ __all__ = [
     "eig_hermitian2",
     "sqrt_psd",
     "svd2",
-    "pinv_support",
     "aligning_unitary",
 ]
 
 DEFAULT_TOL = 1e-9
+#: sqrt_psd treats eigenvalues at or below this fraction of the largest as exactly 0
+RANK_FLOOR = 16 * np.finfo(float).eps
 
 
 class NotHermitian(ValueError):
@@ -137,6 +138,36 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
 
 
+def _complete(c1: np.ndarray, d1: float, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary v and d >= 0 with (c1, c2) = v @ diag(d), for c1 of norm d1 > 0
+    and c2 orthogonal to it.
+
+    v's first column is c1 / d1 and its second the orthogonal complement,
+    phased so that c2 lands on it with a real non-negative weight; where c2
+    is dead (below 1e-15 d1) that column is gauge-fixed instead.
+    """
+    v1 = c1 / d1
+    vp = _perp(v1)
+    beta = complex(vp.conj() @ c2)
+    d2 = abs(beta)
+    v2 = vp * (beta / d2) if d2 > 1e-15 * d1 else phase_fixed(vp)
+    return _columns(v1, v2), np.array([d1, d2])
+
+
+def _column_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary y and s >= 0 with m = y @ diag(s), for m with orthogonal columns.
+
+    The larger column is normalized and the other one completed by
+    :func:`_complete`; a zero m gives the identity.
+    """
+    c0, c1 = m[:, 0], m[:, 1]
+    n0, n1 = _norm(c0), _norm(c1)
+    if n0 >= n1:
+        return (identity2(), np.zeros(2)) if n0 == 0.0 else _complete(c0, n0, c1)
+    y, s = _complete(c1, n1, c0)
+    return y[:, ::-1].copy(), s[::-1].copy()
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(dagger(m) @ m - _IDENTITY) <= tol
 
@@ -202,14 +233,23 @@ def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sqrt_psd(f, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root R of f (R @ R = f), eigenvalues in [-tol, 0] clamped to 0."""
+    """Hermitian PSD square root R of f (R @ R = f).
+
+    This is where the package decides rank: eigenvalues at or below
+    RANK_FLOOR times the largest (round-off of a rank-deficient f, and any
+    in [-tol, 0]) become exactly 0, so a rank-one element gets a rank-one
+    root instead of one with a ~1e-8 tail from the square root of round-off.
+    Raises NotPsd for an eigenvalue below -tol.
+    """
     lam, w = eig_hermitian2(f, tol)
     if lam[1] < -tol:
         raise NotPsd(
             f"minimum eigenvalue {lam[1]:.3e} below -{tol:.1e}",
             min_eigenvalue=float(lam[1]),
         )
-    root = w @ _diag(np.sqrt(np.maximum(lam, 0.0))) @ dagger(w)
+    lam = np.maximum(lam, 0.0)
+    lam[lam <= RANK_FLOOR * lam[0]] = 0.0
+    root = w @ _diag(np.sqrt(lam)) @ dagger(w)
     return 0.5 * (root + dagger(root))
 
 
@@ -233,39 +273,16 @@ def _svd(m: np.ndarray) -> Svd2:
     h = dagger(ms) @ ms
     _, w = _eig(0.5 * (h + dagger(h)))
     c1 = ms @ w[:, 0]
-    c2 = ms @ w[:, 1]
     d1 = _norm(c1)
     if d1 == 0.0:
         return Svd2(identity2(), np.zeros(2), dagger(w))
-    v1 = c1 / d1
-    vp = _perp(v1)
-    beta = complex(vp.conj() @ c2)
-    d2 = abs(beta)
-    if d2 > 1e-15 * d1:
-        v2 = vp * (beta / d2)
-    else:
-        v2 = phase_fixed(vp)
-    v = _columns(v1, v2)
-    d = np.array([d1, d2])
+    v, d = _complete(c1, d1, ms @ w[:, 1])
     u = dagger(w)
     if d[1] > d[0]:
         v = v[:, ::-1].copy()
         d = d[::-1].copy()
         u = u[::-1, :].copy()
     return Svd2(v, scale * d, u)
-
-
-def pinv_support(m, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Moore-Penrose pseudo-inverse of m, projector onto the support of m^dag m).
-
-    Singular values <= cutoff are treated as exactly 0 in both.
-    """
-    v, d, u = svd2(m)
-    keep = d > cutoff
-    dplus = np.array([1.0 / x if ok else 0.0 for x, ok in zip(d, keep)])
-    pinv = dagger(u) @ _diag(dplus) @ dagger(v)
-    projector = dagger(u) @ _diag(keep.astype(float)) @ u
-    return pinv, projector
 
 
 def aligning_unitary(target, source) -> np.ndarray:
@@ -278,9 +295,4 @@ def aligning_unitary(target, source) -> np.ndarray:
     :func:`svd2`, so the completion is reproducible.
     """
     v, _, u = svd2(as_matrix2(target) @ dagger(as_matrix2(source)))
-    return v @ u
-
-
-def _align(target: np.ndarray, source: np.ndarray) -> np.ndarray:
-    v, _, u = _svd(target @ dagger(source))
     return v @ u

@@ -12,12 +12,16 @@ construction.  n outcomes need n - 1 stages: stage j realizes operator j on
 its exit arm and hands the residual amplitude to stage j + 1; the leftover
 pass arm of the last stage is outcome n.
 
-The synthesizer keeps the running pass-arm prefix T (a product of diagonal
-transfers and rotations, T_0 = I), whose Gram matrix T^dag T always equals
-the unmeasured remainder I - sum of the already-implemented operators.  At
-each stage it conjugates the next measurement operator into the frame of
-the surviving amplitude, diagonalizes, and reads the rotator angles off the
-eigenvalues.
+That split is a 2x2 cosine-sine (CS) decomposition of one block of an
+isometry (Paige & Wei, Linear Algebra Appl. 208, 1994), so the synthesizer
+inverts nothing.  A backward sweep of thin QR factorizations,
+M_n = Q_n R_n and [M_j; R_{j+1}] = Q_j R_j, stacks the operators still to
+be measured: R_j^dag R_j = F_j + ... + F_n.  The top block A_j of Q_j
+splits as X_j diag(cos) W_j^dag (an SVD) and the bottom block B_j as
+B_j W_j = Y_j diag(sin), with cos^2 + sin^2 = 1 because Q_j is an
+isometry.  Stage j then gets the angles atan2(sin, cos), the exit unitary
+X_j and the pre-unitary W_j^dag Y_{j-1}; the pass arm it hands on is
+exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
 """
 
 from __future__ import annotations
@@ -27,25 +31,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import KrausSet, validate_kraus
+from .povm import IncompleteSum, KrausSet, validate_kraus
 from .qmath import (
     DEFAULT_TOL,
-    _align,
-    _diag,
-    _eig,
+    _column_split,
+    _svd,
     as_matrix2,
     dagger,
     identity2,
     is_unitary,
     max_abs,
-    pinv_support,
 )
 
 __all__ = [
-    "PINV_CUTOFF",
     "DomainError",
-    "EigenvalueOutOfRange",
-    "UnsupportedOperator",
     "ModuleSettings",
     "CascadePlan",
     "SynthesisStep",
@@ -55,46 +54,12 @@ __all__ = [
     "ekert_alpha_prime",
 ]
 
-#: singular values of the pass-arm prefix below this are treated as exactly 0
-PINV_CUTOFF = 1e-10
-#: slack allowed on effective-operator eigenvalues before declaring the input invalid
-EIG_SLACK = 1e-9
-#: weight of an operator outside the surviving subspace beyond this is an error
-SUPPORT_TOL = 1e-8
-#: eigenvalues this close to 0 or 1 snap exactly, so projective inputs give exact zeros
-EIG_SNAP = 1e-12
 #: how close to the domain boundary angle parameters may get
 BOUNDARY_EPS = 1e-12
 
 
 class DomainError(ValueError):
     """Parameters outside the region where a construction is defined."""
-
-
-class EigenvalueOutOfRange(ValueError):
-    """An effective operator has an eigenvalue outside [0, 1] beyond tolerance.
-
-    This means the operator is not dominated by the unmeasured remainder,
-    i.e. the input set was inconsistent.
-    """
-
-    def __init__(self, module_index: int, eigenvalue: float):
-        super().__init__(
-            f"module {module_index}: effective eigenvalue {eigenvalue:.12g} outside [0, 1]"
-        )
-        self.module_index = module_index
-        self.eigenvalue = eigenvalue
-
-
-class UnsupportedOperator(ValueError):
-    """An operator has weight outside the support of the surviving amplitude."""
-
-    def __init__(self, module_index: int, residual: float):
-        super().__init__(
-            f"module {module_index}: operator weight {residual:.3e} outside the surviving subspace"
-        )
-        self.module_index = module_index
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -183,10 +148,12 @@ class CascadePlan:
 class SynthesisStep:
     """Trace record for one synthesized stage (diagnostics and invariants).
 
-    residual_prefix is T before the stage acted; its Gram matrix equals the
-    operator sum still to be implemented.  effective_operator is the target
-    operator conjugated into the surviving frame; eigenvalues are its
-    (clamped) spectrum, i.e. cos^2 of the stage angles.
+    residual_prefix is the pass-arm amplitude Y_{j-1}^dag R_j entering the
+    stage; its Gram matrix equals the operator sum still to be implemented.
+    effective_operator Y_{j-1}^dag A_j^dag A_j Y_{j-1} is the target
+    operator in the frame of that amplitude, whose eigenbasis the
+    pre-unitary selects; eigenvalues are its spectrum, (cos^2 theta,
+    cos^2 phi).
     """
 
     residual_prefix: np.ndarray
@@ -194,70 +161,62 @@ class SynthesisStep:
     eigenvalues: tuple[float, float]
 
 
-def _plan_from_stages(kraus: KrausSet, stage) -> CascadePlan:
-    """Walk the cascade over the running pass-arm prefix T (T_0 = I).
+def _qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR m = q @ r in the package gauge: diag(r) real and >= 0.
 
-    stage(j, m_j, T_{j-1}) gives stage j's eigenvalue pair
-    (cos^2 theta, cos^2 phi) and pre-unitary U_j.  The stage's exit unitary
-    aligns its exit arm diag(sqrt(lam)) U_j T_{j-1} onto m_j, and its pass
-    arm diag(sqrt(1 - lam)) U_j T_{j-1} becomes T_j; the final exit unitary
-    aligns T_{n-1} onto m_n.
+    A zero pivot leaves its column of q free (any unit vector orthogonal to
+    the other); that column is gauge-fixed like qmath.phase_fixed
+    (largest-modulus entry real >= 0) and its row of r rephased to match.
     """
-    modules = []
-    prefix = identity2()
-    for j, m in enumerate(kraus.operators[:-1], start=1):
-        lam, pre = stage(j, m, prefix)
-        lam = np.asarray(lam, dtype=float)
-        exit_diag = _diag(np.sqrt(lam)).astype(complex)
-        pass_diag = _diag(np.sqrt(1.0 - lam)).astype(complex)
-        modules.append(
-            ModuleSettings(
-                theta=math.acos(math.sqrt(lam[0])),
-                phi=math.acos(math.sqrt(lam[1])),
-                pre_unitary=pre,
-                exit_unitary=_align(m, exit_diag @ pre @ prefix),
-            )
-        )
-        prefix = pass_diag @ pre @ prefix
-    return CascadePlan(tuple(modules), _align(kraus.operators[-1], prefix))
+    q, r = np.linalg.qr(m)
+    for k in range(2):
+        pivot = r[k, k]
+        if pivot == 0:
+            pivot = np.conj(q[np.abs(q[:, k]).argmax(), k])
+        phase = pivot / abs(pivot)
+        q[:, k] *= phase
+        r[k] *= np.conj(phase)
+    return q, r
 
 
-def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[SynthesisStep]]:
-    steps = []
-
-    def read_stage(j: int, m: np.ndarray, prefix: np.ndarray):
-        f = dagger(m) @ m
-        pinv, projector = pinv_support(prefix, PINV_CUTOFF)
-        outside = max_abs(f - projector @ f @ projector)
-        if outside > SUPPORT_TOL:
-            raise UnsupportedOperator(j, outside)
-        g = dagger(pinv) @ f @ pinv
-        g = 0.5 * (g + dagger(g))
-        lam, basis = _eig(g)
-        if lam[0] > 1.0 + EIG_SLACK or lam[1] < -EIG_SLACK:
-            bad = lam[0] if lam[0] > 1.0 + EIG_SLACK else lam[1]
-            raise EigenvalueOutOfRange(j, float(bad))
-        lam = lam.clip(0.0, 1.0)
-        lam[lam < EIG_SNAP] = 0.0
-        lam[lam > 1.0 - EIG_SNAP] = 1.0
-        steps.append(SynthesisStep(prefix, g, (float(lam[0]), float(lam[1]))))
-        return lam, dagger(basis)
-
-    return _plan_from_stages(kraus, read_stage), steps
+def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[tuple]]:
+    """The plan, and (Y_{j-1}, A_j, R_j) per stage for :func:`synthesis_steps`."""
+    ops = kraus.operators
+    final_q, r = _qr(ops[-1])
+    blocks = []
+    for m in reversed(ops[:-1]):
+        q, r = _qr(np.vstack([m, r]))
+        blocks.append((q[:2], q[2:], r))
+    # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
+    residual = max_abs(dagger(r) @ r - identity2())
+    if not residual <= DEFAULT_TOL:
+        raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
+    v, _, u = _svd(r)
+    y = v @ u  # Y_0: the unitary polar factor of R_1, which is I up to that residual
+    modules, stages = [], []
+    for a, b, r in reversed(blocks):
+        x, c, w_dag = _svd(a)
+        y_next, s = _column_split(b @ dagger(w_dag))
+        theta, phi = math.atan2(s[0], c[0]), math.atan2(s[1], c[1])
+        modules.append(ModuleSettings(theta, phi, pre_unitary=w_dag @ y, exit_unitary=x))
+        stages.append((y, a, r))
+        y = y_next
+    return CascadePlan(tuple(modules), final_q @ y), stages
 
 
 def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     """Compile a Kraus set into cascade settings.
 
-    Stage j gets angles theta_j = arccos(sqrt(lambda_1)) and
-    phi_j = arccos(sqrt(lambda_2)) from the descending eigenvalues of the
-    j-th effective operator, zero phase shifts (complex phases are absorbed
-    into the unitaries), the eigenbasis as pre-unitary, and the exit
-    unitary that maps the exit-arm amplitude onto the requested Kraus
-    operator (unitary completion on dead directions is gauge-fixed).
+    Stage j gets angles (theta_j, phi_j) = atan2(sin, cos) from the CS split
+    of its isometry block (see the module docstring), zero phase shifts
+    (complex phases are absorbed into the unitaries), the pre-unitary
+    W_j^dag Y_{j-1} and the exit unitary X_j; nothing is inverted, so
+    rank-deficient and tiny operators compile like any other.  Unitary
+    completions on dead directions are gauge-fixed.
 
-    Raises EigenvalueOutOfRange or UnsupportedOperator for inconsistent
-    inputs; neither can occur for a validated Kraus set beyond round-off.
+    Raises IncompleteSum when sum M^dag M misses the identity by more than
+    DEFAULT_TOL (NaN and Inf included); a Kraus set that passed
+    validate_kraus passes this check too, up to round-off at the boundary.
     """
     plan, _ = _synthesize(kraus)
     return plan
@@ -265,8 +224,15 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
 
 def synthesis_steps(kraus: KrausSet) -> list[SynthesisStep]:
     """The per-stage trace of :func:`synthesize_cascade` (for invariant checks)."""
-    _, steps = _synthesize(kraus)
-    return steps
+    plan, stages = _synthesize(kraus)
+    return [
+        SynthesisStep(
+            dagger(y) @ r,
+            dagger(y) @ dagger(a) @ a @ y,
+            (math.cos(module.theta) ** 2, math.cos(module.phi) ** 2),
+        )
+        for (y, a, r), module in zip(stages, plan.modules)
+    ]
 
 
 def reconstruct_kraus(plan: CascadePlan) -> KrausSet:

@@ -4,7 +4,7 @@ These are stable across releases; a change here must be listed in CHANGES.md.
 """
 
 import povmcascade
-from povmcascade import cli
+from povmcascade import cli, qmath, synthesis
 
 
 def test_package_exports():
@@ -48,3 +48,37 @@ def test_package_exports():
 def test_cli_exit_codes_and_schema_version():
     assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DOMAIN) == (0, 1, 2)
     assert cli.SCHEMA_VERSION == "1"
+
+
+def test_module_exports():
+    assert synthesis.__all__ == [
+        "DomainError",
+        "ModuleSettings",
+        "CascadePlan",
+        "SynthesisStep",
+        "synthesize_cascade",
+        "synthesis_steps",
+        "reconstruct_kraus",
+        "ekert_alpha_prime",
+    ]
+    assert qmath.__all__ == [
+        "DEFAULT_TOL",
+        "NotHermitian",
+        "NotPsd",
+        "Svd2",
+        "as_matrix2",
+        "dagger",
+        "max_abs",
+        "identity2",
+        "rotation",
+        "phase_fixed",
+        "is_unitary",
+        "hermitian_residuals",
+        "eig_hermitian2",
+        "sqrt_psd",
+        "svd2",
+        "aligning_unitary",
+    ]
+    for module in (synthesis, qmath):
+        for name in module.__all__:
+            assert hasattr(module, name), name

@@ -18,11 +18,11 @@ from povmcascade.qmath import (
     is_unitary,
     max_abs,
     phase_fixed,
-    pinv_support,
     rotation,
     sqrt_psd,
     svd2,
 )
+from povmcascade.verify import random_rank_one_povm
 
 I2 = np.eye(2, dtype=complex)
 
@@ -161,6 +161,14 @@ class TestSqrtPsd:
         root = sqrt_psd(f)
         assert root[1, 1].real == 0.0
 
+    def test_rank_one_element_gives_rank_one_root(self):
+        # this element's second eigenvalue 2.2e-15 is round-off (11 eps relative);
+        # its square root, 4.7e-8, would be a spurious tail of the root
+        f = random_rank_one_povm(3, 58)[0]
+        assert eig_hermitian2(f)[0][1] > 0.0
+        _, d, _ = svd2(sqrt_psd(f))
+        assert d[1] <= 1e-15 * d[0]
+
     def test_rejects_negative(self):
         with pytest.raises(NotPsd) as info:
             sqrt_psd(np.diag([1.0, -1.0]))
@@ -210,17 +218,6 @@ class TestGaugeAndHelpers:
         with pytest.raises(ValueError):
             as_matrix2([[1.0, 2.0, 3.0]])
 
-    def test_pinv_support_gives_support_projector(self):
-        m = np.diag([0.5, 0.0]).astype(complex)
-        plus, projector = pinv_support(m, 1e-10)
-        np.testing.assert_allclose(plus @ m, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(projector, np.diag([1.0, 0.0]), atol=1e-14)
-        # values below the cutoff are dropped instead of amplified
-        tiny = np.diag([0.5, 1e-12]).astype(complex)
-        plus, projector = pinv_support(tiny, 1e-10)
-        np.testing.assert_allclose(plus @ tiny, np.diag([1.0, 0.0]), atol=1e-11)
-        np.testing.assert_allclose(projector, np.diag([1.0, 0.0]), atol=1e-14)
-
     def test_aligning_unitary_recovers_left_factor(self):
         rng = np.random.default_rng(123)
         for _ in range(200):
@@ -267,11 +264,10 @@ class TestPublicChecks:
             sqrt_psd,
             svd2,
             hermitian_residuals,
-            lambda m: pinv_support(m, 1e-10),
             lambda m: aligning_unitary(m, I2),
             lambda m: aligning_unitary(I2, m),
         ],
-        ids=["eig_hermitian2", "sqrt_psd", "svd2", "hermitian_residuals", "pinv_support", "aligning_target", "aligning_source"],
+        ids=["eig_hermitian2", "sqrt_psd", "svd2", "hermitian_residuals", "aligning_target", "aligning_source"],
     )
     def test_rejects_non_finite_and_wrong_shape(self, call, bad):
         with pytest.raises(ValueError):
@@ -327,5 +323,4 @@ class TestPrivateStandIns:
             h = 0.5 * (m + dagger(m))
             assert bits(*qmath._eig(h)) == bits(*eig_hermitian2(h))
             assert bits(*qmath._svd(m)) == bits(*svd2(m))
-            assert bits(qmath._align(m, h)) == bits(aligning_unitary(m, h))
             assert qmath._hermitian_residuals(m) == hermitian_residuals(m)

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmcascade.demos import trine_povm
-from povmcascade.povm import KrausSet, kraus_from_povm, validate_kraus
-from povmcascade.qmath import dagger, is_unitary, max_abs
+from povmcascade.povm import IncompleteSum, KrausSet, kraus_from_povm, validate_kraus, validate_povm
+from povmcascade.qmath import DEFAULT_TOL, dagger, is_unitary, max_abs, rotation
 from povmcascade.synthesis import (
     CascadePlan,
     DomainError,
-    EigenvalueOutOfRange,
     ModuleSettings,
-    UnsupportedOperator,
     ekert_alpha_prime,
     reconstruct_kraus,
     synthesis_steps,
@@ -140,6 +140,27 @@ class TestSynthesizeCascade:
             for module in plan.modules:
                 assert min(math.cos(module.theta), math.cos(module.phi)) <= 1e-8
 
+    @pytest.mark.parametrize("n, seed", [(3, 58), (2, 3)])
+    def test_rank_one_povm_verifies_with_degenerate_transfer(self, n, seed):
+        # elements here have round-off second eigenvalues whose square roots
+        # (1.3e-8, 4.7e-8) would keep a plan from both verifying and closing its dark arm
+        kraus = kraus_from_povm(random_rank_one_povm(n, seed))
+        plan = synthesize_cascade(kraus)
+        assert verify_plan(kraus, plan).passed
+        for module in plan.modules:
+            assert min(math.cos(module.theta), math.cos(module.phi)) <= 1e-8
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sum_off_by_most_of_the_tolerance_compiles(self, sign):
+        # validation lets sum F miss I by up to DEFAULT_TOL; the pre-unitaries
+        # must still pass ModuleSettings' unitarity check
+        elements = list(random_povm(4, 3))
+        elements[0] = elements[0] + sign * 0.9 * DEFAULT_TOL * I2
+        kraus = kraus_from_povm(validate_povm(elements))
+        plan = synthesize_cascade(kraus)
+        assert all(is_unitary(m.pre_unitary, 1e-12) for m in plan.modules)
+        assert verify_plan(kraus, plan).passed
+
     def test_zero_element_is_compiled_through(self):
         kraus = KrausSet((np.zeros((2, 2), dtype=complex), I2))
         plan = synthesize_cascade(kraus)
@@ -156,16 +177,16 @@ class TestSynthesizeCascade:
     def test_inflated_operator_rejected(self):
         # F_1 eigenvalue 1.21 cannot be dominated by the remaining identity
         bad = KrausSet((np.diag([1.1, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
-        with pytest.raises(EigenvalueOutOfRange) as info:
+        with pytest.raises(IncompleteSum) as info:
             synthesize_cascade(bad)
-        assert info.value.module_index == 1
+        assert info.value.residual == pytest.approx(0.21)
 
     def test_operator_outside_surviving_subspace_rejected(self):
         projector = np.diag([1.0, 0.0]).astype(complex)
         bad = KrausSet((projector, projector, np.diag([0.0, 1.0]).astype(complex)))
-        with pytest.raises(UnsupportedOperator) as info:
+        with pytest.raises(IncompleteSum) as info:
             synthesize_cascade(bad)
-        assert info.value.module_index == 2
+        assert info.value.residual == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("position", [0, 2, 3])
@@ -173,17 +194,62 @@ class TestSynthesizeCascade:
         # KrausSet can be built without validate_kraus; synthesis must still refuse
         ops = [m.copy() for m in random_kraus(4, 1)]
         ops[position][0, 1] = bad
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(IncompleteSum):
             synthesize_cascade(KrausSet(tuple(ops)))
 
-    @pytest.mark.xfail(
-        raises=EigenvalueOutOfRange,
-        reason="known defect: round-off in the nearly exhausted pass-arm prefix pushes "
-        "module 71's effective eigenvalue to 1.00000000104",
-    )
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))
         assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
+
+
+def _unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _near_deficient(n, rng):
+    # commuting elements r diag(a_k, b_k) r^T whose a-weights sum to 1, one of them tiny
+    eps = 10.0 ** rng.uniform(-9.0, -3.0)
+    a = np.append((1.0 - eps) * rng.dirichlet(np.ones(n - 1)), eps)
+    b = rng.dirichlet(np.ones(n))
+    r = rotation(rng.uniform(0.0, math.pi))
+    return [r @ np.diag([x, y]) @ dagger(r) for x, y in zip(a, b)]
+
+
+def _tiny_element(n, rng):
+    # one element scaled to 1e-13, its weight moved onto the next
+    elements = list(random_povm(n, int(rng.integers(2**31))))
+    elements[1] = elements[1] + (1.0 - 1e-13) * elements[0]
+    elements[0] = 1e-13 * elements[0]
+    return elements
+
+
+FAMILIES = {
+    "full_rank": lambda n, rng: list(random_povm(n, int(rng.integers(2**31)))),
+    "rank_one": lambda n, rng: list(random_rank_one_povm(n, int(rng.integers(2**31)))),
+    "near_deficient": _near_deficient,
+    "degenerate": lambda n, rng: [w * I2 for w in rng.dirichlet(np.ones(n))],
+    "tiny_element": _tiny_element,
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    permuted=st.booleans(),
+    random_exits=st.booleans(),
+)
+def test_fuzz_every_valid_povm_verifies(n, seed, family, permuted, random_exits):
+    rng = np.random.default_rng(seed)
+    elements = FAMILIES[family](n, rng)
+    if permuted:
+        elements = [elements[i] for i in rng.permutation(n)]
+    exits = [_unitary(rng) for _ in range(n)] if random_exits else None
+    kraus = kraus_from_povm(validate_povm(elements), exits)
+    report = verify_plan(kraus, synthesize_cascade(kraus), trial_states=5, seed=seed)
+    assert report.passed, [(c.name, c.max_residual) for c in report.checks if not c.passed]
 
 
 class TestReconstructKraus:

@@ -162,11 +162,6 @@ class TestVerifyPlan:
         second = verify_plan(kraus, plan, trial_states=25, seed=7)
         assert first.to_dict() == second.to_dict()
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        reason="known defect: square roots of round-off eigenvalues give a ~1.8e-8 "
-        "Kraus residual on this valid rank-deficient POVM",
-    )
     def test_near_rank_deficient_povm_passes(self):
         eps = 1e-4
         r = rotation(0.3)
