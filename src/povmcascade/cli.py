@@ -31,6 +31,9 @@ EXIT_DOMAIN = 2
 
 SCHEMA_VERSION = "1"
 
+#: simulate --pure warns when the state's norm is off 1 by more than this
+NORM_WARNING = 1e-6
+
 
 class DocumentError(ValueError):
     """Malformed input file (schema or JSON problems), with field context."""
@@ -266,11 +269,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _load_kraus(path: str):
+    """Kraus set of a POVM document: validated elements, exit unitaries applied."""
+    elements, exit_unitaries, _ = parse_povm_document(_load_json(path))
+    return kraus_from_povm(validate_povm(elements), exit_unitaries)
+
+
 def _cmd_synthesize(args) -> int:
-    doc = _load_json(args.input)
-    elements, exit_unitaries, _ = parse_povm_document(doc)
-    povm = validate_povm(elements)
-    kraus = kraus_from_povm(povm, exit_unitaries)
+    kraus = _load_kraus(args.input)
     plan = synthesize_cascade(kraus)
     _write_json(args.output, plan_document(plan))
     print(f"plan written to {args.output}")
@@ -286,11 +292,13 @@ def _parse_pure(text: str) -> np.ndarray:
         a_re, a_im, b_re, b_im = (float(p) for p in parts)
     except ValueError:
         raise DocumentError(f"--pure: could not parse numbers from {text!r}") from None
+    if not all(map(math.isfinite, (a_re, a_im, b_re, b_im))):
+        raise DocumentError(f"--pure: components must be finite, got {text!r}")
     vec = np.array([complex(a_re, a_im), complex(b_re, b_im)])
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise DomainError("--pure: state has zero norm")
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= NORM_WARNING:
         print(f"warning: input state norm {norm:.9g} deviates from 1; normalizing", file=sys.stderr)
     return vec / norm
 
@@ -315,10 +323,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _load_json(args.input)
-    elements, exit_unitaries, _ = parse_povm_document(doc)
-    povm = validate_povm(elements)
-    kraus = kraus_from_povm(povm, exit_unitaries)
+    kraus = _load_kraus(args.input)
     if args.plan is not None:
         plan = parse_plan_document(_load_json(args.plan))
     else:

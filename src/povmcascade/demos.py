@@ -15,13 +15,13 @@ synthesizer, so they double as golden references for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .povm import KrausSet, PovmSet, kraus_from_povm, validate_povm
 from .qmath import aligning_unitary, identity2, rotation
-from .synthesis import CascadePlan, ModuleSettings, ekert_alpha_prime
+from .synthesis import CascadePlan, ModuleSettings, ekert_alpha_prime, reconstruct_kraus
 
 __all__ = ["EkertParams", "trine_povm", "ekert_povm"]
 
@@ -44,30 +44,17 @@ class EkertParams:
 
 
 def _plan_from_stages(kraus: KrausSet, stages) -> CascadePlan:
-    """Walk the cascade over the running pass-arm prefix T (T_0 = I).
+    """Plan from published stage settings (theta, phi, pre-unitary).
 
-    Stage j has the published eigenvalue pair lam = (cos^2 theta,
-    cos^2 phi) and pre-unitary U_j.  Its exit unitary aligns the exit arm
-    diag(sqrt(lam)) U_j T_{j-1} onto m_j, and its pass arm
-    diag(sqrt(1 - lam)) U_j T_{j-1} becomes T_j; the final exit unitary
-    aligns T_{n-1} onto m_n.
+    The cascade is walked once, by reconstruct_kraus on the plan with
+    identity exit unitaries; each exit unitary then aligns that bare
+    outcome operator onto the target m_j.
     """
-    modules = []
-    prefix = identity2()
-    for m, (lam, pre) in zip(kraus.operators[:-1], stages):
-        lam = np.asarray(lam, dtype=float)
-        exit_diag = np.diag(np.sqrt(lam)).astype(complex)
-        pass_diag = np.diag(np.sqrt(1.0 - lam)).astype(complex)
-        modules.append(
-            ModuleSettings(
-                theta=math.acos(math.sqrt(lam[0])),
-                phi=math.acos(math.sqrt(lam[1])),
-                pre_unitary=pre,
-                exit_unitary=aligning_unitary(m, exit_diag @ pre @ prefix),
-            )
-        )
-        prefix = pass_diag @ pre @ prefix
-    return CascadePlan(tuple(modules), aligning_unitary(kraus.operators[-1], prefix))
+    bare = [ModuleSettings(theta, phi, pre_unitary=pre) for theta, phi, pre in stages]
+    realized = reconstruct_kraus(CascadePlan(tuple(bare), identity2()))
+    exits = [aligning_unitary(m, r) for m, r in zip(kraus, realized)]
+    modules = tuple(replace(module, exit_unitary=u) for module, u in zip(bare, exits))
+    return CascadePlan(modules, exits[-1])
 
 
 def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
@@ -94,7 +81,10 @@ def trine_povm() -> tuple[PovmSet, KrausSet, CascadePlan]:
     ]
     kraus = kraus_from_povm(povm, exit_gauges)
 
-    stages = [((2.0 / 3.0, 0.0), identity2()), ((1.0, 0.0), rotation(-math.pi / 4))]
+    stages = [
+        (math.acos(math.sqrt(2.0 / 3.0)), math.pi / 2, identity2()),
+        (0.0, math.pi / 2, rotation(-math.pi / 4)),
+    ]
     return povm, kraus, _plan_from_stages(kraus, stages)
 
 
@@ -128,6 +118,8 @@ def ekert_povm(params: EkertParams) -> tuple[PovmSet, CascadePlan]:
     povm = validate_povm([f1, f2, f3])
     kraus = kraus_from_povm(povm)
 
-    alpha_prime = ekert_alpha_prime(alpha, beta)
-    stages = [((0.0, k), rotation(-alpha)), ((0.0, 1.0), rotation(-alpha_prime))]
+    stages = [
+        (math.pi / 2, math.acos(math.sqrt(k)), rotation(-alpha)),
+        (math.pi / 2, 0.0, rotation(-ekert_alpha_prime(alpha, beta))),
+    ]
     return povm, _plan_from_stages(kraus, stages)

@@ -114,8 +114,9 @@ class OutcomeRecord:
     post_state: DensityMatrix | None
 
 
-def validate_povm(elements, tol: float = DEFAULT_TOL) -> PovmSet:
-    """Check Hermiticity, positivity, and completeness of a POVM element list.
+def validate_povm(elements) -> PovmSet:
+    """Check Hermiticity, positivity, and completeness of a POVM element list
+    at DEFAULT_TOL.
 
     Raises the first violation found: NotHermitian(i), NotPsd(i) with the
     offending minimum eigenvalue, or IncompleteSum with the entrywise
@@ -125,42 +126,44 @@ def validate_povm(elements, tol: float = DEFAULT_TOL) -> PovmSet:
     mats = _as_elements(elements)
     if len(mats) < 2:
         raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
-    _check_residuals(*_residuals(mats), tol)
+    _check_residuals(*_residuals(mats))
     return PovmSet(tuple(mats))
 
 
-def _check_residuals(per_element, residual: float, tol: float = DEFAULT_TOL) -> None:
-    """Raise the first violation among validation_residuals' output at tol."""
+def _check_residuals(per_element, residual: float) -> None:
+    """Raise the first violation among validation_residuals' output at
+    DEFAULT_TOL; a NaN residual is a violation."""
     for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
-        if herm_residual > tol:
+        if not herm_residual <= DEFAULT_TOL:
             raise NotHermitian(
                 f"element {i + 1}: hermiticity residual {herm_residual:.3e}",
                 index=i,
                 residual=herm_residual,
             )
-        if min_eigenvalue < -tol:
+        if not min_eigenvalue >= -DEFAULT_TOL:
             raise NotPsd(
                 f"element {i + 1}: minimum eigenvalue {min_eigenvalue:.3e}",
                 index=i,
                 min_eigenvalue=min_eigenvalue,
             )
-    if residual > tol:
+    if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
 
 
-def validate_kraus(operators, tol: float = DEFAULT_TOL) -> KrausSet:
-    """Check the completeness relation sum M^dag M = I and wrap the operators."""
+def validate_kraus(operators) -> KrausSet:
+    """Check the completeness relation sum M^dag M = I at DEFAULT_TOL (NaN
+    and Inf fail it) and wrap the operators."""
     mats = [as_matrix2(m, name=f"operator {i + 1}") for i, m in enumerate(operators)]
     if len(mats) < 2:
         raise ValueError(f"a Kraus set needs at least 2 operators, got {len(mats)}")
     total = sum((dagger(m) @ m for m in mats), start=np.zeros((2, 2), dtype=complex))
     residual = max_abs(total - identity2())
-    if residual > tol:
+    if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
     return KrausSet(tuple(mats))
 
 
-def kraus_from_povm(povm: PovmSet, exit_unitaries=None, tol: float = DEFAULT_TOL) -> KrausSet:
+def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
     """Canonical Kraus operators M_i = V_i sqrt(F_i).
 
     With no exit unitaries the principal square root is used (V_i = I).
@@ -176,22 +179,22 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None, tol: float = DEFAULT_TOL
                 f"expected {len(povm)} exit unitaries, got {len(exit_unitaries)}"
             )
         for i, u in enumerate(exit_unitaries):
-            if not is_unitary(u, tol):
+            if not is_unitary(u):
                 raise NotUnitary(f"exit unitary {i + 1} is not unitary", index=i)
-    ops = [v @ sqrt_psd(f, tol) for v, f in zip(exit_unitaries, povm)]
-    return validate_kraus(ops, tol)
+    ops = [v @ sqrt_psd(f) for v, f in zip(exit_unitaries, povm)]
+    return validate_kraus(ops)
 
 
-def density_matrix(rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate a 2x2 density matrix (Hermitian, PSD, unit trace)."""
+def density_matrix(rho) -> DensityMatrix:
+    """Validate a 2x2 density matrix (Hermitian, PSD, unit trace) at DEFAULT_TOL."""
     rho = as_matrix2(rho, name="density matrix")
     herm_residual, min_eigenvalue = _hermitian_residuals(rho)
-    if herm_residual > tol:
+    if not herm_residual <= DEFAULT_TOL:
         raise NotHermitian(f"density matrix hermiticity residual {herm_residual:.3e}", residual=herm_residual)
-    if min_eigenvalue < -tol:
+    if not min_eigenvalue >= -DEFAULT_TOL:
         raise NotPsd(f"density matrix minimum eigenvalue {min_eigenvalue:.3e}", min_eigenvalue=min_eigenvalue)
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"density matrix trace {trace:.12g} is not 1")
     return DensityMatrix(rho)
 

@@ -7,11 +7,11 @@ fixed phase gauge: each gauge-free column is scaled so its largest-modulus
 entry is real and positive, which keeps golden-file comparisons meaningful.
 
 Public functions check their input (shape, finiteness, Hermiticity at
-``tol``).  The private cores behind them (``_eig``, ``_svd``,
-``_hermitian_residuals``) assume an input already checked and, for ``_eig``,
-already symmetrized; the package calls them on arrays it has just built.
-Both paths run the same floating-point operations, so results are
-bit-identical.
+DEFAULT_TOL; no function takes a tolerance argument).  The private cores
+behind them (``_eig``, ``_svd``, ``_hermitian_residuals``) assume an input
+already checked and, for ``_eig``, already symmetrized; the package calls
+them on arrays it has just built.  Both paths run the same floating-point
+operations, so results are bit-identical.
 
 Basis convention throughout the package: index 0 is horizontal polarization
 |H>, index 1 is vertical polarization |V>.
@@ -43,9 +43,12 @@ __all__ = [
     "aligning_unitary",
 ]
 
+#: the one validation tolerance: Hermiticity, positivity, completeness, unitarity
 DEFAULT_TOL = 1e-9
 #: sqrt_psd treats eigenvalues at or below this fraction of the largest as exactly 0
 RANK_FLOOR = 16 * np.finfo(float).eps
+#: _complete gauge-fixes a column whose weight is at most this fraction of the other's
+GAUGE_CUTOFF = 1e-15
 
 
 class NotHermitian(ValueError):
@@ -100,6 +103,7 @@ def identity2() -> np.ndarray:
 
 _IDENTITY = identity2()
 _IDENTITY.flags.writeable = False
+_TINY = np.finfo(float).tiny
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -144,13 +148,13 @@ def _complete(c1: np.ndarray, d1: float, c2: np.ndarray) -> tuple[np.ndarray, np
 
     v's first column is c1 / d1 and its second the orthogonal complement,
     phased so that c2 lands on it with a real non-negative weight; where c2
-    is dead (below 1e-15 d1) that column is gauge-fixed instead.
+    is dead (at or below GAUGE_CUTOFF * d1) that column is gauge-fixed instead.
     """
     v1 = c1 / d1
     vp = _perp(v1)
     beta = complex(vp.conj() @ c2)
     d2 = abs(beta)
-    v2 = vp * (beta / d2) if d2 > 1e-15 * d1 else phase_fixed(vp)
+    v2 = vp * (beta / d2) if d2 > GAUGE_CUTOFF * d1 else phase_fixed(vp)
     return _columns(v1, v2), np.array([d1, d2])
 
 
@@ -168,15 +172,16 @@ def _column_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y[:, ::-1].copy(), s[::-1].copy()
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return max_abs(dagger(m) @ m - _IDENTITY) <= tol
+def is_unitary(m: np.ndarray) -> bool:
+    """m^dag m equals the identity within DEFAULT_TOL (False on NaN)."""
+    return max_abs(dagger(m) @ m - _IDENTITY) <= DEFAULT_TOL
 
 
 def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
     """(Hermiticity residual max|m - m^dag|, minimum eigenvalue of the Hermitian part).
 
-    m is Hermitian within tol when the first is <= tol, and also positive
-    semidefinite within tol when the second is >= -tol.
+    m is Hermitian when the first is <= DEFAULT_TOL, and also positive
+    semidefinite when the second is >= -DEFAULT_TOL.
     """
     return _hermitian_residuals(as_matrix2(m))
 
@@ -186,7 +191,7 @@ def _hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
     return max_abs(m - dagger(m)), float(lam[1])
 
 
-def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian 2x2 matrix.
 
     Writing h = [[a, b], [conj(b), c]], the eigenvalues are t +- r with
@@ -197,23 +202,29 @@ def eig_hermitian2(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     Returns (eigenvalues descending, eigenvector matrix) where the k-th
     column is the gauge-fixed eigenvector of eigenvalue k.  On a scalar
     matrix the identity basis is returned.  Raises NotHermitian if the
-    input fails the Hermiticity check at ``tol``.
+    input fails the Hermiticity check at DEFAULT_TOL.
     """
     h = as_matrix2(h)
     residual = max_abs(h - dagger(h))
-    if residual > tol:
+    if not residual <= DEFAULT_TOL:
         raise NotHermitian(
-            f"hermiticity residual {residual:.3e} exceeds tolerance {tol:.1e}",
+            f"hermiticity residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.1e}",
             residual=residual,
         )
     return _eig(0.5 * (h + dagger(h)))
+
+
+def _unit_scaled(m: np.ndarray, scale: float) -> np.ndarray:
+    # m / scale; numpy divides by multiplying with 1/scale, which overflows for
+    # a subnormal scale, so that case is first lifted by an exact power of two
+    return m / scale if scale >= _TINY else (m * 2.0**60) / (scale * 2.0**60)
 
 
 def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max_abs(h)
     if scale == 0.0:
         return np.zeros(2), identity2()
-    hs = h / scale
+    hs = _unit_scaled(h, scale)
     a = hs[0, 0].real
     c = hs[1, 1].real
     b = hs[0, 1]
@@ -232,19 +243,19 @@ def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, _columns(v1, v2)
 
 
-def sqrt_psd(f, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrt_psd(f) -> np.ndarray:
     """Hermitian PSD square root R of f (R @ R = f).
 
     This is where the package decides rank: eigenvalues at or below
     RANK_FLOOR times the largest (round-off of a rank-deficient f, and any
-    in [-tol, 0]) become exactly 0, so a rank-one element gets a rank-one
-    root instead of one with a ~1e-8 tail from the square root of round-off.
-    Raises NotPsd for an eigenvalue below -tol.
+    in [-DEFAULT_TOL, 0]) become exactly 0, so a rank-one element gets a
+    rank-one root instead of one with a ~1e-8 tail from the square root of
+    round-off.  Raises NotPsd for an eigenvalue below -DEFAULT_TOL.
     """
-    lam, w = eig_hermitian2(f, tol)
-    if lam[1] < -tol:
+    lam, w = eig_hermitian2(f)
+    if not lam[1] >= -DEFAULT_TOL:
         raise NotPsd(
-            f"minimum eigenvalue {lam[1]:.3e} below -{tol:.1e}",
+            f"minimum eigenvalue {lam[1]:.3e} below -{DEFAULT_TOL:.1e}",
             min_eigenvalue=float(lam[1]),
         )
     lam = np.maximum(lam, 0.0)
@@ -269,7 +280,7 @@ def _svd(m: np.ndarray) -> Svd2:
     scale = max_abs(m)
     if scale == 0.0:
         return Svd2(identity2(), np.zeros(2), identity2())
-    ms = m / scale
+    ms = _unit_scaled(m, scale)
     h = dagger(ms) @ ms
     _, w = _eig(0.5 * (h + dagger(h)))
     c1 = ms @ w[:, 0]

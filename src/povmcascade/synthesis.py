@@ -92,7 +92,7 @@ class ModuleSettings:
             object.__setattr__(self, label, value)
         for label in ("pre_unitary", "exit_unitary"):
             u = as_matrix2(getattr(self, label), name=label)
-            if not is_unitary(u, DEFAULT_TOL):
+            if not is_unitary(u):
                 raise ValueError(f"{label} is not unitary")
             object.__setattr__(self, label, u)
 
@@ -134,7 +134,7 @@ class CascadePlan:
         if not self.modules:
             raise ValueError("a plan needs at least one module")
         u = as_matrix2(self.final_exit_unitary, name="final_exit_unitary")
-        if not is_unitary(u, DEFAULT_TOL):
+        if not is_unitary(u):
             raise ValueError("final_exit_unitary is not unitary")
         object.__setattr__(self, "final_exit_unitary", u)
 
@@ -260,12 +260,12 @@ def ekert_alpha_prime(alpha: float, beta: float) -> float:
     beta != alpha (both boundaries detected to ~1e-12 so that a separation
     entered as 90 degrees is rejected despite rounding); for beta - alpha
     in (0, pi/2) the result lies in (0, pi/2) and tends to pi/2 as the
-    separation approaches pi/2.
+    separation approaches pi/2.  A NaN angle is outside the region.
     """
     delta = beta - alpha
     cos_delta = math.cos(delta)
     sin_delta = math.sin(delta)
-    if cos_delta <= BOUNDARY_EPS or abs(sin_delta) <= BOUNDARY_EPS:
+    if not (cos_delta > BOUNDARY_EPS and abs(sin_delta) > BOUNDARY_EPS):
         raise DomainError(
             f"separation beta - alpha = {delta!r} outside the valid region "
             "(need cos(beta - alpha) > 0 and beta != alpha)"

@@ -50,6 +50,9 @@ TOLERANCES = {
     "post_state": 1e-9,
 }
 
+#: random_povm redraws a sample whose element sum has an eigenvalue below this
+SANDWICH_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -109,7 +112,7 @@ def _sandwich_povm(n: int, seed: int, shape, positive) -> PovmSet:
         positives = [positive(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)]
         total = sum(positives[1:], start=positives[0])
         lam, basis = eig_hermitian2(0.5 * (total + dagger(total)))
-        if lam[1] < 1e-12:
+        if lam[1] < SANDWICH_FLOOR:
             continue
         inv_sqrt = basis @ np.diag(1.0 / np.sqrt(lam)) @ dagger(basis)
         elements = []
@@ -123,8 +126,8 @@ def random_povm(n: int, seed: int) -> PovmSet:
     """Random n-outcome POVM: sandwich random positive matrices G_i = A A^dag
     between S^{-1/2} factors of their sum S, which forces completeness exactly.
 
-    Deterministic under seed; near-singular sums (eigenvalue below 1e-12)
-    are rejected and redrawn from the same stream.
+    Deterministic under seed; near-singular sums (eigenvalue below
+    SANDWICH_FLOOR) are rejected and redrawn from the same stream.
     """
     return _sandwich_povm(n, seed, (2, 2), lambda a: a @ dagger(a))
 

@@ -3,8 +3,10 @@
 These are stable across releases; a change here must be listed in CHANGES.md.
 """
 
+import inspect
+
 import povmcascade
-from povmcascade import cli, qmath, synthesis
+from povmcascade import cli, povm, qmath, synthesis
 
 
 def test_package_exports():
@@ -82,3 +84,13 @@ def test_module_exports():
     for module in (synthesis, qmath):
         for name in module.__all__:
             assert hasattr(module, name), name
+
+
+def test_no_tolerance_parameters():
+    # every check runs at qmath.DEFAULT_TOL; a looser knob would let a
+    # validator accept what the synthesizer then rejects
+    for module in (qmath, povm):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"

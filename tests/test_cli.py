@@ -248,6 +248,10 @@ class TestSimulateCommand:
     def test_bad_state_spec(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "1,0,0"]) == 1
         assert main(["simulate", hv_plan_file, "--pure", "a,b,c,d"]) == 1
+        for spec in ("nan,0,1,0", "1,inf,0,0", "1,0,-inf,0"):
+            capsys.readouterr()
+            assert main(["simulate", hv_plan_file, "--pure", spec]) == 1
+            assert "must be finite" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

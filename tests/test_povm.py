@@ -8,6 +8,7 @@ import pytest
 from povmcascade.povm import (
     IncompleteSum,
     NotUnitary,
+    _check_residuals,
     density_from_pure,
     density_matrix,
     kraus_from_povm,
@@ -83,11 +84,39 @@ class TestValidatePovm:
         with pytest.raises(ValueError):
             validate_povm([I2])
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_element_has_finite_residuals(self, scale):
+        # the eigen solver divides by max|entry|, which must not overflow when it is subnormal
+        element = scale * np.diag([1.0, 0.0]).astype(complex)
+        per_element, residual = validation_residuals([element, I2 - element])
+        assert per_element[0] == (0.0, 0.0)
+        assert residual == 0.0
+
+    @pytest.mark.parametrize(
+        "per_element, residual, error",
+        [
+            ([(math.nan, 0.0), (0.0, 0.0)], 0.0, NotHermitian),
+            ([(0.0, 0.0), (0.0, math.nan)], 0.0, NotPsd),
+            ([(0.0, 0.0), (0.0, 0.0)], math.nan, IncompleteSum),
+        ],
+    )
+    def test_nan_residual_is_a_violation(self, per_element, residual, error):
+        with pytest.raises(error):
+            _check_residuals(per_element, residual)
+
     def test_residual_report(self):
         per_element, completeness = validation_residuals(trine_elements())
         assert all(h <= 1e-15 for h, _ in per_element)
         assert all(lo >= -1e-15 for _, lo in per_element)
         assert completeness <= 1e-15
+
+
+class TestValidateKraus:
+    def test_overflowing_operator_rejected(self):
+        # |1e200 (1 + i)|^2 overflows, so the completeness residual is NaN
+        huge = np.array([[1e200 + 1e200j, 0.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(IncompleteSum):
+            validate_kraus([huge, I2])
 
 
 class TestKrausFromPovm:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from povmcascade.demos import trine_povm
 from povmcascade.povm import IncompleteSum, KrausSet, kraus_from_povm, validate_kraus, validate_povm
-from povmcascade.qmath import DEFAULT_TOL, dagger, is_unitary, max_abs, rotation
+from povmcascade.qmath import DEFAULT_TOL, dagger, max_abs, rotation
 from povmcascade.synthesis import (
     CascadePlan,
     DomainError,
@@ -158,7 +158,7 @@ class TestSynthesizeCascade:
         elements[0] = elements[0] + sign * 0.9 * DEFAULT_TOL * I2
         kraus = kraus_from_povm(validate_povm(elements))
         plan = synthesize_cascade(kraus)
-        assert all(is_unitary(m.pre_unitary, 1e-12) for m in plan.modules)
+        assert all(max_abs(dagger(m.pre_unitary) @ m.pre_unitary - I2) <= 1e-12 for m in plan.modules)
         assert verify_plan(kraus, plan).passed
 
     def test_zero_element_is_compiled_through(self):
@@ -171,8 +171,8 @@ class TestSynthesizeCascade:
     def test_exit_unitaries_are_unitary(self):
         plan = synthesize_cascade(random_kraus(4, 3))
         for module in plan.modules:
-            assert is_unitary(module.exit_unitary, 1e-12)
-        assert is_unitary(plan.final_exit_unitary, 1e-12)
+            assert max_abs(dagger(module.exit_unitary) @ module.exit_unitary - I2) <= 1e-12
+        assert max_abs(dagger(plan.final_exit_unitary) @ plan.final_exit_unitary - I2) <= 1e-12
 
     def test_inflated_operator_rejected(self):
         # F_1 eigenvalue 1.21 cannot be dominated by the remaining identity
@@ -196,6 +196,12 @@ class TestSynthesizeCascade:
         ops[position][0, 1] = bad
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(IncompleteSum):
             synthesize_cascade(KrausSet(tuple(ops)))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_element_compiles(self, scale):
+        element = scale * np.diag([1.0, 0.0]).astype(complex)
+        kraus = kraus_from_povm(validate_povm([element, I2 - element]))
+        assert verify_plan(kraus, synthesize_cascade(kraus)).passed
 
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))
@@ -310,3 +316,7 @@ class TestEkertAlphaPrime:
             ekert_alpha_prime(0.3, 0.3)
         with pytest.raises(DomainError):
             ekert_alpha_prime(0.0, 2.0)
+        with pytest.raises(DomainError):
+            ekert_alpha_prime(math.nan, 0.5)
+        with pytest.raises(DomainError):
+            ekert_alpha_prime(0.0, math.nan)
