@@ -289,18 +289,23 @@ def _parse_pure(text: str) -> np.ndarray:
     if len(parts) != 4:
         raise DocumentError("--pure expects four comma-separated numbers: a_re,a_im,b_re,b_im")
     try:
-        a_re, a_im, b_re, b_im = (float(p) for p in parts)
+        x = [float(p) for p in parts]
     except ValueError:
         raise DocumentError(f"--pure: could not parse numbers from {text!r}") from None
-    if not all(map(math.isfinite, (a_re, a_im, b_re, b_im))):
+    if not all(map(math.isfinite, x)):
         raise DocumentError(f"--pure: components must be finite, got {text!r}")
-    vec = np.array([complex(a_re, a_im), complex(b_re, b_im)])
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    # divide by the largest component in Python floats first: squaring the raw
+    # components overflows or underflows at extreme scales, and numpy would
+    # divide by multiplying with a reciprocal that is inf for a subnormal scale
+    scale = max(map(abs, x))
+    if scale == 0.0:
         raise DomainError("--pure: state has zero norm")
+    x = [v / scale for v in x]
+    length = math.hypot(*x)
+    norm = scale * length
     if not abs(norm - 1.0) <= NORM_WARNING:
         print(f"warning: input state norm {norm:.9g} deviates from 1; normalizing", file=sys.stderr)
-    return vec / norm
+    return np.array([complex(x[0], x[1]), complex(x[2], x[3])]) / length
 
 
 def _cmd_simulate(args) -> int:

@@ -52,7 +52,6 @@ __all__ = [
     "propagate",
     "transfer_matrices",
     "exit_amplitudes",
-    "dark_port_leakage",
     "build_module_network",
     "build_cascade_network",
 ]
@@ -289,14 +288,6 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
         else:
             records.append(ExitAmplitude(i, p, None))
     return records
-
-
-def dark_port_leakage(state: PhotonState, network: OpticalNetwork) -> float:
-    """Largest amplitude modulus found on any dark port (ideally ~0)."""
-    worst = 0.0
-    for mode in network.dark_ports:
-        worst = max(worst, float(np.max(np.abs(state.mode_vector(mode)))))
-    return worst
 
 
 def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel):

@@ -260,11 +260,10 @@ def ekert_alpha_prime(alpha: float, beta: float) -> float:
     beta != alpha (both boundaries detected to ~1e-12 so that a separation
     entered as 90 degrees is rejected despite rounding); for beta - alpha
     in (0, pi/2) the result lies in (0, pi/2) and tends to pi/2 as the
-    separation approaches pi/2.  A NaN angle is outside the region.
+    separation approaches pi/2.  A NaN or infinite angle is outside the region.
     """
     delta = beta - alpha
-    cos_delta = math.cos(delta)
-    sin_delta = math.sin(delta)
+    cos_delta, sin_delta = (math.cos(delta), math.sin(delta)) if math.isfinite(delta) else (math.nan, math.nan)
     if not (cos_delta > BOUNDARY_EPS and abs(sin_delta) > BOUNDARY_EPS):
         raise DomainError(
             f"separation beta - alpha = {delta!r} outside the valid region "

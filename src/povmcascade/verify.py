@@ -1,11 +1,14 @@
-"""End-to-end checks: compiled-and-simulated cascade vs the analytic oracle.
+"""End-to-end checks: the simulated cascade network vs the analytic oracle.
 
-verify_plan simulates the optical network built from a plan once, reading
-its linear map off |H> and |V> (optics.transfer_matrices), applies that map
-to random pure states and compares exit statistics and conditional states
-against direct application of the Kraus operators, alongside
-operator-level round-trip residuals, dark-port leakage, and norm
-conservation.  Reports are deterministic for fixed inputs and seed.
+verify_plan builds the optical network from a plan once and reads its
+linear map off |H> and |V> (optics.transfer_matrices): one 2x2 operator T
+per live mode.  Every check looks at that network, never at a second
+model of the plan.  The operator checks compare each exit's T with its
+Kraus operator, sum T^dag T over every live mode, and bound the dark-mode
+maps, so they hold for all input states at once; the photon checks apply
+the exit maps to seeded random pure states and compare exit statistics
+and conditional states against direct application of the Kraus operators.
+Reports are deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .povm import (
     validate_povm,
 )
 from .qmath import dagger, eig_hermitian2, max_abs
-from .synthesis import CascadePlan, reconstruct_kraus
+from .synthesis import CascadePlan
 
 __all__ = [
     "TOLERANCES",
@@ -145,72 +148,68 @@ def _report(residuals: dict[str, float], seed: int, case_count: int) -> Verifica
     return VerificationReport(checks, seed, case_count)
 
 
+def _gram(maps: np.ndarray) -> np.ndarray:
+    """T^dag T for each 2x2 map of a stack."""
+    return maps.conj().transpose(0, 2, 1) @ maps
+
+
 def verify_plan(
     kraus: KrausSet,
     plan: CascadePlan,
     trial_states: int = 100,
     seed: int = 42,
 ) -> VerificationReport:
-    """Check that a plan implements a Kraus set, at operator and photon level.
+    """Check that the plan's network implements a Kraus set, at operator and
+    photon level.
 
-    Checks (name: tolerance): f_roundtrip 1e-8 (measurement operators of the
-    reconstructed plan vs the input), kraus_roundtrip 1e-8 (operators
-    themselves, exit unitaries included), probability 1e-9 and
-    conditional_state 1e-9 (simulated exits vs the analytic oracle over
-    ``trial_states`` random pure inputs; conditional comparison is
-    1 - |overlap|, global-phase free), dark_port 1e-10, norm 1e-9.
+    One simulation feeds every check: the network's per-mode maps T
+    (:func:`optics.transfer_matrices`, two propagations).  With T_i the map
+    of exit i and M_i the i-th Kraus operator, the checks (name: tolerance)
+    are:
 
-    The photon-level residuals come from one simulation: the network's
-    per-mode maps T (:func:`optics.transfer_matrices`, two propagations)
-    are applied to all trial states at once, so exit i of trial psi is
-    T[exit i] @ psi.  norm sums |T @ psi|^2 over every mode the propagated
-    state carries, not only exits and dark ports, so it checks the whole
-    network for loss or gain; light sent to a stray mode keeps the norm and
-    shows in probability instead.
-    Trial states are drawn one random_pure_state per trial, in order;
-    case_count is trial_states.
+    - f_roundtrip 1e-8: max |T_i^dag T_i - M_i^dag M_i|, the measurement
+      operators the network realizes;
+    - kraus_roundtrip 1e-8: max |T_i - M_i|, exit unitaries included;
+    - probability 1e-9 and conditional_state 1e-9: exit i of trial psi is
+      T_i @ psi, compared with M_i @ psi over ``trial_states`` random pure
+      inputs (conditional comparison is 1 - |overlap|, global-phase free);
+    - dark_port 1e-10: the largest entry of any dark port's map;
+    - norm 1e-9: max |sum of T^dag T over every live mode - I|, not only
+      exits and dark ports, so it checks the whole network for loss or
+      gain; light sent to a stray mode keeps the norm and shows in the exit
+      checks instead.
+
+    The first two and the last two are state-independent: they do not
+    depend on ``trial_states`` or ``seed``.  Trial states are drawn one
+    random_pure_state per trial, in order; case_count is trial_states.
     Residual failures are report entries, never exceptions; only an
     outcome-count mismatch between plan and Kraus set, or trial_states < 1
-    (which would pass vacuously), raises.
+    (which would pass the photon checks vacuously), raises.
     """
     if trial_states < 1:
         raise ValueError(f"trial_states must be at least 1, got {trial_states}")
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
-    reconstructed = reconstruct_kraus(plan)
-    f_res = 0.0
-    k_res = 0.0
-    for produced, wanted in zip(reconstructed, kraus):
-        f_res = max(f_res, max_abs(dagger(produced) @ produced - dagger(wanted) @ wanted))
-        k_res = max(k_res, max_abs(produced - wanted))
-
     network = build_cascade_network(plan)
     transfer = transfer_matrices(network)
+    exits = np.array([transfer[mode] for mode in network.exits])
+    wanted = np.array(kraus.operators)
     rng = np.random.default_rng(seed)
     psis = np.array([random_pure_state(rng) for _ in range(trial_states)]).T
 
-    def images(operators) -> np.ndarray:
-        """Amplitudes operator @ psi, indexed (operator, polarization, trial)."""
-        return np.array(list(operators)) @ psis
-
-    sim = images(transfer[mode] for mode in network.exits)
-    target = images(kraus)
+    sim, target = exits @ psis, wanted @ psis  # indexed (outcome, polarization, trial)
     p_sim = np.sum(np.abs(sim) ** 2, axis=1)
     p_oracle = np.sum(np.abs(target) ** 2, axis=1)
     live = (p_oracle >= PROBABILITY_FLOOR) & (p_sim >= PROBABILITY_FLOOR)
     overlap = np.abs(np.sum(sim.conj() * target, axis=1))[live] / np.sqrt(p_sim * p_oracle)[live]
-    prob_res = np.max(np.abs(p_sim - p_oracle))
-    cond_res = np.max(1.0 - np.minimum(overlap, 1.0), initial=0.0)
-    dark_res = np.max(np.abs(images(transfer[mode] for mode in network.dark_ports)))
-    norm_res = np.max(np.abs(np.sum(np.abs(images(transfer.values())) ** 2, axis=(0, 1)) - 1.0))
 
     residuals = {
-        "f_roundtrip": f_res,
-        "kraus_roundtrip": k_res,
-        "probability": prob_res,
-        "conditional_state": cond_res,
-        "dark_port": dark_res,
-        "norm": norm_res,
+        "f_roundtrip": max_abs(_gram(exits) - _gram(wanted)),
+        "kraus_roundtrip": max_abs(exits - wanted),
+        "probability": np.max(np.abs(p_sim - p_oracle)),
+        "conditional_state": np.max(1.0 - np.minimum(overlap, 1.0), initial=0.0),
+        "dark_port": max_abs([transfer[mode] for mode in network.dark_ports]),
+        "norm": max_abs(np.sum(_gram(np.array(list(transfer.values()))), axis=0) - np.eye(2)),
     }
     return _report(residuals, seed, trial_states)
 

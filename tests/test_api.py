@@ -6,7 +6,7 @@ These are stable across releases; a change here must be listed in CHANGES.md.
 import inspect
 
 import povmcascade
-from povmcascade import cli, povm, qmath, synthesis
+from povmcascade import cli, optics, povm, qmath, synthesis, verify
 
 
 def test_package_exports():
@@ -81,7 +81,53 @@ def test_module_exports():
         "svd2",
         "aligning_unitary",
     ]
-    for module in (synthesis, qmath):
+    assert optics.__all__ == [
+        "H",
+        "V",
+        "UnknownMode",
+        "ModeLabel",
+        "PhotonState",
+        "PolarizingBeamsplitter",
+        "Rotator",
+        "PhaseShifter",
+        "ModeUnitary",
+        "OpticalElement",
+        "OpticalNetwork",
+        "ExitAmplitude",
+        "apply_element",
+        "propagate",
+        "transfer_matrices",
+        "exit_amplitudes",
+        "build_module_network",
+        "build_cascade_network",
+    ]
+    assert verify.__all__ == [
+        "TOLERANCES",
+        "CheckResult",
+        "VerificationReport",
+        "random_pure_state",
+        "random_povm",
+        "random_rank_one_povm",
+        "verify_plan",
+        "simulate_density",
+        "verify_density",
+    ]
+    assert povm.__all__ == [
+        "IncompleteSum",
+        "NotUnitary",
+        "PovmSet",
+        "KrausSet",
+        "DensityMatrix",
+        "OutcomeRecord",
+        "validate_povm",
+        "validate_kraus",
+        "kraus_from_povm",
+        "density_matrix",
+        "density_from_pure",
+        "outcome_probabilities",
+        "validation_residuals",
+    ]
+    for module in (synthesis, qmath, optics, verify, povm):
         for name in module.__all__:
             assert hasattr(module, name), name
 

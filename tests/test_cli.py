@@ -245,6 +245,21 @@ class TestSimulateCommand:
     def test_zero_state_rejected(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "0,0,0,0"]) == 2
 
+    @pytest.mark.parametrize(
+        "extreme, plain",
+        [("1e200,0,1e200,0", "1,0,1,0"), ("1e-200,0,0,0", "1,0,0,0"), ("5e-324,0,0,0", "1,0,0,0")],
+    )
+    def test_extreme_scale_state_normalizes_exactly(self, tmp_path, capsys, extreme, plain):
+        # squaring the components would overflow or underflow; dividing by
+        # the largest one first recovers the plain state exactly
+        plan_path = write_json(tmp_path / "trine_plan.json", plan_document(trine_povm()[2]))
+        printed = []
+        for spec in (plain, extreme):
+            assert main(["simulate", plan_path, "--pure", spec]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "exit E3: probability" in printed[0]
+        assert printed[1] == printed[0]
+
     def test_bad_state_spec(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "1,0,0"]) == 1
         assert main(["simulate", hv_plan_file, "--pure", "a,b,c,d"]) == 1
@@ -306,6 +321,10 @@ class TestDemoCommand:
     def test_ekert_demo_rejects_right_angle(self, capsys):
         assert main(["demo", "ekert", "--alpha", "0", "--beta", "90"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_ekert_demo_rejects_infinite_angle(self, capsys):
+        assert main(["demo", "ekert", "--alpha", "inf"]) == 2
+        assert "valid region" in capsys.readouterr().err
 
     def test_unknown_demo_name(self, capsys):
         assert main(["demo", "octahedron"]) == 1

@@ -316,7 +316,8 @@ class TestEkertAlphaPrime:
             ekert_alpha_prime(0.3, 0.3)
         with pytest.raises(DomainError):
             ekert_alpha_prime(0.0, 2.0)
-        with pytest.raises(DomainError):
-            ekert_alpha_prime(math.nan, 0.5)
-        with pytest.raises(DomainError):
-            ekert_alpha_prime(0.0, math.nan)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="valid region"):
+                ekert_alpha_prime(bad, 0.5)
+            with pytest.raises(DomainError, match="valid region"):
+                ekert_alpha_prime(0.0, bad)

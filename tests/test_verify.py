@@ -12,8 +12,8 @@ from povmcascade.optics import (
     PhotonState,
     PolarizingBeamsplitter,
     build_cascade_network,
-    dark_port_leakage,
     propagate,
+    transfer_matrices,
 )
 from povmcascade.povm import (
     density_from_pure,
@@ -33,6 +33,9 @@ from povmcascade.verify import (
 )
 
 I2 = np.eye(2, dtype=complex)
+
+#: the checks computed on the network's operators, independent of the trial states
+OPERATOR_CHECKS = ("f_roundtrip", "kraus_roundtrip", "dark_port", "norm")
 
 
 def declare_first_exit_dark(network):
@@ -104,7 +107,8 @@ class TestVerifyPlan:
     def test_photon_residuals_match_per_state_propagation(self):
         # reference: every trial state propagated element by element, one at a
         # time; the mis-set plan makes probability and conditional_state large,
-        # so agreement there is not agreement of round-off
+        # so agreement there is not agreement of round-off.  dark_port and norm
+        # are read off the transfer map, mode by mode
         _, trine_kraus, trine_plan = trine_povm()
         mis_set = list(trine_plan.modules)
         mis_set[1] = dataclasses.replace(mis_set[1], theta=mis_set[1].theta + 0.05)
@@ -113,13 +117,18 @@ class TestVerifyPlan:
             plans.append((kraus, synthesize_cascade(kraus)))
         for kraus, plan in plans:
             network = build_cascade_network(plan)
+            transfer = transfer_matrices(network)
+            total = sum(dagger(t) @ t for t in transfer.values())
+            worst = {
+                "probability": 0.0,
+                "conditional_state": 0.0,
+                "dark_port": max(max_abs(transfer[mode]) for mode in network.dark_ports),
+                "norm": max_abs(total - I2),
+            }
             rng = np.random.default_rng(11)
-            worst = dict.fromkeys(("probability", "conditional_state", "dark_port", "norm"), 0.0)
             for _ in range(20):
                 psi = random_pure_state(rng)
                 out = propagate(PhotonState.pure(network.input, psi), network)
-                worst["dark_port"] = max(worst["dark_port"], dark_port_leakage(out, network))
-                worst["norm"] = max(worst["norm"], abs(out.total_probability() - 1.0))
                 for mode, m in zip(network.exits, kraus):
                     vec, target = out.mode_vector(mode), m @ psi
                     p_sim, p_oracle = np.vdot(vec, vec).real, np.vdot(target, target).real
@@ -135,8 +144,8 @@ class TestVerifyPlan:
         "tamper, failing",
         [
             (declare_first_exit_dark, {"dark_port"}),
-            (attenuate_last_exit, {"probability", "norm"}),
-            (split_last_exit_to_stray_mode, {"probability", "conditional_state"}),
+            (attenuate_last_exit, {"f_roundtrip", "kraus_roundtrip", "norm", "probability"}),
+            (split_last_exit_to_stray_mode, {"conditional_state", "f_roundtrip", "kraus_roundtrip", "probability"}),
         ],
         ids=lambda value: value.__name__ if callable(value) else "+".join(sorted(value)),
     )
@@ -148,6 +157,12 @@ class TestVerifyPlan:
         assert {c.name for c in report.checks if not c.passed} == failing
         for name in failing:
             assert report.check(name).max_residual > 1e-2, name
+        # the operator checks read the network, not the sampled states: a
+        # single trial state of any seed gives the same residuals
+        for seed in range(10):
+            single = verify_plan(kraus, plan, trial_states=1, seed=seed)
+            for name in OPERATOR_CHECKS:
+                assert single.check(name).max_residual == report.check(name).max_residual, (name, seed)
 
     def test_rejects_fewer_than_one_trial_state(self):
         # zero trial states would make every photon-level check pass vacuously
@@ -176,6 +191,14 @@ class TestVerifyPlan:
         _, kraus, plan = trine_povm()
         payload = verify_plan(kraus, plan, trial_states=5, seed=1).to_dict()
         assert set(payload) == {"checks", "seed", "case_count"}
+        assert [entry["name"] for entry in payload["checks"]] == [
+            "f_roundtrip",
+            "kraus_roundtrip",
+            "probability",
+            "conditional_state",
+            "dark_port",
+            "norm",
+        ]
         for entry in payload["checks"]:
             assert set(entry) == {"name", "pass", "max_residual", "tolerance"}
 
