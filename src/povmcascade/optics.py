@@ -19,11 +19,14 @@ the whole transfer manifestly unitary.
 
 propagate keeps one amplitude table per call and lets each element act on
 it in place, so a network costs the same per element at any depth; the
-caller's state is never modified.
+caller's state is never modified.  Each element updates the table with
+Python-complex arithmetic on the four entries of its 2x2 matrix, with no
+numpy call per element.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +35,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import as_matrix2, phase_fixed, rotation
+from .qmath import as_matrix2, phase_fixed
 from .synthesis import CascadePlan, ModuleSettings
 
 __all__ = [
@@ -213,18 +216,21 @@ def _act(amps, element: OpticalElement) -> None:
         amps[(element.out_b, H)] = b_h
         amps[(element.out_b, V)] = a_v
         return
+    # Four Python-complex coefficients, no numpy call per element; complex
+    # rotator entries keep the image of a float amplitude complex
     if isinstance(element, Rotator):
-        matrix = rotation(element.angle)
+        c, s = complex(math.cos(element.angle)), complex(math.sin(element.angle))
+        m00, m01, m10, m11 = c, -s, s, c
     elif isinstance(element, PhaseShifter):
-        matrix = np.exp(1j * element.phase) * np.eye(2)
+        m00 = m11 = cmath.exp(1j * element.phase)
+        m01 = m10 = 0j
     elif isinstance(element, ModeUnitary):
-        matrix = as_matrix2(element.matrix)
+        (m00, m01), (m10, m11) = as_matrix2(element.matrix).tolist()
     else:
         raise TypeError(f"not an optical element: {element!r}")
     a_h, a_v = _mode_pair(amps, element.mode)
-    vec = matrix @ np.array([a_h, a_v])
-    amps[(element.mode, H)] = complex(vec[0])
-    amps[(element.mode, V)] = complex(vec[1])
+    amps[(element.mode, H)] = m00 * a_h + m01 * a_v
+    amps[(element.mode, V)] = m10 * a_h + m11 * a_v
 
 
 def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:

@@ -99,10 +99,17 @@ class VerificationReport:
         }
 
 
+def _trial_states(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random pure states as the columns of a (2, count) array, from
+    one draw of 4 * count normals: per state 2 real parts, then 2 imaginary."""
+    draws = rng.standard_normal((count, 2, 2))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    return (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).T
+
+
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     """Normalized pair of complex Gaussians: rotation-invariant on the sphere."""
-    vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return vec / np.linalg.norm(vec)
+    return _trial_states(rng, 1)[:, 0]
 
 
 def _sandwich_povm(n: int, seed: int, shape, positive) -> PovmSet:
@@ -148,9 +155,14 @@ def _report(residuals: dict[str, float], seed: int, case_count: int) -> Verifica
     return VerificationReport(checks, seed, case_count)
 
 
+def _daggers(maps: np.ndarray) -> np.ndarray:
+    """T^dag for each 2x2 map of a stack."""
+    return maps.conj().transpose(0, 2, 1)
+
+
 def _gram(maps: np.ndarray) -> np.ndarray:
     """T^dag T for each 2x2 map of a stack."""
-    return maps.conj().transpose(0, 2, 1) @ maps
+    return _daggers(maps) @ maps
 
 
 def verify_plan(
@@ -180,8 +192,9 @@ def verify_plan(
       checks instead.
 
     The first two and the last two are state-independent: they do not
-    depend on ``trial_states`` or ``seed``.  Trial states are drawn one
-    random_pure_state per trial, in order; case_count is trial_states.
+    depend on ``trial_states`` or ``seed``.  Trial states are drawn in one
+    batch from the seeded stream, the same states as ``trial_states``
+    successive random_pure_state calls; case_count is trial_states.
     Residual failures are report entries, never exceptions; only an
     outcome-count mismatch between plan and Kraus set, or trial_states < 1
     (which would pass the photon checks vacuously), raises.
@@ -195,7 +208,7 @@ def verify_plan(
     exits = np.array([transfer[mode] for mode in network.exits])
     wanted = np.array(kraus.operators)
     rng = np.random.default_rng(seed)
-    psis = np.array([random_pure_state(rng) for _ in range(trial_states)]).T
+    psis = _trial_states(rng, trial_states)
 
     sim, target = exits @ psis, wanted @ psis  # indexed (outcome, polarization, trial)
     p_sim = np.sum(np.abs(sim) ** 2, axis=1)
@@ -224,13 +237,14 @@ def simulate_density(plan: CascadePlan, rho: DensityMatrix) -> list[OutcomeRecor
     """
     network = build_cascade_network(plan)
     transfer = transfer_matrices(network)
-    records = []
-    for i, mode in enumerate(network.exits, start=1):
-        post = transfer[mode] @ rho.rho @ dagger(transfer[mode])
-        post = 0.5 * (post + dagger(post))
-        p = float(np.trace(post).real)
-        records.append(OutcomeRecord(i, p, DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None))
-    return records
+    exits = np.array([transfer[mode] for mode in network.exits])
+    posts = exits @ rho.rho @ _daggers(exits)
+    posts = 0.5 * (posts + _daggers(posts))
+    probabilities = np.trace(posts, axis1=1, axis2=2).real.tolist()
+    return [
+        OutcomeRecord(i, p, DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None)
+        for i, (p, post) in enumerate(zip(probabilities, posts), start=1)
+    ]
 
 
 def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> VerificationReport:

@@ -1,9 +1,12 @@
 """Element-level simulator: beamsplitter semantics, module transfer, cascades."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.optics import (
@@ -100,6 +103,28 @@ class TestApplyElement:
             apply_element(state, Rotator(AUX, 0.1))
         with pytest.raises(UnknownMode):
             apply_element(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
+
+    def test_non_element_raises_type_error(self):
+        # a look-alike with a mode and an angle is still not a Rotator
+        state = PhotonState.pure(IN, [0.6, 0.8])
+        stranger = SimpleNamespace(mode=IN, angle=0.3)
+        with pytest.raises(TypeError, match="not an optical element"):
+            apply_element(state, stranger)
+        with pytest.raises(TypeError, match="not an optical element"):
+            propagate(state, OpticalNetwork((stranger,), (IN,), IN))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"), (np.eye(3), "must be 2x2")],
+        ids=["nan", "3x3"],
+    )
+    def test_malformed_mode_unitary_raises_when_it_acts(self, matrix, message):
+        state = PhotonState.pure(IN, [0.6, 0.8])
+        element = ModeUnitary(IN, matrix)
+        with pytest.raises(ValueError, match=message):
+            apply_element(state, element)
+        with pytest.raises(ValueError, match=message):
+            propagate(state, OpticalNetwork((element,), (IN,), IN))
 
 
 class TestModuleNetwork:
@@ -272,6 +297,40 @@ class TestPropagate:
         out = propagate(PhotonState.pure(network.input, [1.0, 0.0]), network)
         weights = [float(np.vdot(v, v).real) for v in (out.mode_vector(m) for m in network.exits)]
         np.testing.assert_allclose(weights, [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0], atol=1e-12)
+
+
+ANGLE = st.floats(-10.0, 10.0)
+ONE_MODE_ELEMENT = st.one_of(
+    st.builds(Rotator, st.just(IN), ANGLE),
+    st.builds(PhaseShifter, st.just(IN), ANGLE),
+    st.builds(
+        lambda a, b, c: ModeUnitary(IN, np.exp(1j * c) * rotation(a) @ np.diag([1.0, np.exp(1j * b)])),
+        ANGLE,
+        ANGLE,
+        ANGLE,
+    ),
+)
+
+
+def numpy_step(vec, element):
+    """The per-element formula as a numpy matrix-vector product."""
+    if isinstance(element, Rotator):
+        return rotation(element.angle) @ vec
+    if isinstance(element, PhaseShifter):
+        return np.exp(1j * element.phase) * vec
+    return element.matrix @ vec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(elements=st.lists(ONE_MODE_ELEMENT, max_size=12), theta=ANGLE, phase=ANGLE)
+def test_propagate_matches_numpy_formula(elements, theta, phase):
+    # scalar and numpy arithmetic round differently, by about an ulp per element
+    psi = np.array([math.cos(theta), np.exp(1j * phase) * math.sin(theta)])
+    out = propagate(PhotonState.pure(IN, psi), OpticalNetwork(tuple(elements), (IN,), IN))
+    expected = psi
+    for element in elements:
+        expected = numpy_step(expected, element)
+    assert max_abs(out.mode_vector(IN) - expected) <= 1e-15
 
 
 class TestExitAmplitudes:

@@ -25,6 +25,7 @@ from povmcascade.povm import (
 from povmcascade.qmath import dagger, eig_hermitian2, max_abs, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, synthesize_cascade
 from povmcascade.verify import (
+    _trial_states,
     random_povm,
     random_pure_state,
     random_rank_one_povm,
@@ -244,6 +245,24 @@ class TestVerifyDensity:
             assert report.passed
             assert report.check("probability").max_residual <= 1e-9
             assert report.check("post_state").max_residual <= 1e-9
+
+
+class TestTrialStates:
+    def test_batch_matches_successive_draws(self):
+        for count in (1, 2, 7, 100):
+            batch = _trial_states(np.random.default_rng(count), count)
+            rng = np.random.default_rng(count)
+            successive = np.array([random_pure_state(rng) for _ in range(count)]).T
+            assert batch.shape == (2, count)
+            assert max_abs(batch - successive) <= 1e-15
+
+    def test_one_draw_uses_four_normals(self):
+        rng, normals = np.random.default_rng(5), np.random.default_rng(5)
+        psi = random_pure_state(rng)
+        re, im = normals.standard_normal(2), normals.standard_normal(2)
+        assert max_abs(psi - (re + 1j * im) / np.linalg.norm(re + 1j * im)) <= 1e-15
+        # both streams are now four normals in
+        assert rng.standard_normal() == normals.standard_normal()
 
 
 class TestRandomPovm:
