@@ -176,9 +176,11 @@ class OpticalNetwork:
             if isinstance(element, PolarizingBeamsplitter):
                 inputs = (element.in_a, element.in_b)
                 outputs = (element.out_a, element.out_b)
-            else:
+            elif isinstance(element, (Rotator, PhaseShifter, ModeUnitary)):
                 inputs = (element.mode,)
                 outputs = ()
+            else:
+                raise _not_an_element(element)
             for mode in inputs:
                 if mode not in produced and mode not in seen:
                     needed.append(mode)
@@ -203,6 +205,16 @@ def _mode_pair(amps, mode: ModeLabel) -> tuple[complex, complex]:
         raise UnknownMode(mode) from None
 
 
+def _not_an_element(element) -> TypeError:
+    return TypeError(f"not an optical element: {element!r}")
+
+
+def _require_finite(element: Rotator | PhaseShifter, angle: float) -> None:
+    # checked where the element acts, not at construction: networks are built per use
+    if not math.isfinite(angle):
+        raise ValueError(f"{type(element).__name__} on mode {element.mode} has non-finite angle {angle!r}")
+
+
 def _act(amps, element: OpticalElement) -> None:
     """Act with one element on an amplitude table, in place."""
     if isinstance(element, PolarizingBeamsplitter):
@@ -219,15 +231,17 @@ def _act(amps, element: OpticalElement) -> None:
     # Four Python-complex coefficients, no numpy call per element; complex
     # rotator entries keep the image of a float amplitude complex
     if isinstance(element, Rotator):
+        _require_finite(element, element.angle)
         c, s = complex(math.cos(element.angle)), complex(math.sin(element.angle))
         m00, m01, m10, m11 = c, -s, s, c
     elif isinstance(element, PhaseShifter):
+        _require_finite(element, element.phase)
         m00 = m11 = cmath.exp(1j * element.phase)
         m01 = m10 = 0j
     elif isinstance(element, ModeUnitary):
         (m00, m01), (m10, m11) = as_matrix2(element.matrix).tolist()
     else:
-        raise TypeError(f"not an optical element: {element!r}")
+        raise _not_an_element(element)
     a_h, a_v = _mode_pair(amps, element.mode)
     amps[(element.mode, H)] = m00 * a_h + m01 * a_v
     amps[(element.mode, V)] = m10 * a_h + m11 * a_v

@@ -17,9 +17,11 @@ from .qmath import (
     DEFAULT_TOL,
     NotHermitian,
     NotPsd,
-    _hermitian_residuals,
+    _psd_roots,
+    _spectra,
     as_matrix2,
     dagger,
+    hermitian_residuals,
     identity2,
     is_unitary,
     max_abs,
@@ -123,7 +125,7 @@ def validate_povm(elements) -> PovmSet:
     residual of sum(F) - I.  Zero elements are legal; they arise in
     degenerate parameterizations and the algebra tolerates them.
     """
-    mats = _as_elements(elements)
+    mats = _stack(elements, "element")
     if len(mats) < 2:
         raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
     _check_residuals(*_residuals(mats))
@@ -153,11 +155,10 @@ def _check_residuals(per_element, residual: float) -> None:
 def validate_kraus(operators) -> KrausSet:
     """Check the completeness relation sum M^dag M = I at DEFAULT_TOL (NaN
     and Inf fail it) and wrap the operators."""
-    mats = [as_matrix2(m, name=f"operator {i + 1}") for i, m in enumerate(operators)]
+    mats = _stack(operators, "operator")
     if len(mats) < 2:
         raise ValueError(f"a Kraus set needs at least 2 operators, got {len(mats)}")
-    total = sum((dagger(m) @ m for m in mats), start=np.zeros((2, 2), dtype=complex))
-    residual = max_abs(total - identity2())
+    residual = max_abs(np.sum(mats.conj().transpose(0, 2, 1) @ mats, axis=0) - identity2())
     if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
     return KrausSet(tuple(mats))
@@ -171,24 +172,22 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
     the measurement statistics untouched.
     """
     if exit_unitaries is None:
-        exit_unitaries = [identity2()] * len(povm)
-    else:
-        exit_unitaries = [as_matrix2(u, name=f"exit unitary {i + 1}") for i, u in enumerate(exit_unitaries)]
-        if len(exit_unitaries) != len(povm):
-            raise ValueError(
-                f"expected {len(povm)} exit unitaries, got {len(exit_unitaries)}"
-            )
-        for i, u in enumerate(exit_unitaries):
-            if not is_unitary(u):
-                raise NotUnitary(f"exit unitary {i + 1} is not unitary", index=i)
-    ops = [v @ sqrt_psd(f) for v, f in zip(exit_unitaries, povm)]
-    return validate_kraus(ops)
+        return validate_kraus(_roots(povm))
+    exit_unitaries = [as_matrix2(u, name=f"exit unitary {i + 1}") for i, u in enumerate(exit_unitaries)]
+    if len(exit_unitaries) != len(povm):
+        raise ValueError(
+            f"expected {len(povm)} exit unitaries, got {len(exit_unitaries)}"
+        )
+    for i, u in enumerate(exit_unitaries):
+        if not is_unitary(u):
+            raise NotUnitary(f"exit unitary {i + 1} is not unitary", index=i)
+    return validate_kraus(np.array(exit_unitaries) @ _roots(povm))
 
 
 def density_matrix(rho) -> DensityMatrix:
     """Validate a 2x2 density matrix (Hermitian, PSD, unit trace) at DEFAULT_TOL."""
     rho = as_matrix2(rho, name="density matrix")
-    herm_residual, min_eigenvalue = _hermitian_residuals(rho)
+    herm_residual, min_eigenvalue = hermitian_residuals(rho)
     if not herm_residual <= DEFAULT_TOL:
         raise NotHermitian(f"density matrix hermiticity residual {herm_residual:.3e}", residual=herm_residual)
     if not min_eigenvalue >= -DEFAULT_TOL:
@@ -233,13 +232,43 @@ def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRe
 def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
     """Diagnostic residuals for reporting: per element (hermiticity residual,
     minimum eigenvalue) plus the completeness residual ||sum F - I||."""
-    return _residuals(_as_elements(elements))
+    return _residuals(_stack(elements, "element"))
 
 
-def _as_elements(elements) -> list[np.ndarray]:
-    return [as_matrix2(e, name=f"element {i + 1}") for i, e in enumerate(elements)]
+def _stack(matrices, label: str) -> np.ndarray:
+    """The matrices as one complex (n, 2, 2) array; a wrong shape or a NaN/Inf
+    entry raises as_matrix2's error for the first offending one."""
+    matrices = list(matrices)
+    stack = _finite_stack(matrices)
+    if stack is None:
+        checked = [as_matrix2(m, name=f"{label} {i + 1}") for i, m in enumerate(matrices)]
+        stack = np.array(checked, dtype=complex).reshape(-1, 2, 2)
+    return stack
 
 
-def _residuals(mats: list[np.ndarray]) -> tuple[list[tuple[float, float]], float]:
-    total = sum(mats[1:], start=mats[0])
-    return [_hermitian_residuals(f) for f in mats], max_abs(total - identity2())
+def _finite_stack(matrices: list) -> np.ndarray | None:
+    """The matrices as one complex (n, 2, 2) array, or None if one of them is
+    not 2x2 or has a NaN/Inf entry."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except (ValueError, TypeError):
+        return None
+    return stack if stack.shape == (len(matrices), 2, 2) and np.isfinite(stack).all() else None
+
+
+def _residuals(mats: np.ndarray) -> tuple[list[tuple[float, float]], float]:
+    residual, _, low, _, _ = _spectra(mats)
+    completeness = max_abs(np.sum(mats, axis=0) - identity2())
+    return list(zip(residual.tolist(), low.tolist())), completeness
+
+
+def _roots(povm: PovmSet) -> np.ndarray:
+    """sqrt_psd of every element in one stacked pass; if one of them would be
+    rejected, the elements go through sqrt_psd itself, which raises its error."""
+    elements = list(povm)
+    stack = _finite_stack(elements)
+    if stack is not None:
+        roots, residual, low = _psd_roots(stack)
+        if (residual <= DEFAULT_TOL).all() and (low >= -DEFAULT_TOL).all():
+            return roots
+    return np.array([sqrt_psd(f) for f in elements], dtype=complex).reshape(-1, 2, 2)

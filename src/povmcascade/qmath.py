@@ -1,17 +1,27 @@
 """Deterministic closed-form linear algebra for complex 2x2 matrices.
 
-Everything here operates on plain numpy arrays of shape ``(2, 2)`` and dtype
-complex128, written as explicit 2x2 formulas instead of iterative LAPACK
-calls so that results are bit-stable across runs.  Unitary factors follow a
-fixed phase gauge: each gauge-free column is scaled so its largest-modulus
-entry is real and positive, which keeps golden-file comparisons meaningful.
+The formulas are explicit 2x2 closed forms, not iterative LAPACK calls, so
+results are reproducible.  Unitary factors follow a fixed phase gauge: each
+gauge-free column is scaled so its largest-modulus entry (the first on a
+tie) is exactly real and non-negative.
+
+The work is done by cores of two kinds, each idea written once:
+
+* Scalar cores act on Python complex numbers, a matrix being the nested
+  pair ``((m00, m01), (m10, m11))`` as ``ndarray.tolist()`` gives it, with
+  no numpy call: the phase gauge (``_phase_fixed``), the Hermitian
+  eigendecomposition (``_eig``), the completion of two orthogonal columns
+  into a unitary and its weights (``_column_split``), the SVD built from
+  those two (``_svd``) and the thin QR of two columns by Householder
+  reflections (``_qr``).  The synthesizer runs on them.
+* The stacked core ``_spectra`` evaluates ``_eig``'s closed form on a whole
+  ``(n, 2, 2)`` array at once: Hermiticity residuals, eigenvalues and top
+  eigenvectors, from which ``_psd_roots`` takes every square root.  POVM
+  validation and the Kraus gauge make one pass over the element stack.
 
 Public functions check their input (shape, finiteness, Hermiticity at
-DEFAULT_TOL; no function takes a tolerance argument).  The private cores
-behind them (``_eig``, ``_svd``, ``_hermitian_residuals``) assume an input
-already checked and, for ``_eig``, already symmetrized; the package calls
-them on arrays it has just built.  Both paths run the same floating-point
-operations, so results are bit-identical.
+DEFAULT_TOL; no function takes a tolerance argument) and call the cores;
+the cores assume checked, finite input.
 
 Basis convention throughout the package: index 0 is horizontal polarization
 |H>, index 1 is vertical polarization |V>.
@@ -19,6 +29,7 @@ Basis convention throughout the package: index 0 is horizontal polarization
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -47,7 +58,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 #: sqrt_psd treats eigenvalues at or below this fraction of the largest as exactly 0
 RANK_FLOOR = 16 * np.finfo(float).eps
-#: _complete gauge-fixes a column whose weight is at most this fraction of the other's
+#: _column_split gauge-fixes a column whose weight is at most this fraction of the other's
 GAUGE_CUTOFF = 1e-15
 
 
@@ -82,7 +93,7 @@ def as_matrix2(m, name: str = "matrix") -> np.ndarray:
     out = np.array(m, dtype=complex)
     if out.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if not all(map(cmath.isfinite, out.ravel().tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -101,9 +112,9 @@ def identity2() -> np.ndarray:
     return np.eye(2, dtype=complex)
 
 
-_IDENTITY = identity2()
-_IDENTITY.flags.writeable = False
+_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 _TINY = np.finfo(float).tiny
+_LIFT = 2.0**60
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -114,67 +125,13 @@ def rotation(angle: float) -> np.ndarray:
 
 def phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale a 2-vector by a unit phase so its largest-modulus entry is real >= 0."""
-    i = int(np.abs(v).argmax())
-    pivot = v[i]
-    if pivot == 0:
-        return np.array(v, dtype=complex)
-    return np.asarray(v, dtype=complex) * (np.conj(pivot) / abs(pivot))
-
-
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm of a contiguous complex vector, without the wrapper: same operations
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _columns(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    # np.column_stack([v1, v2]) for 2-vectors: the same C-contiguous array
-    return np.array([v1, v2]).T.copy()
-
-
-def _diag(d: np.ndarray) -> np.ndarray:
-    # np.diag(d) for a real 2-vector
-    return np.array([[d[0], 0.0], [0.0, d[1]]])
-
-
-def _perp(v: np.ndarray) -> np.ndarray:
-    # exact orthogonal complement of a 2-vector: <v, perp(v)> = 0 in floats too
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-
-
-def _complete(c1: np.ndarray, d1: float, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary v and d >= 0 with (c1, c2) = v @ diag(d), for c1 of norm d1 > 0
-    and c2 orthogonal to it.
-
-    v's first column is c1 / d1 and its second the orthogonal complement,
-    phased so that c2 lands on it with a real non-negative weight; where c2
-    is dead (at or below GAUGE_CUTOFF * d1) that column is gauge-fixed instead.
-    """
-    v1 = c1 / d1
-    vp = _perp(v1)
-    beta = complex(vp.conj() @ c2)
-    d2 = abs(beta)
-    v2 = vp * (beta / d2) if d2 > GAUGE_CUTOFF * d1 else phase_fixed(vp)
-    return _columns(v1, v2), np.array([d1, d2])
-
-
-def _column_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary y and s >= 0 with m = y @ diag(s), for m with orthogonal columns.
-
-    The larger column is normalized and the other one completed by
-    :func:`_complete`; a zero m gives the identity.
-    """
-    c0, c1 = m[:, 0], m[:, 1]
-    n0, n1 = _norm(c0), _norm(c1)
-    if n0 >= n1:
-        return (identity2(), np.zeros(2)) if n0 == 0.0 else _complete(c0, n0, c1)
-    y, s = _complete(c1, n1, c0)
-    return y[:, ::-1].copy(), s[::-1].copy()
+    fixed, _ = _phase_fixed(*np.asarray(v, dtype=complex).tolist())
+    return np.array(fixed, dtype=complex)
 
 
 def is_unitary(m: np.ndarray) -> bool:
     """m^dag m equals the identity within DEFAULT_TOL (False on NaN)."""
-    return max_abs(dagger(m) @ m - _IDENTITY) <= DEFAULT_TOL
+    return _unitary_residual(np.asarray(m, dtype=complex).tolist()) <= DEFAULT_TOL
 
 
 def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
@@ -183,12 +140,8 @@ def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
     m is Hermitian when the first is <= DEFAULT_TOL, and also positive
     semidefinite when the second is >= -DEFAULT_TOL.
     """
-    return _hermitian_residuals(as_matrix2(m))
-
-
-def _hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
-    lam, _ = _eig(0.5 * (m + dagger(m)))
-    return max_abs(m - dagger(m)), float(lam[1])
+    residual, _, low, _, _ = _spectra(as_matrix2(m)[None])
+    return float(residual[0]), float(low[0])
 
 
 def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -205,42 +158,10 @@ def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
     input fails the Hermiticity check at DEFAULT_TOL.
     """
     h = as_matrix2(h)
-    residual = max_abs(h - dagger(h))
-    if not residual <= DEFAULT_TOL:
-        raise NotHermitian(
-            f"hermiticity residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.1e}",
-            residual=residual,
-        )
-    return _eig(0.5 * (h + dagger(h)))
-
-
-def _unit_scaled(m: np.ndarray, scale: float) -> np.ndarray:
-    # m / scale; numpy divides by multiplying with 1/scale, which overflows for
-    # a subnormal scale, so that case is first lifted by an exact power of two
-    return m / scale if scale >= _TINY else (m * 2.0**60) / (scale * 2.0**60)
-
-
-def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scale = max_abs(h)
-    if scale == 0.0:
-        return np.zeros(2), identity2()
-    hs = _unit_scaled(h, scale)
-    a = hs[0, 0].real
-    c = hs[1, 1].real
-    b = hs[0, 1]
-    t = 0.5 * (a + c)
-    r = math.hypot(0.5 * (a - c), abs(b))
-    lam = scale * np.array([t + r, t - r])
-    top = t + r
-    cand_a = np.array([b, top - a], dtype=complex)
-    cand_b = np.array([top - c, np.conj(b)], dtype=complex)
-    norm_a, norm_b = _norm(cand_a), _norm(cand_b)
-    cand, norm = (cand_a, norm_a) if norm_a >= norm_b else (cand_b, norm_b)
-    if norm == 0.0:
-        return lam, identity2()
-    v1 = phase_fixed(cand / norm)
-    v2 = phase_fixed(_perp(v1))
-    return lam, _columns(v1, v2)
+    _require_hermitian(max_abs(h - dagger(h)))
+    (a, b), (b_conj, c) = h.tolist()
+    high, low, w = _eig(a.real, 0.5 * (b + b_conj.conjugate()), c.real)
+    return np.array([high, low]), np.array(w)
 
 
 def sqrt_psd(f) -> np.ndarray:
@@ -252,16 +173,14 @@ def sqrt_psd(f) -> np.ndarray:
     rank-one root instead of one with a ~1e-8 tail from the square root of
     round-off.  Raises NotPsd for an eigenvalue below -DEFAULT_TOL.
     """
-    lam, w = eig_hermitian2(f)
-    if not lam[1] >= -DEFAULT_TOL:
+    roots, residual, low = _psd_roots(as_matrix2(f)[None])
+    _require_hermitian(float(residual[0]))
+    if not low[0] >= -DEFAULT_TOL:
         raise NotPsd(
-            f"minimum eigenvalue {lam[1]:.3e} below -{DEFAULT_TOL:.1e}",
-            min_eigenvalue=float(lam[1]),
+            f"minimum eigenvalue {low[0]:.3e} below -{DEFAULT_TOL:.1e}",
+            min_eigenvalue=float(low[0]),
         )
-    lam = np.maximum(lam, 0.0)
-    lam[lam <= RANK_FLOOR * lam[0]] = 0.0
-    root = w @ _diag(np.sqrt(lam)) @ dagger(w)
-    return 0.5 * (root + dagger(root))
+    return roots[0]
 
 
 def svd2(m) -> Svd2:
@@ -273,27 +192,8 @@ def svd2(m) -> Svd2:
     are unitary to machine precision and the product reconstructs m to
     machine precision even for rank-deficient input.
     """
-    return _svd(as_matrix2(m))
-
-
-def _svd(m: np.ndarray) -> Svd2:
-    scale = max_abs(m)
-    if scale == 0.0:
-        return Svd2(identity2(), np.zeros(2), identity2())
-    ms = _unit_scaled(m, scale)
-    h = dagger(ms) @ ms
-    _, w = _eig(0.5 * (h + dagger(h)))
-    c1 = ms @ w[:, 0]
-    d1 = _norm(c1)
-    if d1 == 0.0:
-        return Svd2(identity2(), np.zeros(2), dagger(w))
-    v, d = _complete(c1, d1, ms @ w[:, 1])
-    u = dagger(w)
-    if d[1] > d[0]:
-        v = v[:, ::-1].copy()
-        d = d[::-1].copy()
-        u = u[::-1, :].copy()
-    return Svd2(v, scale * d, u)
+    v, d, u = _svd(as_matrix2(m).tolist())
+    return Svd2(np.array(v), np.array(d), np.array(u))
 
 
 def aligning_unitary(target, source) -> np.ndarray:
@@ -307,3 +207,251 @@ def aligning_unitary(target, source) -> np.ndarray:
     """
     v, _, u = svd2(as_matrix2(target) @ dagger(as_matrix2(source)))
     return v @ u
+
+
+def _require_hermitian(residual: float) -> None:
+    if not residual <= DEFAULT_TOL:
+        raise NotHermitian(
+            f"hermiticity residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.1e}",
+            residual=residual,
+        )
+
+
+# ----------------------------------------------------------------------
+# scalar cores: Python complex numbers, a matrix as ((m00, m01), (m10, m11))
+
+
+def _mul(p, q):
+    """Matrix product of two 2x2 matrices."""
+    (a, b), (c, d) = p
+    (e, f), (g, h) = q
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+def _dag(p):
+    """Hermitian conjugate of a 2x2 matrix."""
+    (a, b), (c, d) = p
+    return (a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())
+
+
+def _unitary_residual(m) -> float:
+    """max|m^dag m - I|, NaN if an entry of m is NaN."""
+    (a, b), (c, d) = m
+    return _peak(
+        abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+        abs(a.conjugate() * b + c.conjugate() * d),
+        abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+    )
+
+
+def _peak(*values: float) -> float:
+    """max of non-negative values, NaN if one of them is NaN (max() alone may skip it)."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
+def _unit_scale(scale: float) -> tuple[float, float]:
+    """(lift, inv) with (x * lift) * inv == x / scale; a subnormal scale is
+    first lifted by an exact power of two, since 1 / scale overflows there."""
+    return (1.0, 1.0 / scale) if scale >= _TINY else (_LIFT, 1.0 / (scale * _LIFT))
+
+
+def _phase_fixed(*v: complex) -> tuple[list[complex], complex]:
+    """The phase gauge: (v * phase, phase) with |phase| = 1 and the
+    largest-modulus entry (the first on a tie) made exactly real >= 0; a
+    zero vector is returned unchanged with phase 1."""
+    moduli = [abs(x) for x in v]
+    top = max(moduli)
+    if top == 0.0:
+        return list(v), 1 + 0j
+    i = moduli.index(top)
+    phase = v[i].conjugate() / top
+    fixed = [x * phase for x in v]
+    fixed[i] = complex(top)
+    return fixed, phase
+
+
+def _eig(a: float, b: complex, c: float):
+    """(l0, l1, w) for the Hermitian [[a, b], [conj(b), c]] with a, c real:
+    eigenvalues l0 >= l1 and the gauge-fixed eigenvectors as the columns of
+    w, the identity on a scalar matrix (see :func:`eig_hermitian2`)."""
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0.0:
+        return 0.0, 0.0, _IDENTITY
+    lift, inv = _unit_scale(scale)
+    a, b, c = (a * lift) * inv, (b * lift) * inv, (c * lift) * inv
+    t = 0.5 * (a + c)
+    r = math.hypot(0.5 * (a - c), abs(b))
+    top = t + r
+    norm_a = math.hypot(abs(b), top - a)
+    norm_b = math.hypot(top - c, abs(b))
+    if norm_a >= norm_b:
+        x, y, norm = b, complex(top - a), norm_a
+    else:
+        x, y, norm = complex(top - c), b.conjugate(), norm_b
+    if norm == 0.0:
+        return scale * top, scale * (t - r), _IDENTITY
+    (x, y), _ = _phase_fixed(x / norm, y / norm)
+    (p, q), _ = _phase_fixed(-y.conjugate(), x.conjugate())
+    return scale * top, scale * (t - r), ((x, p), (y, q))
+
+
+def _column_split(m):
+    """(y, (s0, s1)) with m = y @ diag(s), y unitary and s >= 0, for m with
+    orthogonal columns.
+
+    The larger column (the first on a tie) is normalized and the other is
+    replaced by the orthogonal complement of that one, phased so the column
+    lands on it with a real non-negative weight; where its weight is dead
+    (at or below GAUGE_CUTOFF times the larger) the complement is
+    gauge-fixed instead.  A zero m gives the identity.
+    """
+    (a, b), (c, d) = m
+    n0 = math.hypot(abs(a), abs(c))
+    n1 = math.hypot(abs(b), abs(d))
+    if n0 >= n1:
+        if n0 == 0.0:
+            return _IDENTITY, (0.0, 0.0)
+        (v0, v1), (p0, p1), s = _complete(a, c, n0, b, d)
+        return ((v0, p0), (v1, p1)), (n0, s)
+    (v0, v1), (p0, p1), s = _complete(b, d, n1, a, c)
+    return ((p0, v0), (p1, v1)), (s, n1)
+
+
+def _complete(a: complex, c: complex, norm: float, b: complex, d: complex):
+    # the unit column (a, c) / norm, its phased complement, and the weight of (b, d) on it
+    v0, v1 = a / norm, c / norm
+    p0, p1 = -v1.conjugate(), v0.conjugate()
+    beta = p0.conjugate() * b + p1.conjugate() * d
+    weight = abs(beta)
+    if weight > GAUGE_CUTOFF * norm:
+        phase = beta / weight
+        return (v0, v1), (p0 * phase, p1 * phase), weight
+    return (v0, v1), _phase_fixed(p0, p1)[0], weight
+
+
+def _svd(m):
+    """(v, (d0, d1), u) with m = v @ diag(d) @ u (see :func:`svd2`): u is the
+    eigenbasis of m^dag m, v the column split of m @ u^dag."""
+    (a, b), (c, d) = m
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0:
+        return _IDENTITY, (0.0, 0.0), _IDENTITY
+    lift, inv = _unit_scale(scale)
+    a, b, c, d = (a * lift) * inv, (b * lift) * inv, (c * lift) * inv, (d * lift) * inv
+    gram_00 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    gram_11 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    _, _, w = _eig(gram_00, a.conjugate() * b + c.conjugate() * d, gram_11)
+    v, (d0, d1) = _column_split(_mul(((a, b), (c, d)), w))
+    u = _dag(w)
+    if d1 > d0:
+        (v00, v01), (v10, v11) = v
+        return ((v01, v00), (v11, v10)), (scale * d1, scale * d0), (u[1], u[0])
+    return v, (scale * d0, scale * d1), u
+
+
+def _reflector(x: list[complex]):
+    """Householder reflector in LAPACK's zlarfg convention: (beta, tau, v)
+    with H^dag x = beta e_0 for H = I - tau v v^dag, v[0] = 1 and beta real;
+    tau = 0 (H = I, beta = x[0]) when x is already real along e_0.  A
+    subnormal x is reflected through its exact lift, as zlarfg rescales it."""
+    alpha = x[0]
+    tail = math.hypot(*map(abs, x[1:]))
+    if tail == 0.0 and alpha.imag == 0.0:
+        return alpha.real, 0j, [1 + 0j] + [0j] * (len(x) - 1)
+    norm = math.hypot(alpha.real, alpha.imag, tail)
+    if norm < _TINY:
+        beta, tau, v = _reflector([z * _LIFT for z in x])
+        return beta / _LIFT, tau, v
+    beta = -math.copysign(norm, alpha.real)
+    tau = complex((beta - alpha.real) / beta, -alpha.imag / beta)
+    pivot = alpha - beta
+    return beta, tau, [1 + 0j] + [z / pivot for z in x[1:]]
+
+
+def _reflect(tau: complex, v: list[complex], x: list[complex]) -> list[complex]:
+    """(I - tau v v^dag) x."""
+    t = tau * sum([vk.conjugate() * xk for vk, xk in zip(v, x)])
+    return [xk - t * vk for vk, xk in zip(v, x)]
+
+
+def _first_column(tau: complex, v: list[complex]) -> list[complex]:
+    """(I - tau v v^dag) e_0, for v[0] = 1."""
+    column = [-tau * z for z in v]
+    column[0] += 1.0
+    return column
+
+
+def _qr(a: list[complex], b: list[complex]):
+    """The QR step: (q0, q1, r) with [a b] = [q0 q1] r, r = [[r00, r01], [0, r11]],
+    for two columns of equal length, by two Householder reflections.
+
+    Gauge: r00 and r11 real >= 0; a zero pivot leaves its column of q free
+    (any unit vector orthogonal to the other), and that column is
+    gauge-fixed like phase_fixed with its row of r rephased to match.
+    """
+    beta0, tau0, v0 = _reflector(a)
+    b = _reflect(tau0.conjugate(), v0, b)
+    beta1, tau1, v1 = _reflector(b[1:])
+    q0 = _first_column(tau0, v0)
+    q1 = _reflect(tau0, v0, [0j, *_first_column(tau1, v1)])
+    r00, r01, r11 = complex(beta0), b[0], complex(beta1)
+    if beta0 < 0.0:
+        q0, r00, r01 = [-z for z in q0], -r00, -r01
+    elif beta0 == 0.0:
+        q0, phase = _phase_fixed(*q0)
+        r01 *= phase.conjugate()
+    if beta1 < 0.0:
+        q1, r11 = [-z for z in q1], -r11
+    elif beta1 == 0.0:
+        q1, _ = _phase_fixed(*q1)
+    return q0, q1, ((r00, r01), (0j, r11))
+
+
+# ----------------------------------------------------------------------
+# stacked cores: one numpy pass over an (n, 2, 2) array
+
+
+def _spectra(m: np.ndarray):
+    """(residual, l0, l1, x, y) per matrix of a finite (n, 2, 2) stack: the
+    Hermiticity residual max|m - m^dag| and, of the Hermitian part, the
+    eigenvalues l0 >= l1 and a unit eigenvector (x, y) of l0 ((1, 0) on a
+    scalar matrix), by the closed form of :func:`_eig`."""
+    m_dag = m.conj().transpose(0, 2, 1)
+    residual = np.abs(m - m_dag).max(axis=(1, 2))
+    h = 0.5 * (m + m_dag)
+    a, b, c = h[:, 0, 0].real, h[:, 0, 1], h[:, 1, 1].real
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    lift = np.where(scale >= _TINY, 1.0, _LIFT)
+    inv = 1.0 / np.where(scale > 0.0, scale * lift, 1.0)
+    a, b, c = (a * lift) * inv, (b * lift) * inv, (c * lift) * inv
+    abs_b = np.abs(b)
+    t = 0.5 * (a + c)
+    r = np.hypot(0.5 * (a - c), abs_b)
+    top = t + r
+    norm_a = np.hypot(abs_b, top - a)
+    norm_b = np.hypot(top - c, abs_b)
+    first = norm_a >= norm_b
+    norm = np.where(first, norm_a, norm_b)
+    live = norm > 0.0
+    inv_norm = 1.0 / np.where(live, norm, 1.0)
+    x = np.where(live, np.where(first, b, top - c) * inv_norm, 1.0)
+    y = np.where(live, np.where(first, top - a, b.conj()) * inv_norm, 0.0)
+    return residual, scale * top, scale * (t - r), x, y
+
+
+def _psd_roots(m: np.ndarray):
+    """(roots, residual, l1) for a finite (n, 2, 2) stack: the PSD square root
+    of each Hermitian part with :func:`sqrt_psd`'s rank floor, and what
+    decides whether it exists (Hermiticity residual, minimum eigenvalue)."""
+    residual, high, low, x, y = _spectra(m)
+    high = np.maximum(high, 0.0)
+    kept = np.maximum(low, 0.0)
+    kept = np.where(kept <= RANK_FLOOR * high, 0.0, kept)
+    s0, s1 = np.sqrt(high), np.sqrt(kept)
+    gap = s0 - s1
+    roots = np.empty(m.shape, dtype=complex)
+    roots[:, 0, 0] = s1 + gap * (x.real * x.real + x.imag * x.imag)
+    roots[:, 1, 1] = s1 + gap * (y.real * y.real + y.imag * y.imag)
+    roots[:, 0, 1] = gap * x * y.conj()
+    roots[:, 1, 0] = roots[:, 0, 1].conj()
+    return roots, residual, low

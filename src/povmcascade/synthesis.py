@@ -22,10 +22,16 @@ B_j W_j = Y_j diag(sin), with cos^2 + sin^2 = 1 because Q_j is an
 isometry.  Stage j then gets the angles atan2(sin, cos), the exit unitary
 X_j and the pre-unitary W_j^dag Y_{j-1}; the pass arm it hands on is
 exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
+
+The sweep and the splits run on the scalar cores of :mod:`qmath`, on
+Python complex numbers: each QR step is two Householder reflections, each
+split a closed-form SVD and column completion.  Only the settings handed to
+ModuleSettings and CascadePlan become numpy arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -33,14 +39,17 @@ import numpy as np
 
 from .povm import IncompleteSum, KrausSet, validate_kraus
 from .qmath import (
+    _IDENTITY,
     DEFAULT_TOL,
     _column_split,
+    _dag,
+    _mul,
+    _qr,
     _svd,
+    _unitary_residual,
     as_matrix2,
-    dagger,
     identity2,
     is_unitary,
-    max_abs,
 )
 
 __all__ = [
@@ -98,22 +107,17 @@ class ModuleSettings:
 
     def exit_transfer(self) -> np.ndarray:
         """diag(e^{i zeta} cos theta, cos phi): amplitude transfer onto the exit arm."""
-        return np.array(
-            [
-                [np.exp(1j * self.zeta) * math.cos(self.theta), 0.0],
-                [0.0, math.cos(self.phi)],
-            ],
-            dtype=complex,
-        )
+        return np.diag(self._transfers()[0])
 
     def pass_transfer(self) -> np.ndarray:
         """diag(e^{i xi} sin theta, sin phi): amplitude transfer onto the pass arm."""
-        return np.array(
-            [
-                [np.exp(1j * self.xi) * math.sin(self.theta), 0.0],
-                [0.0, math.sin(self.phi)],
-            ],
-            dtype=complex,
+        return np.diag(self._transfers()[1])
+
+    def _transfers(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        # the diagonals of the exit and pass transfers, as Python complex numbers
+        return (
+            (cmath.exp(1j * self.zeta) * math.cos(self.theta), complex(math.cos(self.phi))),
+            (cmath.exp(1j * self.xi) * math.sin(self.theta), complex(math.sin(self.phi))),
         )
 
 
@@ -161,47 +165,36 @@ class SynthesisStep:
     eigenvalues: tuple[float, float]
 
 
-def _qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR m = q @ r in the package gauge: diag(r) real and >= 0.
-
-    A zero pivot leaves its column of q free (any unit vector orthogonal to
-    the other); that column is gauge-fixed like qmath.phase_fixed
-    (largest-modulus entry real >= 0) and its row of r rephased to match.
-    """
-    q, r = np.linalg.qr(m)
-    for k in range(2):
-        pivot = r[k, k]
-        if pivot == 0:
-            pivot = np.conj(q[np.abs(q[:, k]).argmax(), k])
-        phase = pivot / abs(pivot)
-        q[:, k] *= phase
-        r[k] *= np.conj(phase)
-    return q, r
+def _rows(q0: list[complex], q1: list[complex], i: int):
+    """Rows i and i + 1 of the matrix with columns q0 and q1."""
+    return (q0[i], q1[i]), (q0[i + 1], q1[i + 1])
 
 
 def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[tuple]]:
     """The plan, and (Y_{j-1}, A_j, R_j) per stage for :func:`synthesis_steps`."""
-    ops = kraus.operators
-    final_q, r = _qr(ops[-1])
+    ops = np.array(kraus.operators, dtype=complex).tolist()
+    (m00, m01), (m10, m11) = ops[-1]
+    final_q0, final_q1, r = _qr([m00, m10], [m01, m11])
     blocks = []
-    for m in reversed(ops[:-1]):
-        q, r = _qr(np.vstack([m, r]))
-        blocks.append((q[:2], q[2:], r))
+    for (m00, m01), (m10, m11) in reversed(ops[:-1]):
+        (r00, r01), (_, r11) = r
+        q0, q1, r = _qr([m00, m10, r00, 0j], [m01, m11, r01, r11])
+        blocks.append((_rows(q0, q1, 0), _rows(q0, q1, 2), r))
     # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
-    residual = max_abs(dagger(r) @ r - identity2())
+    residual = _unitary_residual(r)
     if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
     v, _, u = _svd(r)
-    y = v @ u  # Y_0: the unitary polar factor of R_1, which is I up to that residual
+    y = _mul(v, u)  # Y_0: the unitary polar factor of R_1, which is I up to that residual
     modules, stages = [], []
     for a, b, r in reversed(blocks):
-        x, c, w_dag = _svd(a)
-        y_next, s = _column_split(b @ dagger(w_dag))
-        theta, phi = math.atan2(s[0], c[0]), math.atan2(s[1], c[1])
-        modules.append(ModuleSettings(theta, phi, pre_unitary=w_dag @ y, exit_unitary=x))
+        x, (c0, c1), w_dag = _svd(a)
+        y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
+        theta, phi = math.atan2(s0, c0), math.atan2(s1, c1)
+        modules.append(ModuleSettings(theta, phi, pre_unitary=_mul(w_dag, y), exit_unitary=x))
         stages.append((y, a, r))
         y = y_next
-    return CascadePlan(tuple(modules), final_q @ y), stages
+    return CascadePlan(tuple(modules), _mul(_rows(final_q0, final_q1, 0), y)), stages
 
 
 def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
@@ -227,8 +220,8 @@ def synthesis_steps(kraus: KrausSet) -> list[SynthesisStep]:
     plan, stages = _synthesize(kraus)
     return [
         SynthesisStep(
-            dagger(y) @ r,
-            dagger(y) @ dagger(a) @ a @ y,
+            np.array(_mul(_dag(y), r)),
+            np.array(_mul(_mul(_dag(y), _dag(a)), _mul(a, y))),
             (math.cos(module.theta) ** 2, math.cos(module.phi) ** 2),
         )
         for (y, a, r), module in zip(stages, plan.modules)
@@ -243,12 +236,13 @@ def reconstruct_kraus(plan: CascadePlan) -> KrausSet:
     accumulated pass-arm prefix.
     """
     ops = []
-    prefix = identity2()
+    prefix = _IDENTITY
     for settings in plan.modules:
-        staged = settings.pre_unitary @ prefix
-        ops.append(settings.exit_unitary @ settings.exit_transfer() @ staged)
-        prefix = settings.pass_transfer() @ staged
-    ops.append(plan.final_exit_unitary @ prefix)
+        (e_h, e_v), (p_h, p_v) = settings._transfers()
+        (a, b), (c, d) = _mul(settings.pre_unitary.tolist(), prefix)
+        ops.append(_mul(settings.exit_unitary.tolist(), ((e_h * a, e_h * b), (e_v * c, e_v * d))))
+        prefix = (p_h * a, p_h * b), (p_v * c, p_v * d)
+    ops.append(_mul(plan.final_exit_unitary.tolist(), prefix))
     return validate_kraus(ops)
 
 

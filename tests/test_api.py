@@ -3,7 +3,10 @@
 These are stable across releases; a change here must be listed in CHANGES.md.
 """
 
+import importlib
 import inspect
+import sys
+from pathlib import Path
 
 import povmcascade
 from povmcascade import cli, optics, povm, qmath, synthesis, verify
@@ -140,3 +143,17 @@ def test_no_tolerance_parameters():
             obj = getattr(module, name)
             if callable(obj):
                 assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the benchmark tracer wraps these public functions by name; a rename here
+    # would break its --trace 1 and --self-check runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.modules.pop("spans", None)
+    for module_name, functions in spans.TRACED.items():
+        module = importlib.import_module(f"povmcascade.{module_name}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -1,6 +1,7 @@
 """Element-level simulator: beamsplitter semantics, module transfer, cascades."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +113,20 @@ class TestApplyElement:
             apply_element(state, stranger)
         with pytest.raises(TypeError, match="not an optical element"):
             propagate(state, OpticalNetwork((stranger,), (IN,), IN))
+        # without a mode it is turned away before the network's inputs are traced
+        with pytest.raises(TypeError, match="not an optical element"):
+            propagate(state, OpticalNetwork((object(),), (IN,), IN))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", [Rotator, PhaseShifter])
+    def test_non_finite_angle_raises_when_it_acts(self, kind, bad):
+        state = PhotonState.pure(IN, [0.6, 0.8])
+        element = kind(IN, bad)
+        message = f"{kind.__name__} on mode {IN} has non-finite angle"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_element(state, element)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate(state, OpticalNetwork((element,), (IN,), IN))
 
     @pytest.mark.parametrize(
         "matrix, message",
@@ -346,6 +361,19 @@ class TestExitAmplitudes:
             np.testing.assert_allclose(
                 record.polarization, phase_fixed(target / math.sqrt(p)), atol=1e-12
             )
+
+    def test_polarization_pivot_is_exactly_real(self):
+        # the gauge sets the pivot to its modulus, so no round-off imaginary
+        # part can print as "-0.000000j"
+        kraus = kraus_from_povm(random_povm(20, 4))
+        network = build_cascade_network(synthesize_cascade(kraus))
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            out = propagate(PhotonState.pure(network.input, random_pure_state(rng)), network)
+            for record in exit_amplitudes(out, network):
+                if record.polarization is not None:
+                    pivot = record.polarization[int(np.argmax(np.abs(record.polarization)))]
+                    assert pivot.imag == 0.0 and pivot.real > 0.0
 
     def test_projective_plan_on_vertical_input(self):
         from povmcascade.povm import validate_kraus

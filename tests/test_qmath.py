@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmcascade import qmath
 from povmcascade.qmath import (
@@ -293,27 +295,55 @@ def bits(*arrays):
     return [np.asarray(a).dtype.str + np.ascontiguousarray(a).tobytes().hex() for a in arrays]
 
 
-class TestPrivateStandIns:
-    """The private stand-ins for numpy wrappers and the cores give the same bits."""
+SUBNORMAL = 5e-324
+SCALES = (1.0, 1e-13, SUBNORMAL)
+KINDS = ("random", "zero", "scalar", "rank_one", "degenerate")
 
-    def test_norm_matches_linalg_norm(self):
-        rng = np.random.default_rng(2024)
-        scales = 10.0 ** rng.uniform(-150, 150, size=(10_000, 1))
-        vectors = scales * (rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2)))
-        for v in vectors:
-            v = v.copy()
-            assert qmath._norm(v) == np.linalg.norm(v)
-        assert qmath._norm(np.zeros(2, dtype=complex)) == 0.0
 
-    def test_columns_and_diag_match_numpy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            stacked = qmath._columns(v1, v2)
-            assert stacked.flags.c_contiguous
-            assert bits(stacked) == bits(np.column_stack([v1, v2]))
-            d = rng.standard_normal(2)
-            assert bits(qmath._diag(d)) == bits(np.diag(d))
+def _at_scale(m, scale):
+    # at the subnormal scale, Gaussian integers times 5e-324: exactly representable
+    return np.round(m * 2.0**20) * SUBNORMAL if scale == SUBNORMAL else m * scale
+
+
+def hermitian_case(kind, rng, scale):
+    """A Hermitian 2x2 matrix: w diag(l0, l1) w^dag for the kind's spectrum."""
+    w = random_unitary(rng)
+    l0, l1 = rng.standard_normal(2)
+    spectrum = {"random": (l0, l1), "zero": (0.0, 0.0), "scalar": (l0, l0), "rank_one": (l0, 0.0), "degenerate": (l0, l0)}[kind]
+    h = np.diag(spectrum).astype(complex) if kind in ("zero", "scalar") else w @ np.diag(spectrum) @ dagger(w)
+    h = _at_scale(0.5 * (h + dagger(h)), scale)
+    return 0.5 * (h + dagger(h))
+
+
+def general_case(kind, rng, scale, rows=2):
+    """A rows x 2 matrix of the kind: random, zero, c * [I; 0], rank one, or c * isometry."""
+    c = complex(*rng.standard_normal(2))
+    gaussian = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    if kind == "random":
+        m = gaussian
+    elif kind == "zero":
+        m = np.zeros((rows, 2), complex)
+    elif kind == "scalar":
+        m = c * np.eye(rows, 2, dtype=complex)
+    elif kind == "rank_one":
+        m = np.outer(gaussian[:, 0], gaussian[0].conj())
+    else:
+        m = c * np.linalg.qr(gaussian)[0]
+    return _at_scale(m, scale)
+
+
+def agree(x, y, scale):
+    # to 1e-14 of the matrix scale; a result in the subnormal range is a
+    # multiple of 5e-324, so there the two may differ by a few such steps
+    return max_abs(np.asarray(x) - np.asarray(y)) <= 1e-14 * scale + 4 * SUBNORMAL
+
+
+def unitary_to(q, bound=1e-14):
+    return max_abs(dagger(q) @ q - np.eye(q.shape[1])) <= bound
+
+
+class TestCores:
+    """The public functions are thin wrappers: they return the cores' bits."""
 
     def test_cores_match_public_functions(self):
         rng = np.random.default_rng(99)
@@ -321,6 +351,74 @@ class TestPrivateStandIns:
         cases += [np.zeros((2, 2), complex), I2.copy(), np.diag([0.5, 0.0]).astype(complex)]
         for m in cases:
             h = 0.5 * (m + dagger(m))
-            assert bits(*qmath._eig(h)) == bits(*eig_hermitian2(h))
-            assert bits(*qmath._svd(m)) == bits(*svd2(m))
-            assert qmath._hermitian_residuals(m) == hermitian_residuals(m)
+            (a, b), (_, c) = h.tolist()
+            high, low, w = qmath._eig(a.real, b, c.real)
+            assert bits([high, low], w) == bits(*eig_hermitian2(h))
+            v, d, u = qmath._svd(m.tolist())
+            assert bits(v, d, u) == bits(*svd2(m))
+            residual, _, low, _, _ = qmath._spectra(m[None])
+            assert (residual[0], low[0]) == hermitian_residuals(m)
+            f = m @ dagger(m)
+            assert bits(qmath._psd_roots(f[None])[0][0]) == bits(sqrt_psd(f))
+
+    def test_stacked_spectra_match_scalar_eig(self):
+        # the same closed form, evaluated stacked and in scalars
+        rng = np.random.default_rng(3)
+        stack = np.array([hermitian_case(kind, rng, scale) for kind in KINDS for scale in SCALES for _ in range(20)])
+        residual, high, low, x, y = qmath._spectra(stack)
+        assert not residual.any()
+        for h, l0, l1, top in zip(stack, high, low, np.stack([x, y], axis=1)):
+            (a, b), (_, c) = h.tolist()
+            s0, s1, w = qmath._eig(a.real, b, c.real)
+            scale = max_abs(h)
+            assert abs(l0 - s0) <= 1e-15 * scale + SUBNORMAL and abs(l1 - s1) <= 1e-15 * scale + SUBNORMAL
+            if s0 - s1 > 1e-6 * scale:
+                assert abs(abs(np.vdot(np.array(w)[:, 0], top)) - 1.0) <= 1e-14
+
+
+CASE = dict(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(SCALES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), **CASE)
+def test_eig_matches_lapack(kind, seed, scale):
+    h = hermitian_case(kind, np.random.default_rng(seed), scale)
+    lam, w = eig_hermitian2(h)
+    size = max_abs(h)
+    assert agree(lam, np.linalg.eigvalsh(h)[::-1], size)
+    assert unitary_to(w)
+    assert agree(w @ np.diag(lam) @ dagger(w), h, size)
+    _, high, low, x, y = qmath._spectra(h[None])
+    assert agree([high[0], low[0]], lam, size)
+    top = np.array([x[0], y[0]])
+    assert agree(h @ top, high[0] * top, size)
+    assert abs(np.linalg.norm(top) - 1.0) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), **CASE)
+def test_svd_and_root_match_lapack(kind, seed, scale):
+    m = general_case(kind, np.random.default_rng(seed), scale)
+    v, d, u = svd2(m)
+    size = max_abs(m)
+    assert agree(d, np.linalg.svd(m, compute_uv=False), size)
+    assert unitary_to(v) and unitary_to(u)
+    assert agree(v @ np.diag(d) @ u, m, size)
+    f = m @ dagger(m)
+    root = sqrt_psd(0.5 * (f + dagger(f)))
+    assert agree(root @ root, f, max_abs(f))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), rows=st.sampled_from((2, 4)), **CASE)
+def test_qr_matches_lapack(kind, rows, seed, scale):
+    m = general_case(kind, np.random.default_rng(seed), scale, rows)
+    q0, q1, r = qmath._qr(m[:, 0].tolist(), m[:, 1].tolist())
+    q, r = np.array([q0, q1]).T, np.array(r)
+    size = max_abs(m)
+    assert unitary_to(q)
+    assert agree(q @ r, m, size)
+    assert r[0, 0].imag == r[1, 1].imag == 0.0 and r[0, 0].real >= 0.0 and r[1, 1].real >= 0.0
+    # LAPACK's R has a real diagonal; flipping its negative rows gives the same gauge
+    lapack_r = np.linalg.qr(m)[1]
+    assert agree(np.where(lapack_r.diagonal().real < 0, -1.0, 1.0)[:, None] * lapack_r, r, size)

@@ -203,6 +203,26 @@ class TestSynthesizeCascade:
         kraus = kraus_from_povm(validate_povm([element, I2 - element]))
         assert verify_plan(kraus, synthesize_cascade(kraus)).passed
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-15, 5e-324])
+    @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+    def test_tiny_element_compiles(self, make, scale):
+        # one element scaled down, its weight moved onto the next
+        elements = list(make(6, 9))
+        elements[1] = elements[1] + (1.0 - scale) * elements[0]
+        elements[0] = scale * elements[0]
+        kraus = kraus_from_povm(validate_povm(elements))
+        assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
+
+    @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+    def test_plans_are_deterministic(self, make):
+        kraus = kraus_from_povm(make(40, 11))
+        first, second = synthesize_cascade(kraus), synthesize_cascade(kraus)
+
+        def entries(plan):
+            return [np.array([m.theta, m.phi]).tobytes() + m.pre_unitary.tobytes() + m.exit_unitary.tobytes() for m in plan.modules] + [plan.final_exit_unitary.tobytes()]
+
+        assert entries(first) == entries(second)
+
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))
         assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
