@@ -51,6 +51,17 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_json(complex(m[r, c])) for c in range(2)] for r in range(2)]
 
 
+def _number(x) -> float | None:
+    """The one number rule of both documents: a JSON int or float (so not a
+    bool or a string) that converts to a float; None for anything else."""
+    if type(x) not in (int, float):  # bool is a subclass of int, not int
+        return None
+    try:
+        return float(x)
+    except OverflowError:  # an int too large for a double
+        return None
+
+
 def matrix_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != 2:
         raise DocumentError(f"{where}: expected 2 rows")
@@ -60,13 +71,12 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
             raise DocumentError(f"{where}[{r}]: expected 2 entries")
         entries = []
         for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
-                raise DocumentError(f"{where}[{r}][{c}]: expected an [re, im] pair of numbers")
-            entries.append(complex(entry[0], entry[1]))
+            if isinstance(entry, list) and len(entry) == 2:
+                real, imag = _number(entry[0]), _number(entry[1])
+                if real is not None and imag is not None:
+                    entries.append(complex(real, imag))
+                    continue
+            raise DocumentError(f"{where}[{r}][{c}]: expected an [re, im] pair of numbers that fit a double")
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -83,11 +93,16 @@ def povm_document(elements, exit_unitaries=None, labels=None) -> dict:
     return doc
 
 
-def parse_povm_document(doc) -> tuple[list[np.ndarray], list[np.ndarray] | None, list[str] | None]:
+def _check_header(doc, kind: str) -> None:
+    """Both documents are JSON objects with this module's schema_version."""
     if not isinstance(doc, dict):
-        raise DocumentError("POVM document must be a JSON object")
+        raise DocumentError(f"{kind} document must be a JSON object")
     if str(doc.get("schema_version")) != SCHEMA_VERSION:
         raise DocumentError(f"schema_version: expected {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}")
+
+
+def parse_povm_document(doc) -> tuple[list[np.ndarray], list[np.ndarray] | None, list[str] | None]:
+    _check_header(doc, "POVM")
     raw = doc.get("elements")
     if not isinstance(raw, list) or len(raw) < 2:
         raise DocumentError("elements: expected a list of at least 2 matrices")
@@ -126,10 +141,7 @@ def plan_document(plan: CascadePlan) -> dict:
 
 
 def parse_plan_document(doc) -> CascadePlan:
-    if not isinstance(doc, dict):
-        raise DocumentError("plan document must be a JSON object")
-    if str(doc.get("schema_version")) != SCHEMA_VERSION:
-        raise DocumentError(f"schema_version: expected {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}")
+    _check_header(doc, "plan")
     raw_modules = doc.get("modules")
     if not isinstance(raw_modules, list) or not raw_modules:
         raise DocumentError("modules: expected a non-empty list")
@@ -138,20 +150,16 @@ def parse_plan_document(doc) -> CascadePlan:
         where = f"modules[{i}]"
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object")
-        try:
-            angles = {key: float(raw[key]) for key in ("theta", "phi", "zeta", "xi")}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"{where}: needs numeric theta, phi, zeta, xi ({exc})") from None
+        angles = {key: _number(raw.get(key)) for key in ("theta", "phi", "zeta", "xi")}
+        for key, value in angles.items():
+            if value is None:
+                raise DocumentError(f"{where}.{key}: expected a number that fits a double")
         if "pre_unitary" not in raw or "exit_unitary" not in raw:
             raise DocumentError(f"{where}: needs pre_unitary and exit_unitary")
+        pre = matrix_from_json(raw["pre_unitary"], f"{where}.pre_unitary")
+        exit_u = matrix_from_json(raw["exit_unitary"], f"{where}.exit_unitary")
         try:
-            modules.append(
-                ModuleSettings(
-                    pre_unitary=matrix_from_json(raw["pre_unitary"], f"{where}.pre_unitary"),
-                    exit_unitary=matrix_from_json(raw["exit_unitary"], f"{where}.exit_unitary"),
-                    **angles,
-                )
-            )
+            modules.append(ModuleSettings(pre_unitary=pre, exit_unitary=exit_u, **angles))
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from None
     if "final_exit_unitary" not in doc:
@@ -187,9 +195,9 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}j"
 
 
-def _fmt_matrix(m: np.ndarray, indent: str = "    ") -> str:
+def _fmt_matrix(m: np.ndarray) -> str:
     rows = [
-        indent + "[" + ", ".join(_fmt_complex(complex(m[r, c])) for c in range(2)) + "]"
+        "    [" + ", ".join(_fmt_complex(complex(m[r, c])) for c in range(2)) + "]"
         for r in range(2)
     ]
     return "\n".join(rows)
@@ -322,7 +330,7 @@ def _cmd_simulate(args) -> int:
         print(f"exit E{record.index}: probability {record.probability:.12g}")
         if record.post_state is not None:
             print("  conditional state:")
-            print(_fmt_matrix(record.post_state.rho, indent="    "))
+            print(_fmt_matrix(record.post_state.rho))
     print(f"total probability: {float(np.sum([r.probability for r in records])):.12g}")
     return EXIT_OK
 

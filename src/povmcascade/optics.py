@@ -51,7 +51,6 @@ __all__ = [
     "OpticalElement",
     "OpticalNetwork",
     "ExitAmplitude",
-    "apply_element",
     "propagate",
     "transfer_matrices",
     "exit_amplitudes",
@@ -108,9 +107,6 @@ class PhotonState:
             [self.amplitudes.get((mode, H), 0.0), self.amplitudes.get((mode, V), 0.0)],
             dtype=complex,
         )
-
-    def total_probability(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
 
 @dataclass(frozen=True)
@@ -245,16 +241,6 @@ def _act(amps, element: OpticalElement) -> None:
     a_h, a_v = _mode_pair(amps, element.mode)
     amps[(element.mode, H)] = m00 * a_h + m01 * a_v
     amps[(element.mode, V)] = m10 * a_h + m11 * a_v
-
-
-def apply_element(state: PhotonState, element: OpticalElement) -> PhotonState:
-    """Act with one element; amplitudes on untouched modes pass through.
-
-    Returns a new state; the caller's state is left untouched.
-    """
-    amps = dict(state.amplitudes)
-    _act(amps, element)
-    return PhotonState(amps)
 
 
 def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:

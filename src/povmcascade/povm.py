@@ -15,8 +15,7 @@ import numpy as np
 
 from .qmath import (
     DEFAULT_TOL,
-    NotHermitian,
-    NotPsd,
+    _check_operator,
     _psd_roots,
     _spectra,
     as_matrix2,
@@ -25,7 +24,6 @@ from .qmath import (
     identity2,
     is_unitary,
     max_abs,
-    sqrt_psd,
 )
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "validate_kraus",
     "kraus_from_povm",
     "density_matrix",
-    "density_from_pure",
     "outcome_probabilities",
     "validation_residuals",
 ]
@@ -135,21 +132,16 @@ def validate_povm(elements) -> PovmSet:
 def _check_residuals(per_element, residual: float) -> None:
     """Raise the first violation among validation_residuals' output at
     DEFAULT_TOL; a NaN residual is a violation."""
-    for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
-        if not herm_residual <= DEFAULT_TOL:
-            raise NotHermitian(
-                f"element {i + 1}: hermiticity residual {herm_residual:.3e}",
-                index=i,
-                residual=herm_residual,
-            )
-        if not min_eigenvalue >= -DEFAULT_TOL:
-            raise NotPsd(
-                f"element {i + 1}: minimum eigenvalue {min_eigenvalue:.3e}",
-                index=i,
-                min_eigenvalue=min_eigenvalue,
-            )
+    _check_elements(per_element)
     if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
+
+
+def _check_elements(per_element) -> None:
+    """Raise NotHermitian(i) or NotPsd(i) for the first element whose
+    (hermiticity residual, minimum eigenvalue) fails the check."""
+    for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
+        _check_operator(herm_residual, min_eigenvalue, f"element {i + 1}", i)
 
 
 def validate_kraus(operators) -> KrausSet:
@@ -169,7 +161,9 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
 
     With no exit unitaries the principal square root is used (V_i = I).
     Supplying unitaries changes the conditional output states while leaving
-    the measurement statistics untouched.
+    the measurement statistics untouched.  A PovmSet built without
+    validate_povm whose element i fails its check raises validate_povm's
+    NotHermitian or NotPsd, with index i.
     """
     if exit_unitaries is None:
         return validate_kraus(_roots(povm))
@@ -187,25 +181,11 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
 def density_matrix(rho) -> DensityMatrix:
     """Validate a 2x2 density matrix (Hermitian, PSD, unit trace) at DEFAULT_TOL."""
     rho = as_matrix2(rho, name="density matrix")
-    herm_residual, min_eigenvalue = hermitian_residuals(rho)
-    if not herm_residual <= DEFAULT_TOL:
-        raise NotHermitian(f"density matrix hermiticity residual {herm_residual:.3e}", residual=herm_residual)
-    if not min_eigenvalue >= -DEFAULT_TOL:
-        raise NotPsd(f"density matrix minimum eigenvalue {min_eigenvalue:.3e}", min_eigenvalue=min_eigenvalue)
+    _check_operator(*hermitian_residuals(rho), "density matrix")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"density matrix trace {trace:.12g} is not 1")
     return DensityMatrix(rho)
-
-
-def density_from_pure(psi) -> DensityMatrix:
-    """|psi><psi| for a (normalized on entry) 2-component amplitude vector."""
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("cannot build a state from the zero vector")
-    psi = psi / norm
-    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRecord]:
@@ -239,21 +219,14 @@ def _stack(matrices, label: str) -> np.ndarray:
     """The matrices as one complex (n, 2, 2) array; a wrong shape or a NaN/Inf
     entry raises as_matrix2's error for the first offending one."""
     matrices = list(matrices)
-    stack = _finite_stack(matrices)
-    if stack is None:
-        checked = [as_matrix2(m, name=f"{label} {i + 1}") for i, m in enumerate(matrices)]
-        stack = np.array(checked, dtype=complex).reshape(-1, 2, 2)
-    return stack
-
-
-def _finite_stack(matrices: list) -> np.ndarray | None:
-    """The matrices as one complex (n, 2, 2) array, or None if one of them is
-    not 2x2 or has a NaN/Inf entry."""
     try:
         stack = np.array(matrices, dtype=complex)
     except (ValueError, TypeError):
-        return None
-    return stack if stack.shape == (len(matrices), 2, 2) and np.isfinite(stack).all() else None
+        stack = None
+    if stack is None or stack.shape != (len(matrices), 2, 2) or not np.isfinite(stack).all():
+        checked = [as_matrix2(m, name=f"{label} {i + 1}") for i, m in enumerate(matrices)]
+        stack = np.array(checked, dtype=complex).reshape(-1, 2, 2)
+    return stack
 
 
 def _residuals(mats: np.ndarray) -> tuple[list[tuple[float, float]], float]:
@@ -263,12 +236,11 @@ def _residuals(mats: np.ndarray) -> tuple[list[tuple[float, float]], float]:
 
 
 def _roots(povm: PovmSet) -> np.ndarray:
-    """sqrt_psd of every element in one stacked pass; if one of them would be
-    rejected, the elements go through sqrt_psd itself, which raises its error."""
-    elements = list(povm)
-    stack = _finite_stack(elements)
-    if stack is not None:
-        roots, residual, low = _psd_roots(stack)
-        if (residual <= DEFAULT_TOL).all() and (low >= -DEFAULT_TOL).all():
-            return roots
-    return np.array([sqrt_psd(f) for f in elements], dtype=complex).reshape(-1, 2, 2)
+    """The PSD square root of every element, with the RANK_FLOOR of qmath, in
+    one stacked pass whose verdict is vectorized.  Only when that verdict fails
+    (a PovmSet built without validate_povm) are the elements walked, to
+    raise validate_povm's NotHermitian(i) or NotPsd(i) for the first bad one."""
+    roots, residual, low = _psd_roots(_stack(povm, "element"))
+    if not ((residual <= DEFAULT_TOL).all() and (low >= -DEFAULT_TOL).all()):
+        _check_elements(zip(residual.tolist(), low.tolist()))
+    return roots

@@ -21,7 +21,8 @@ The work is done by cores of two kinds, each idea written once:
 
 Public functions check their input (shape, finiteness, Hermiticity at
 DEFAULT_TOL; no function takes a tolerance argument) and call the cores;
-the cores assume checked, finite input.
+the cores assume checked, finite input.  Every NotHermitian and NotPsd in
+the package is raised by one checker, ``_check_operator``.
 
 Basis convention throughout the package: index 0 is horizontal polarization
 |H>, index 1 is vertical polarization |V>.
@@ -154,11 +155,12 @@ def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues descending, eigenvector matrix) where the k-th
     column is the gauge-fixed eigenvector of eigenvalue k.  On a scalar
-    matrix the identity basis is returned.  Raises NotHermitian if the
-    input fails the Hermiticity check at DEFAULT_TOL.
+    matrix the identity basis is returned.  Raises NotHermitian ("matrix:
+    hermiticity residual ...") if the input fails the Hermiticity check at
+    DEFAULT_TOL; any spectrum is accepted.
     """
     h = as_matrix2(h)
-    _require_hermitian(max_abs(h - dagger(h)))
+    _check_operator(max_abs(h - dagger(h)), 0.0, "matrix")
     (a, b), (b_conj, c) = h.tolist()
     high, low, w = _eig(a.real, 0.5 * (b + b_conj.conjugate()), c.real)
     return np.array([high, low]), np.array(w)
@@ -171,15 +173,12 @@ def sqrt_psd(f) -> np.ndarray:
     RANK_FLOOR times the largest (round-off of a rank-deficient f, and any
     in [-DEFAULT_TOL, 0]) become exactly 0, so a rank-one element gets a
     rank-one root instead of one with a ~1e-8 tail from the square root of
-    round-off.  Raises NotPsd for an eigenvalue below -DEFAULT_TOL.
+    round-off.  Raises NotHermitian ("matrix: hermiticity residual ...")
+    if f fails the Hermiticity check at DEFAULT_TOL, and NotPsd ("matrix:
+    minimum eigenvalue ...") for an eigenvalue below -DEFAULT_TOL.
     """
     roots, residual, low = _psd_roots(as_matrix2(f)[None])
-    _require_hermitian(float(residual[0]))
-    if not low[0] >= -DEFAULT_TOL:
-        raise NotPsd(
-            f"minimum eigenvalue {low[0]:.3e} below -{DEFAULT_TOL:.1e}",
-            min_eigenvalue=float(low[0]),
-        )
+    _check_operator(float(residual[0]), float(low[0]), "matrix")
     return roots[0]
 
 
@@ -209,12 +208,14 @@ def aligning_unitary(target, source) -> np.ndarray:
     return v @ u
 
 
-def _require_hermitian(residual: float) -> None:
+def _check_operator(residual: float, min_eigenvalue: float, name: str, index: int | None = None) -> None:
+    """The one Hermitian/PSD check: NotHermitian if the Hermiticity residual
+    exceeds DEFAULT_TOL, else NotPsd if the minimum eigenvalue is below
+    -DEFAULT_TOL; NaN fails both.  Messages read "name: ..."."""
     if not residual <= DEFAULT_TOL:
-        raise NotHermitian(
-            f"hermiticity residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.1e}",
-            residual=residual,
-        )
+        raise NotHermitian(f"{name}: hermiticity residual {residual:.3e}", index, residual)
+    if not min_eigenvalue >= -DEFAULT_TOL:
+        raise NotPsd(f"{name}: minimum eigenvalue {min_eigenvalue:.3e}", index, min_eigenvalue)
 
 
 # ----------------------------------------------------------------------

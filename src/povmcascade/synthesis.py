@@ -56,9 +56,7 @@ __all__ = [
     "DomainError",
     "ModuleSettings",
     "CascadePlan",
-    "SynthesisStep",
     "synthesize_cascade",
-    "synthesis_steps",
     "reconstruct_kraus",
     "ekert_alpha_prime",
 ]
@@ -105,16 +103,9 @@ class ModuleSettings:
                 raise ValueError(f"{label} is not unitary")
             object.__setattr__(self, label, u)
 
-    def exit_transfer(self) -> np.ndarray:
-        """diag(e^{i zeta} cos theta, cos phi): amplitude transfer onto the exit arm."""
-        return np.diag(self._transfers()[0])
-
-    def pass_transfer(self) -> np.ndarray:
-        """diag(e^{i xi} sin theta, sin phi): amplitude transfer onto the pass arm."""
-        return np.diag(self._transfers()[1])
-
     def _transfers(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        # the diagonals of the exit and pass transfers, as Python complex numbers
+        # the diagonals of the exit and pass transfers, diag(e^{i zeta} cos theta,
+        # cos phi) and diag(e^{i xi} sin theta, sin phi), as Python complex numbers
         return (
             (cmath.exp(1j * self.zeta) * math.cos(self.theta), complex(math.cos(self.phi))),
             (cmath.exp(1j * self.xi) * math.sin(self.theta), complex(math.sin(self.phi))),
@@ -148,53 +139,9 @@ class CascadePlan:
         return len(self.modules) + 1
 
 
-@dataclass(frozen=True)
-class SynthesisStep:
-    """Trace record for one synthesized stage (diagnostics and invariants).
-
-    residual_prefix is the pass-arm amplitude Y_{j-1}^dag R_j entering the
-    stage; its Gram matrix equals the operator sum still to be implemented.
-    effective_operator Y_{j-1}^dag A_j^dag A_j Y_{j-1} is the target
-    operator in the frame of that amplitude, whose eigenbasis the
-    pre-unitary selects; eigenvalues are its spectrum, (cos^2 theta,
-    cos^2 phi).
-    """
-
-    residual_prefix: np.ndarray
-    effective_operator: np.ndarray
-    eigenvalues: tuple[float, float]
-
-
 def _rows(q0: list[complex], q1: list[complex], i: int):
     """Rows i and i + 1 of the matrix with columns q0 and q1."""
     return (q0[i], q1[i]), (q0[i + 1], q1[i + 1])
-
-
-def _synthesize(kraus: KrausSet) -> tuple[CascadePlan, list[tuple]]:
-    """The plan, and (Y_{j-1}, A_j, R_j) per stage for :func:`synthesis_steps`."""
-    ops = np.array(kraus.operators, dtype=complex).tolist()
-    (m00, m01), (m10, m11) = ops[-1]
-    final_q0, final_q1, r = _qr([m00, m10], [m01, m11])
-    blocks = []
-    for (m00, m01), (m10, m11) in reversed(ops[:-1]):
-        (r00, r01), (_, r11) = r
-        q0, q1, r = _qr([m00, m10, r00, 0j], [m01, m11, r01, r11])
-        blocks.append((_rows(q0, q1, 0), _rows(q0, q1, 2), r))
-    # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
-    residual = _unitary_residual(r)
-    if not residual <= DEFAULT_TOL:
-        raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
-    v, _, u = _svd(r)
-    y = _mul(v, u)  # Y_0: the unitary polar factor of R_1, which is I up to that residual
-    modules, stages = [], []
-    for a, b, r in reversed(blocks):
-        x, (c0, c1), w_dag = _svd(a)
-        y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
-        theta, phi = math.atan2(s0, c0), math.atan2(s1, c1)
-        modules.append(ModuleSettings(theta, phi, pre_unitary=_mul(w_dag, y), exit_unitary=x))
-        stages.append((y, a, r))
-        y = y_next
-    return CascadePlan(tuple(modules), _mul(_rows(final_q0, final_q1, 0), y)), stages
 
 
 def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
@@ -211,21 +158,28 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     DEFAULT_TOL (NaN and Inf included); a Kraus set that passed
     validate_kraus passes this check too, up to round-off at the boundary.
     """
-    plan, _ = _synthesize(kraus)
-    return plan
-
-
-def synthesis_steps(kraus: KrausSet) -> list[SynthesisStep]:
-    """The per-stage trace of :func:`synthesize_cascade` (for invariant checks)."""
-    plan, stages = _synthesize(kraus)
-    return [
-        SynthesisStep(
-            np.array(_mul(_dag(y), r)),
-            np.array(_mul(_mul(_dag(y), _dag(a)), _mul(a, y))),
-            (math.cos(module.theta) ** 2, math.cos(module.phi) ** 2),
-        )
-        for (y, a, r), module in zip(stages, plan.modules)
-    ]
+    ops = np.array(kraus.operators, dtype=complex).tolist()
+    (m00, m01), (m10, m11) = ops[-1]
+    final_q0, final_q1, r = _qr([m00, m10], [m01, m11])
+    blocks = []
+    for (m00, m01), (m10, m11) in reversed(ops[:-1]):
+        (r00, r01), (_, r11) = r
+        q0, q1, r = _qr([m00, m10, r00, 0j], [m01, m11, r01, r11])
+        blocks.append((_rows(q0, q1, 0), _rows(q0, q1, 2)))
+    # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
+    residual = _unitary_residual(r)
+    if not residual <= DEFAULT_TOL:
+        raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
+    v, _, u = _svd(r)
+    y = _mul(v, u)  # Y_0: the unitary polar factor of R_1, which is I up to that residual
+    modules = []
+    for a, b in reversed(blocks):
+        x, (c0, c1), w_dag = _svd(a)
+        y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
+        theta, phi = math.atan2(s0, c0), math.atan2(s1, c1)
+        modules.append(ModuleSettings(theta, phi, pre_unitary=_mul(w_dag, y), exit_unitary=x))
+        y = y_next
+    return CascadePlan(tuple(modules), _mul(_rows(final_q0, final_q1, 0), y))
 
 
 def reconstruct_kraus(plan: CascadePlan) -> KrausSet:

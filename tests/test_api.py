@@ -60,9 +60,7 @@ def test_module_exports():
         "DomainError",
         "ModuleSettings",
         "CascadePlan",
-        "SynthesisStep",
         "synthesize_cascade",
-        "synthesis_steps",
         "reconstruct_kraus",
         "ekert_alpha_prime",
     ]
@@ -97,7 +95,6 @@ def test_module_exports():
         "OpticalElement",
         "OpticalNetwork",
         "ExitAmplitude",
-        "apply_element",
         "propagate",
         "transfer_matrices",
         "exit_amplitudes",
@@ -126,7 +123,6 @@ def test_module_exports():
         "validate_kraus",
         "kraus_from_povm",
         "density_matrix",
-        "density_from_pure",
         "outcome_probabilities",
         "validation_residuals",
     ]
@@ -157,3 +153,32 @@ def test_traced_names_resolve(monkeypatch):
         module = importlib.import_module(f"povmcascade.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_logical_line_counter(monkeypatch):
+    # tools/lloc.py is the LOC figure the ROADMAP quotes: code lines only
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    try:
+        lloc = importlib.import_module("lloc")
+    finally:
+        sys.modules.pop("lloc", None)
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import math  # trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return math.hypot(
+            x,
+            len(text),
+        )
+'''
+    assert lloc.logical_lines(source) == 9

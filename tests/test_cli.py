@@ -16,8 +16,8 @@ from povmcascade.cli import (
     povm_document,
 )
 from povmcascade.demos import trine_povm
-from povmcascade.povm import IncompleteSum, NotHermitian, NotPsd, kraus_from_povm, validate_kraus, validate_povm
-from povmcascade.qmath import max_abs
+from povmcascade.povm import IncompleteSum, kraus_from_povm, validate_kraus, validate_povm
+from povmcascade.qmath import NotHermitian, NotPsd, max_abs
 from povmcascade.synthesis import reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm
 
@@ -32,6 +32,50 @@ def trine_document():
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def edited(document, keys, value):
+    """A copy of a JSON document with the entry at the key path replaced."""
+    document = json.loads(json.dumps(document))
+    *parents, last = keys
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return document
+
+
+HUGE = 10**400  # a JSON integer too large for a double
+TRINE_PLAN = plan_document(trine_povm()[2])
+RHO = matrix_to_json(np.eye(2) / 2.0)
+# case -> (argv, document written to {doc}, innermost location)
+SCHEMA_ERRORS = {
+    "elements-not-a-list": (["validate", "{doc}"], {"schema_version": "1", "elements": "nope"}, "elements"),
+    "element-rows": (["validate", "{doc}"], {"schema_version": "1", "elements": [[[1, 2]], [[3, 4]]]}, "elements[0]"),
+    "schema-version": (["validate", "{doc}"], {"schema_version": "9", "elements": []}, "schema_version"),
+    **{
+        f"overflow-element-{command}": (
+            [command, "{doc}", *extra],
+            edited(trine_document(), ("elements", 1, 0, 1, 0), HUGE),
+            "elements[1][0][1]",
+        )
+        for command, extra in (("validate", []), ("synthesize", ["-o", "{out}"]), ("verify", []))
+    },
+    "overflow-plan-matrix": (
+        ["simulate", "{doc}", "--pure", "1,0,0,0"],
+        edited(TRINE_PLAN, ("modules", 0, "pre_unitary", 1, 0, 1), HUGE),
+        "modules[0].pre_unitary[1][0]",
+    ),
+    "overflow-angle": (["simulate", "{doc}", "--pure", "1,0,0,0"], edited(TRINE_PLAN, ("modules", 1, "theta"), HUGE), "modules[1].theta"),
+    "overflow-density": (["simulate", "{plan}", "--density", "{doc}"], edited(RHO, (0, 0, 0), HUGE), "density matrix[0][0]"),
+    "string-angle": (["simulate", "{doc}", "--pure", "1,0,0,0"], edited(TRINE_PLAN, ("modules", 0, "theta"), "0.5"), "modules[0].theta"),
+    "boolean-entry": (["validate", "{doc}"], edited(trine_document(), ("elements", 0, 1, 1), [True, 0]), "elements[0][1][1]"),
+    "short-entry-pair": (
+        ["simulate", "{doc}", "--pure", "1,0,0,0"],
+        edited(TRINE_PLAN, ("modules", 0, "exit_unitary", 1, 1), [1.0]),
+        "modules[0].exit_unitary[1][1]",
+    ),
+}
 
 
 @pytest.fixture
@@ -74,15 +118,20 @@ class TestDocuments:
         for restored, original in zip(elements, povm.elements):
             assert np.array_equal(restored, original)
 
-    def test_schema_errors_have_context(self):
-        from povmcascade.cli import DocumentError
-
-        with pytest.raises(DocumentError, match="elements"):
-            parse_povm_document({"schema_version": "1", "elements": "nope"})
-        with pytest.raises(DocumentError, match=r"elements\[0\]"):
-            parse_povm_document({"schema_version": "1", "elements": [[[1, 2]], [[3, 4]]]})
-        with pytest.raises(DocumentError, match="schema_version"):
-            parse_povm_document({"schema_version": "9", "elements": []})
+    @pytest.mark.parametrize("case", list(SCHEMA_ERRORS))
+    def test_schema_errors_have_context(self, tmp_path, capsys, case):
+        # every malformed document is an input error (exit 1) that names the
+        # innermost location once, never a traceback or a doubled prefix
+        argv, document, location = SCHEMA_ERRORS[case]
+        files = {
+            "{doc}": write_json(tmp_path / "doc.json", document),
+            "{plan}": write_json(tmp_path / "plan.json", plan_document(trine_povm()[2])),
+            "{out}": str(tmp_path / "out.json"),
+        }
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {location}: ")
+        assert err.count(location) == 1
 
 
 class TestValidateCommand:

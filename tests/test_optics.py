@@ -21,14 +21,13 @@ from povmcascade.optics import (
     PolarizingBeamsplitter,
     Rotator,
     UnknownMode,
-    apply_element,
     build_cascade_network,
     build_module_network,
     exit_amplitudes,
     propagate,
     transfer_matrices,
 )
-from povmcascade.povm import density_from_pure, kraus_from_povm, outcome_probabilities
+from povmcascade.povm import density_matrix, kraus_from_povm, outcome_probabilities
 from povmcascade.qmath import max_abs, phase_fixed, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
@@ -48,18 +47,34 @@ def state_with_vacuum(mode, amplitudes, *vacuum_modes):
     return state
 
 
+def apply_one(state, element, *exits):
+    """Propagate through a network of the one element, entered at IN."""
+    return propagate(state, OpticalNetwork((element,), exits, IN))
+
+
+def total_probability(state):
+    return sum(abs(a) ** 2 for a in state.amplitudes.values())
+
+
+def module_transfers(settings):
+    """The exit and pass arms of one module, read off reconstruct_kraus."""
+    return tuple(reconstruct_kraus(CascadePlan((settings,), I2)))
+
+
 class TestApplyElement:
+    """One element at a time, each through a network holding only it."""
+
     def test_pbs_splits_polarizations(self):
         a, b = 0.6, 0.8j
         state = state_with_vacuum(IN, [a, b], AUX)
-        split = apply_element(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
+        split = apply_one(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
         np.testing.assert_allclose(split.mode_vector(OUT_A), [a, 0.0])
         np.testing.assert_allclose(split.mode_vector(OUT_B), [0.0, b])
         assert IN not in split.modes()
 
     def test_pbs_second_input_routes_complementarily(self):
         state = state_with_vacuum(AUX, [0.6, 0.8], IN)
-        split = apply_element(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
+        split = apply_one(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
         np.testing.assert_allclose(split.mode_vector(OUT_B), [0.6, 0.0])
         np.testing.assert_allclose(split.mode_vector(OUT_A), [0.0, 0.8])
 
@@ -75,42 +90,43 @@ class TestApplyElement:
                 (AUX, V): amps[3],
             }
         )
-        split = apply_element(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
-        assert split.total_probability() == pytest.approx(1.0, abs=1e-15)
+        split = apply_one(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
+        assert total_probability(split) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_angle_rotator_is_identity(self):
         state = PhotonState.pure(IN, [0.3, 0.4j])
-        rotated = apply_element(state, Rotator(IN, 0.0))
+        rotated = apply_one(state, Rotator(IN, 0.0))
         np.testing.assert_allclose(rotated.mode_vector(IN), [0.3, 0.4j])
 
     def test_rotator_convention(self):
-        rotated = apply_element(PhotonState.pure(IN, [1.0, 0.0]), Rotator(IN, 0.3))
+        rotated = apply_one(PhotonState.pure(IN, [1.0, 0.0]), Rotator(IN, 0.3))
         np.testing.assert_allclose(rotated.mode_vector(IN), [math.cos(0.3), math.sin(0.3)])
 
     def test_pi_phase_twice_is_identity(self):
         state = PhotonState.pure(IN, [0.6, 0.8])
-        once = apply_element(state, PhaseShifter(IN, math.pi))
-        twice = apply_element(once, PhaseShifter(IN, math.pi))
+        once = apply_one(state, PhaseShifter(IN, math.pi))
+        twice = apply_one(once, PhaseShifter(IN, math.pi))
         np.testing.assert_allclose(twice.mode_vector(IN), [0.6, 0.8], atol=1e-15)
 
     def test_mode_unitary_applies_matrix(self):
         u = rotation(0.9) @ np.diag([1.0, 1.0j])
-        moved = apply_element(PhotonState.pure(IN, [0.6, 0.8]), ModeUnitary(IN, u))
+        moved = apply_one(PhotonState.pure(IN, [0.6, 0.8]), ModeUnitary(IN, u))
         np.testing.assert_allclose(moved.mode_vector(IN), u @ [0.6, 0.8])
 
     def test_unknown_mode_raises(self):
+        # a network seeds every mode it consumes before producing it, so the
+        # unknown mode is one the first beamsplitter has already taken away
         state = PhotonState.pure(IN, [1.0, 0.0])
-        with pytest.raises(UnknownMode):
-            apply_element(state, Rotator(AUX, 0.1))
-        with pytest.raises(UnknownMode):
-            apply_element(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
+        split = PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)
+        for element in (Rotator(IN, 0.1), PolarizingBeamsplitter(OUT_A, IN, ModeLabel(0, "c"), ModeLabel(0, "d"))):
+            with pytest.raises(UnknownMode) as caught:
+                propagate(state, OpticalNetwork((split, element), (OUT_B,), IN))
+            assert caught.value.mode == IN
 
     def test_non_element_raises_type_error(self):
         # a look-alike with a mode and an angle is still not a Rotator
         state = PhotonState.pure(IN, [0.6, 0.8])
         stranger = SimpleNamespace(mode=IN, angle=0.3)
-        with pytest.raises(TypeError, match="not an optical element"):
-            apply_element(state, stranger)
         with pytest.raises(TypeError, match="not an optical element"):
             propagate(state, OpticalNetwork((stranger,), (IN,), IN))
         # without a mode it is turned away before the network's inputs are traced
@@ -124,8 +140,6 @@ class TestApplyElement:
         element = kind(IN, bad)
         message = f"{kind.__name__} on mode {IN} has non-finite angle"
         with pytest.raises(ValueError, match=re.escape(message)):
-            apply_element(state, element)
-        with pytest.raises(ValueError, match=re.escape(message)):
             propagate(state, OpticalNetwork((element,), (IN,), IN))
 
     @pytest.mark.parametrize(
@@ -136,8 +150,6 @@ class TestApplyElement:
     def test_malformed_mode_unitary_raises_when_it_acts(self, matrix, message):
         state = PhotonState.pure(IN, [0.6, 0.8])
         element = ModeUnitary(IN, matrix)
-        with pytest.raises(ValueError, match=message):
-            apply_element(state, element)
         with pytest.raises(ValueError, match=message):
             propagate(state, OpticalNetwork((element,), (IN,), IN))
 
@@ -153,12 +165,11 @@ class TestModuleNetwork:
             psi = random_pure_state(rng)
             out = propagate(PhotonState.pure(network.input, psi), network)
             p1, p2 = network.exits
-            np.testing.assert_allclose(
-                out.mode_vector(p1), settings.exit_transfer() @ psi, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                out.mode_vector(p2), settings.pass_transfer() @ psi, atol=1e-12
-            )
+            exit_transfer = np.diag([np.exp(1j * zeta) * math.cos(theta), math.cos(phi)])
+            pass_transfer = np.diag([np.exp(1j * xi) * math.sin(theta), math.sin(phi)])
+            np.testing.assert_allclose(out.mode_vector(p1), exit_transfer @ psi, atol=1e-12)
+            np.testing.assert_allclose(out.mode_vector(p2), pass_transfer @ psi, atol=1e-12)
+            np.testing.assert_allclose(module_transfers(settings), (exit_transfer, pass_transfer), atol=1e-15)
 
     def test_unitaries_dress_the_module(self):
         rng = np.random.default_rng(53)
@@ -169,12 +180,13 @@ class TestModuleNetwork:
         psi = random_pure_state(rng)
         out = propagate(PhotonState.pure(network.input, psi), network)
         p1, p2 = network.exits
-        np.testing.assert_allclose(
-            out.mode_vector(p1), exit_u @ settings.exit_transfer() @ pre @ psi, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            out.mode_vector(p2), settings.pass_transfer() @ pre @ psi, atol=1e-12
-        )
+        exit_op, pass_op = module_transfers(settings)
+        np.testing.assert_allclose(out.mode_vector(p1), exit_op @ psi, atol=1e-12)
+        np.testing.assert_allclose(out.mode_vector(p2), pass_op @ psi, atol=1e-12)
+        exit_transfer = np.diag([math.cos(0.5), math.cos(1.2)])
+        pass_transfer = np.diag([math.sin(0.5), math.sin(1.2)])
+        np.testing.assert_allclose(exit_op, exit_u @ exit_transfer @ pre, atol=1e-15)
+        np.testing.assert_allclose(pass_op, pass_transfer @ pre, atol=1e-15)
 
     def test_fully_transmissive_module_passes_input_through(self):
         settings = ModuleSettings(theta=0.0, phi=0.0)
@@ -229,7 +241,7 @@ class TestCascadeNetwork:
         network = build_cascade_network(plan)
         for _ in range(20):
             out = propagate(PhotonState.pure(network.input, random_pure_state(rng)), network)
-            assert abs(out.total_probability() - 1.0) <= 1e-12
+            assert abs(total_probability(out) - 1.0) <= 1e-12
 
 
 class TestPropagate:
@@ -273,14 +285,14 @@ class TestPropagate:
             )
             network = OpticalNetwork(elements, (split_a, split_b), IN)
             out = propagate(PhotonState.pure(IN, random_pure_state(rng)), network)
-            assert abs(out.total_probability() - 1.0) <= 1e-12
+            assert abs(total_probability(out) - 1.0) <= 1e-12
 
     def test_caller_state_is_left_untouched(self):
         network = build_cascade_network(synthesize_cascade(kraus_from_povm(random_povm(6, 13))))
         pbs = PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)
         cases = [
             (PhotonState.pure(network.input, [0.6, 0.8j]), lambda state: propagate(state, network)),
-            (state_with_vacuum(IN, [0.6, 0.8j], AUX), lambda state: apply_element(state, pbs)),
+            (state_with_vacuum(IN, [0.6, 0.8j], AUX), lambda state: apply_one(state, pbs, OUT_A, OUT_B)),
         ]
         for state, run in cases:
             before = list(state.amplitudes.items())
@@ -396,7 +408,7 @@ class TestExitAmplitudes:
             psi = random_pure_state(rng)
             out = propagate(PhotonState.pure(network.input, psi), network)
             records = exit_amplitudes(out, network)
-            oracle = outcome_probabilities(density_from_pure(psi), kraus)
+            oracle = outcome_probabilities(density_matrix(np.outer(psi, psi.conj())), kraus)
             for record, expected in zip(records, oracle):
                 assert record.probability == pytest.approx(expected.probability, abs=1e-9)
 

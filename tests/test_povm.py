@@ -8,8 +8,8 @@ import pytest
 from povmcascade.povm import (
     IncompleteSum,
     NotUnitary,
+    PovmSet,
     _check_residuals,
-    density_from_pure,
     density_matrix,
     kraus_from_povm,
     outcome_probabilities,
@@ -17,11 +17,15 @@ from povmcascade.povm import (
     validate_povm,
     validation_residuals,
 )
-from povmcascade.qmath import NotHermitian, NotPsd, dagger, max_abs, rotation
+from povmcascade.qmath import NotHermitian, NotPsd, dagger, eig_hermitian2, max_abs, rotation, sqrt_psd
 from povmcascade.verify import random_povm, random_pure_state
 
 R3 = math.sqrt(3.0)
 I2 = np.eye(2, dtype=complex)
+
+
+def pure_density(psi):
+    return density_matrix(np.outer(psi, np.conj(psi)))
 
 
 def trine_elements():
@@ -120,6 +124,18 @@ class TestValidateKraus:
 
 
 class TestKrausFromPovm:
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.array([[0.5, 0.1], [0.0, 0.5]]), NotHermitian), (np.diag([0.0, -0.2]), NotPsd)],
+        ids=["NotHermitian", "NotPsd"],
+    )
+    def test_unvalidated_povm_names_its_bad_element(self, bad, error):
+        # a PovmSet built without validate_povm fails like validate_povm would
+        with pytest.raises(error) as info:
+            kraus_from_povm(PovmSet((0.5 * I2, bad.astype(complex), 0.5 * I2 - bad)))
+        assert info.value.index == 1
+        assert str(info.value).startswith("element 2: ")
+
     def test_trine_with_published_exit_unitaries(self):
         povm = validate_povm(trine_elements())
         kraus = kraus_from_povm(povm, trine_exit_unitaries())
@@ -172,7 +188,7 @@ class TestOutcomeProbabilities:
         for seed in range(30):
             kraus = kraus_from_povm(random_povm(3, seed))
             psi = random_pure_state(rng)
-            rho = density_from_pure(psi)
+            rho = pure_density(psi)
             records = outcome_probabilities(rho, kraus)
             for record, m in zip(records, kraus):
                 assert record.probability == pytest.approx(
@@ -183,14 +199,14 @@ class TestOutcomeProbabilities:
         rng = np.random.default_rng(11)
         for seed in range(20):
             kraus = kraus_from_povm(random_povm(5, seed))
-            rho = density_from_pure(random_pure_state(rng))
+            rho = pure_density(random_pure_state(rng))
             total = sum(r.probability for r in outcome_probabilities(rho, kraus))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_post_states_are_valid_density_matrices(self):
         rng = np.random.default_rng(21)
         kraus = kraus_from_povm(random_povm(3, 9))
-        rho = density_from_pure(random_pure_state(rng))
+        rho = pure_density(random_pure_state(rng))
         for record in outcome_probabilities(rho, kraus):
             if record.post_state is None:
                 continue
@@ -205,7 +221,7 @@ class TestOutcomeProbabilities:
     def test_gauge_independence_of_probabilities(self):
         rng = np.random.default_rng(77)
         kraus = kraus_from_povm(random_povm(3, 5))
-        rho = density_from_pure(random_pure_state(rng))
+        rho = pure_density(random_pure_state(rng))
         base = [r.probability for r in outcome_probabilities(rho, kraus)]
         w = rotation(0.7) @ np.diag([1.0, np.exp(0.3j)])
         rotated = validate_kraus([w @ m for m in kraus])
@@ -217,7 +233,7 @@ class TestOutcomeProbabilities:
         kraus = kraus_from_povm(random_povm(4, 2))
         for _ in range(50):
             psi = random_pure_state(rng)
-            records = outcome_probabilities(density_from_pure(psi), kraus)
+            records = outcome_probabilities(pure_density(psi), kraus)
             for record, m in zip(records, kraus):
                 expected = float(np.linalg.norm(m @ psi) ** 2)
                 assert record.probability == pytest.approx(expected, abs=1e-10)
@@ -235,8 +251,46 @@ class TestDensityMatrix:
         with pytest.raises(NotPsd):
             density_matrix(np.diag([1.5, -0.5]))
 
-    def test_density_from_pure_normalizes(self):
-        rho = density_from_pure([2.0, 0.0])
+    def test_pure_state_outer_product(self):
+        rho = pure_density([1.0, 0.0])
         np.testing.assert_allclose(rho.rho, np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            density_from_pure([0.0, 0.0])
+        # the state is not normalized for the caller: trace 4 and trace 0 are rejected
+        for psi in ([2.0, 0.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="trace"):
+                pure_density(psi)
+
+
+SKEW = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+NEGATIVE = np.diag([1.0, -1e-3]).astype(complex)
+CHECKED = {
+    "validate_povm": (lambda m: validate_povm([m, I2 - m]), "element 1", 0),
+    "density_matrix": (density_matrix, "density matrix", None),
+    "sqrt_psd": (sqrt_psd, "matrix", None),
+    "eig_hermitian2": (eig_hermitian2, "matrix", None),
+    "unvalidated_PovmSet": (lambda m: kraus_from_povm(PovmSet((m, I2 - m))), "element 1", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, matrix, error, message",
+    [
+        pytest.param(entry, matrix, error, message, id=f"{entry}-{error.__name__}")
+        for entry in CHECKED
+        for matrix, error, message in [
+            (SKEW, NotHermitian, "hermiticity residual 1.000e-01"),
+            (NEGATIVE, NotPsd, "minimum eigenvalue -1.000e-03"),
+        ]
+        if not (entry == "eig_hermitian2" and error is NotPsd)  # any Hermitian spectrum is accepted there
+    ],
+)
+def test_one_checker_raises_every_violation(entry, matrix, error, message):
+    call, name, index = CHECKED[entry]
+    with pytest.raises(error) as info:
+        call(matrix)
+    assert type(info.value) is error
+    assert str(info.value) == f"{name}: {message}"
+    assert info.value.index == index
+    if error is NotHermitian:
+        assert info.value.residual == pytest.approx(0.1)
+    else:
+        assert info.value.min_eigenvalue == pytest.approx(-1e-3)

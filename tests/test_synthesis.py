@@ -1,6 +1,7 @@
 """Cascade synthesis: settings extraction, round trips, and invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 
 from povmcascade.demos import trine_povm
 from povmcascade.povm import IncompleteSum, KrausSet, kraus_from_povm, validate_kraus, validate_povm
-from povmcascade.qmath import DEFAULT_TOL, dagger, max_abs, rotation
+from povmcascade.qmath import DEFAULT_TOL, dagger, eig_hermitian2, max_abs, rotation
 from povmcascade.synthesis import (
     CascadePlan,
     DomainError,
     ModuleSettings,
     ekert_alpha_prime,
     reconstruct_kraus,
-    synthesis_steps,
     synthesize_cascade,
 )
 from povmcascade.verify import random_povm, random_rank_one_povm, verify_plan
@@ -31,6 +31,13 @@ def random_kraus(n, seed):
     return kraus_from_povm(random_povm(n, seed))
 
 
+def bare_arms(module):
+    """The module's exit and pass arms without its unitaries, from a one-module
+    plan: diag(e^{i zeta} cos theta, cos phi) and diag(e^{i xi} sin theta, sin phi)."""
+    bare = replace(module, pre_unitary=I2, exit_unitary=I2)
+    return tuple(reconstruct_kraus(CascadePlan((bare,), I2)))
+
+
 class TestModuleSettings:
     def test_transfers_partition_unity_exactly(self):
         rng = np.random.default_rng(6)
@@ -38,7 +45,7 @@ class TestModuleSettings:
             theta, phi = rng.uniform(0.0, math.pi / 2, size=2)
             zeta, xi = rng.uniform(-math.pi, math.pi, size=2)
             settings = ModuleSettings(theta=theta, phi=phi, zeta=zeta, xi=xi)
-            d1, d2 = settings.exit_transfer(), settings.pass_transfer()
+            d1, d2 = bare_arms(settings)
             gram = dagger(d1) @ d1 + dagger(d2) @ d2
             assert max_abs(gram - I2) <= 1e-15
 
@@ -85,7 +92,8 @@ class TestSynthesizeCascade:
         # entrance rotation by pi/4, compared gauge-free at the operator level:
         # row phases of the eigenbasis are free, so compare U^dag D^2 U
         published = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
-        d_sq = second.exit_transfer() @ second.exit_transfer()
+        d = bare_arms(second)[0]
+        d_sq = d @ d
         lhs = dagger(second.pre_unitary) @ d_sq @ second.pre_unitary
         rhs = dagger(published) @ d_sq @ published
         assert max_abs(lhs - rhs) <= 1e-12
@@ -119,18 +127,25 @@ class TestSynthesizeCascade:
             for seed in range(10):
                 kraus = random_kraus(n, seed)
                 elements = [dagger(m) @ m for m in kraus]
-                steps = synthesis_steps(kraus)
-                assert len(steps) == n - 1
-                for j, step in enumerate(steps):
+                plan = synthesize_cascade(kraus)
+                assert len(plan.modules) == n - 1
+                # the realized pass-arm amplitude behind the first j modules;
+                # the one entering stage 1 is the bare input, with Gram I
+                for j in range(1, n):
                     remaining = I2 - sum(elements[:j], start=np.zeros((2, 2), dtype=complex))
-                    gram = dagger(step.residual_prefix) @ step.residual_prefix
-                    assert max_abs(gram - remaining) <= 1e-9
+                    prefix = reconstruct_kraus(CascadePlan(plan.modules[:j], I2))[-1]
+                    assert max_abs(dagger(prefix) @ prefix - remaining) <= 1e-9
 
     def test_effective_eigenvalues_recorded_in_unit_interval(self):
-        steps = synthesis_steps(random_kraus(5, 8))
-        for step in steps:
-            lo, hi = min(step.eigenvalues), max(step.eigenvalues)
+        # stage j measures pre^dag D^dag D pre, with spectrum (cos^2 theta, cos^2 phi)
+        plan = synthesize_cascade(random_kraus(5, 8))
+        for module in plan.modules:
+            eigenvalues = (math.cos(module.theta) ** 2, math.cos(module.phi) ** 2)
+            lo, hi = min(eigenvalues), max(eigenvalues)
             assert lo >= 0.0 and hi <= 1.0
+            stage = reconstruct_kraus(CascadePlan((replace(module, exit_unitary=I2),), I2))[0]
+            spectrum = eig_hermitian2(dagger(stage) @ stage)[0]
+            np.testing.assert_allclose(spectrum, [hi, lo], atol=1e-15)
 
     def test_projective_input_gives_degenerate_transfer(self):
         for seed in range(20):

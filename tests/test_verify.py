@@ -16,7 +16,6 @@ from povmcascade.optics import (
     transfer_matrices,
 )
 from povmcascade.povm import (
-    density_from_pure,
     density_matrix,
     kraus_from_povm,
     validate_kraus,
@@ -225,7 +224,7 @@ class TestVerifyDensity:
         rng = np.random.default_rng(40)
         _, kraus, plan = trine_povm()
         psi = random_pure_state(rng)
-        dense = verify_density(density_from_pure(psi), kraus, plan)
+        dense = verify_density(density_matrix(np.outer(psi, psi.conj())), kraus, plan)
         assert dense.passed
         assert dense.case_count == 1
         pure = verify_plan(kraus, plan, trial_states=50, seed=40)
