@@ -34,6 +34,8 @@ SCHEMA_VERSION = "1"
 #: simulate --pure warns when the state's norm is off 1 by more than this
 NORM_WARNING = 1e-6
 
+_DOUBLE_MAX = sys.float_info.max
+
 
 class DocumentError(ValueError):
     """Malformed input file (schema or JSON problems), with field context."""
@@ -53,13 +55,14 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def _number(x) -> float | None:
     """The one number rule of both documents: a JSON int or float (so not a
-    bool or a string) that converts to a float; None for anything else."""
-    if type(x) not in (int, float):  # bool is a subclass of int, not int
-        return None
-    try:
+    bool or a string) that converts to a finite float; None for anything else,
+    including the NaN, Infinity and out-of-range decimals (1e400) that the
+    JSON reader turns into non-finite floats."""
+    # bool is a subclass of int, not int; the bounds fail on NaN and reject an
+    # int too large for a double before float() would overflow on it
+    if type(x) in (int, float) and -_DOUBLE_MAX <= x <= _DOUBLE_MAX:
         return float(x)
-    except OverflowError:  # an int too large for a double
-        return None
+    return None
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -76,7 +79,7 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
                 if real is not None and imag is not None:
                     entries.append(complex(real, imag))
                     continue
-            raise DocumentError(f"{where}[{r}][{c}]: expected an [re, im] pair of numbers that fit a double")
+            raise DocumentError(f"{where}[{r}][{c}]: expected an [re, im] pair of finite numbers")
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -112,12 +115,16 @@ def parse_povm_document(doc) -> tuple[list[np.ndarray], list[np.ndarray] | None,
         raw_units = doc["exit_unitaries"]
         if not isinstance(raw_units, list):
             raise DocumentError("exit_unitaries: expected a list of matrices")
+        if len(raw_units) != len(elements):
+            raise DocumentError(f"exit_unitaries: expected {len(elements)} matrices, got {len(raw_units)}")
         exit_unitaries = [matrix_from_json(m, f"exit_unitaries[{i}]") for i, m in enumerate(raw_units)]
     labels = None
     if "labels" in doc:
         raw_labels = doc["labels"]
         if not isinstance(raw_labels, list) or not all(isinstance(s, str) for s in raw_labels):
             raise DocumentError("labels: expected a list of strings")
+        if len(raw_labels) != len(elements):
+            raise DocumentError(f"labels: expected {len(elements)} strings, got {len(raw_labels)}")
         labels = list(raw_labels)
     return elements, exit_unitaries, labels
 
@@ -153,7 +160,7 @@ def parse_plan_document(doc) -> CascadePlan:
         angles = {key: _number(raw.get(key)) for key in ("theta", "phi", "zeta", "xi")}
         for key, value in angles.items():
             if value is None:
-                raise DocumentError(f"{where}.{key}: expected a number that fits a double")
+                raise DocumentError(f"{where}.{key}: expected a finite number")
         if "pre_unitary" not in raw or "exit_unitary" not in raw:
             raise DocumentError(f"{where}: needs pre_unitary and exit_unitary")
         pre = matrix_from_json(raw["pre_unitary"], f"{where}.pre_unitary")
@@ -265,7 +272,7 @@ def _cmd_validate(args) -> int:
     elements, _, labels = parse_povm_document(doc)
     per_element, completeness = validation_residuals(elements)
     for i, (herm, min_eig) in enumerate(per_element):
-        name = labels[i] if labels and i < len(labels) else f"element {i + 1}"
+        name = labels[i] if labels else f"element {i + 1}"
         print(f"{name}: hermiticity residual {herm:.3e}, min eigenvalue {min_eig:+.3e}")
     print(f"completeness residual: {completeness:.3e}")
     try:

@@ -5,11 +5,15 @@ semidefinite 2x2 operators summing to the identity.  Each element F can be
 written F = M^dag M for a Kraus operator M; the measurement sends a state
 rho to M rho M^dag / p with probability p = tr(M rho M^dag).  Element order
 is significant: outcome i of the compiled cascade is list position i.
+
+A PovmSet is valid by construction.  One stacked spectral pass over its
+elements decides every check and takes every square root sqrt(F_i); the set
+keeps those roots, so kraus_from_povm decomposes nothing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +21,6 @@ from .qmath import (
     DEFAULT_TOL,
     _check_operator,
     _psd_roots,
-    _spectra,
     as_matrix2,
     dagger,
     hermitian_residuals,
@@ -63,9 +66,24 @@ class NotUnitary(ValueError):
 
 @dataclass(frozen=True)
 class PovmSet:
-    """Validated, ordered POVM elements F_1..F_n.  Build via :func:`validate_povm`."""
+    """Ordered POVM elements F_1..F_n, checked when built (see :func:`validate_povm`).
+
+    The elements are stored as complex 2x2 arrays; the PSD square root of
+    each, taken in the same pass as the checks, is kept privately for
+    :func:`kraus_from_povm`.
+    """
 
     elements: tuple[np.ndarray, ...]
+    _roots: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mats = _stack(self.elements, "element")
+        if len(mats) < 2:
+            raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
+        per_element, completeness, roots = _spectral_pass(mats)
+        _check_residuals(per_element, completeness)
+        object.__setattr__(self, "elements", tuple(mats))
+        object.__setattr__(self, "_roots", roots)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -115,33 +133,25 @@ class OutcomeRecord:
 
 def validate_povm(elements) -> PovmSet:
     """Check Hermiticity, positivity, and completeness of a POVM element list
-    at DEFAULT_TOL.
+    at DEFAULT_TOL; the checks run when the PovmSet is built.
 
     Raises the first violation found: NotHermitian(i), NotPsd(i) with the
     offending minimum eigenvalue, or IncompleteSum with the entrywise
     residual of sum(F) - I.  Zero elements are legal; they arise in
     degenerate parameterizations and the algebra tolerates them.
     """
-    mats = _stack(elements, "element")
-    if len(mats) < 2:
-        raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
-    _check_residuals(*_residuals(mats))
-    return PovmSet(tuple(mats))
+    return PovmSet(elements)
 
 
 def _check_residuals(per_element, residual: float) -> None:
     """Raise the first violation among validation_residuals' output at
-    DEFAULT_TOL; a NaN residual is a violation."""
-    _check_elements(per_element)
-    if not residual <= DEFAULT_TOL:
-        raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
-
-
-def _check_elements(per_element) -> None:
-    """Raise NotHermitian(i) or NotPsd(i) for the first element whose
-    (hermiticity residual, minimum eigenvalue) fails the check."""
+    DEFAULT_TOL: NotHermitian(i) or NotPsd(i) for the first element whose
+    (hermiticity residual, minimum eigenvalue) fails, else IncompleteSum;
+    a NaN residual is a violation."""
     for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
         _check_operator(herm_residual, min_eigenvalue, f"element {i + 1}", i)
+    if not residual <= DEFAULT_TOL:
+        raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
 
 
 def validate_kraus(operators) -> KrausSet:
@@ -161,21 +171,18 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
 
     With no exit unitaries the principal square root is used (V_i = I).
     Supplying unitaries changes the conditional output states while leaving
-    the measurement statistics untouched.  A PovmSet built without
-    validate_povm whose element i fails its check raises validate_povm's
-    NotHermitian or NotPsd, with index i.
+    the measurement statistics untouched.  The roots are those the PovmSet
+    took when it was built.
     """
     if exit_unitaries is None:
-        return validate_kraus(_roots(povm))
-    exit_unitaries = [as_matrix2(u, name=f"exit unitary {i + 1}") for i, u in enumerate(exit_unitaries)]
-    if len(exit_unitaries) != len(povm):
-        raise ValueError(
-            f"expected {len(povm)} exit unitaries, got {len(exit_unitaries)}"
-        )
-    for i, u in enumerate(exit_unitaries):
+        return validate_kraus(povm._roots)
+    units = _stack(exit_unitaries, "exit unitary")
+    if len(units) != len(povm):
+        raise ValueError(f"expected {len(povm)} exit unitaries, got {len(units)}")
+    for i, u in enumerate(units):
         if not is_unitary(u):
             raise NotUnitary(f"exit unitary {i + 1} is not unitary", index=i)
-    return validate_kraus(np.array(exit_unitaries) @ _roots(povm))
+    return validate_kraus(units @ povm._roots)
 
 
 def density_matrix(rho) -> DensityMatrix:
@@ -212,7 +219,7 @@ def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRe
 def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
     """Diagnostic residuals for reporting: per element (hermiticity residual,
     minimum eigenvalue) plus the completeness residual ||sum F - I||."""
-    return _residuals(_stack(elements, "element"))
+    return _spectral_pass(_stack(elements, "element"))[:2]
 
 
 def _stack(matrices, label: str) -> np.ndarray:
@@ -229,18 +236,11 @@ def _stack(matrices, label: str) -> np.ndarray:
     return stack
 
 
-def _residuals(mats: np.ndarray) -> tuple[list[tuple[float, float]], float]:
-    residual, _, low, _, _ = _spectra(mats)
+def _spectral_pass(mats: np.ndarray):
+    """(per_element, completeness, roots) of a finite (n, 2, 2) stack in one
+    pass: per element the (hermiticity residual, minimum eigenvalue) that
+    decide whether its PSD square root exists, the completeness residual
+    max|sum F - I|, and the roots, with qmath's RANK_FLOOR."""
+    roots, residual, low = _psd_roots(mats)
     completeness = max_abs(np.sum(mats, axis=0) - identity2())
-    return list(zip(residual.tolist(), low.tolist())), completeness
-
-
-def _roots(povm: PovmSet) -> np.ndarray:
-    """The PSD square root of every element, with the RANK_FLOOR of qmath, in
-    one stacked pass whose verdict is vectorized.  Only when that verdict fails
-    (a PovmSet built without validate_povm) are the elements walked, to
-    raise validate_povm's NotHermitian(i) or NotPsd(i) for the first bad one."""
-    roots, residual, low = _psd_roots(_stack(povm, "element"))
-    if not ((residual <= DEFAULT_TOL).all() and (low >= -DEFAULT_TOL).all()):
-        _check_elements(zip(residual.tolist(), low.tolist()))
-    return roots
+    return list(zip(residual.tolist(), low.tolist())), completeness, roots

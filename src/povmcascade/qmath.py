@@ -17,7 +17,8 @@ The work is done by cores of two kinds, each idea written once:
 * The stacked core ``_spectra`` evaluates ``_eig``'s closed form on a whole
   ``(n, 2, 2)`` array at once: Hermiticity residuals, eigenvalues and top
   eigenvectors, from which ``_psd_roots`` takes every square root.  POVM
-  validation and the Kraus gauge make one pass over the element stack.
+  validation makes one ``_psd_roots`` pass over the element stack, and the
+  ``PovmSet`` keeps its roots for the Kraus operators.
 
 Public functions check their input (shape, finiteness, Hermiticity at
 DEFAULT_TOL; no function takes a tolerance argument) and call the cores;

@@ -8,6 +8,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import povmcascade
 from povmcascade import cli, optics, povm, qmath, synthesis, verify
 
@@ -139,6 +141,19 @@ def test_no_tolerance_parameters():
             obj = getattr(module, name)
             if callable(obj):
                 assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
+
+
+def test_povm_set_takes_only_its_elements():
+    # the roots a PovmSet keeps are private state, not a constructor knob
+    assert list(inspect.signature(povm.PovmSet).parameters) == ["elements"]
+
+
+def test_distribution_metadata_matches_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "povmcascade"
+    assert project["version"] == povmcascade.__version__
 
 
 def test_traced_names_resolve(monkeypatch):

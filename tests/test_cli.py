@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ def trine_document():
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    # a string "@<literal>" is written as the bare JSON literal, e.g. NaN or 1e400
+    path.write_text(re.sub(r'"@([^"]*)"', r"\1", json.dumps(payload)))
     return str(path)
 
 
@@ -75,6 +77,23 @@ SCHEMA_ERRORS = {
         edited(TRINE_PLAN, ("modules", 0, "exit_unitary", 1, 1), [1.0]),
         "modules[0].exit_unitary[1][1]",
     ),
+    # the JSON reader turns these literals into non-finite floats
+    **{
+        f"{site}-{literal}": (argv, edited(document, keys, f"@{literal}"), location)
+        for literal in ("NaN", "Infinity", "1e400")
+        for site, argv, document, keys, location in (
+            ("element", ["validate", "{doc}"], trine_document(), ("elements", 1, 0, 1, 0), "elements[1][0][1]"),
+            (
+                "plan-matrix",
+                ["simulate", "{doc}", "--pure", "1,0,0,0"],
+                TRINE_PLAN,
+                ("modules", 0, "pre_unitary", 1, 0, 1),
+                "modules[0].pre_unitary[1][0]",
+            ),
+            ("angle", ["simulate", "{doc}", "--pure", "1,0,0,0"], TRINE_PLAN, ("modules", 1, "theta"), "modules[1].theta"),
+            ("density", ["simulate", "{plan}", "--density", "{doc}"], RHO, (0, 0, 0), "density matrix[0][0]"),
+        )
+    },
 }
 
 
@@ -117,6 +136,21 @@ class TestDocuments:
         assert labels == ["a", "b", "c"]
         for restored, original in zip(elements, povm.elements):
             assert np.array_equal(restored, original)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("exit_unitaries", [matrix_to_json(np.eye(2))] * 2, "exit_unitaries: expected 3 matrices, got 2"),
+            ("exit_unitaries", [matrix_to_json(np.eye(2))] * 4, "exit_unitaries: expected 3 matrices, got 4"),
+            ("labels", ["a", "b"], "labels: expected 3 strings, got 2"),
+            ("labels", [], "labels: expected 3 strings, got 0"),
+        ],
+        ids=["exit_unitaries-short", "exit_unitaries-long", "labels-short", "labels-empty"],
+    )
+    def test_per_element_lists_have_one_entry_per_element(self, tmp_path, capsys, field, value, message):
+        path = write_json(tmp_path / "doc.json", edited(trine_document(), (field,), value))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("case", list(SCHEMA_ERRORS))
     def test_schema_errors_have_context(self, tmp_path, capsys, case):

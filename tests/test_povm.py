@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from povmcascade import qmath
 from povmcascade.povm import (
     IncompleteSum,
     NotUnitary,
@@ -18,7 +19,7 @@ from povmcascade.povm import (
     validation_residuals,
 )
 from povmcascade.qmath import NotHermitian, NotPsd, dagger, eig_hermitian2, max_abs, rotation, sqrt_psd
-from povmcascade.verify import random_povm, random_pure_state
+from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
 
 R3 = math.sqrt(3.0)
 I2 = np.eye(2, dtype=complex)
@@ -130,11 +131,71 @@ class TestKrausFromPovm:
         ids=["NotHermitian", "NotPsd"],
     )
     def test_unvalidated_povm_names_its_bad_element(self, bad, error):
-        # a PovmSet built without validate_povm fails like validate_povm would
+        # a PovmSet built directly, not through validate_povm, is checked when
+        # it is built and fails like validate_povm would
+        elements = (0.5 * I2, bad.astype(complex), 0.5 * I2 - bad)
         with pytest.raises(error) as info:
-            kraus_from_povm(PovmSet((0.5 * I2, bad.astype(complex), 0.5 * I2 - bad)))
+            PovmSet(elements)
+        with pytest.raises(error) as expected:
+            validate_povm(elements)
+        assert type(info.value) is type(expected.value) is error
         assert info.value.index == 1
         assert str(info.value).startswith("element 2: ")
+        assert str(info.value) == str(expected.value)
+        assert vars(info.value) == vars(expected.value)
+
+    @pytest.mark.parametrize(
+        "elements, error, message",
+        [
+            ((I2,), ValueError, "a POVM needs at least 2 elements, got 1"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 0.9])), IncompleteSum, "sum of elements deviates from identity by 1.000e-01"),
+        ],
+        ids=["one-element", "incomplete"],
+    )
+    def test_povm_set_rejects_what_validate_povm_rejects(self, elements, error, message):
+        with pytest.raises(error) as info:
+            PovmSet(elements)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        if error is IncompleteSum:
+            assert info.value.residual == pytest.approx(0.1, abs=1e-12)
+
+    def test_one_spectral_pass_per_povm(self, monkeypatch):
+        # validation takes every root; kraus_from_povm decomposes nothing again
+        calls = []
+        spectra = qmath._spectra
+
+        def counted(m):
+            calls.append(len(m))
+            return spectra(m)
+
+        monkeypatch.setattr(qmath, "_spectra", counted)
+        for n in (3, 24):
+            elements = list(random_povm(n, 1))
+            calls.clear()
+            povm = validate_povm(elements)
+            assert calls == [n]
+            kraus_from_povm(povm)
+            kraus_from_povm(povm, [rotation(0.1 * i) for i in range(n)])
+            assert calls == [n]
+
+    @pytest.mark.parametrize("family", ["random", "rank_one", "near_deficient"])
+    def test_kraus_is_the_root_of_each_element_bit_for_bit(self, family):
+        for n in (2, 3, 7, 24, 80):
+            for seed in range(4):
+                if family == "random":
+                    elements = list(random_povm(n, seed))
+                elif family == "rank_one":
+                    elements = list(random_rank_one_povm(n, seed))
+                else:
+                    # rank-one elements mixed with a tiny multiple of I/n, on
+                    # both sides of qmath.RANK_FLOOR; the sum stays complete
+                    eps = 10.0 ** -(6 + 3 * seed)
+                    elements = [(1.0 - eps) * f + (eps / n) * I2 for f in random_rank_one_povm(n, seed)]
+                kraus = kraus_from_povm(validate_povm(elements))
+                for m, f in zip(kraus, elements):
+                    root = sqrt_psd(f)
+                    assert m.tobytes() == root.tobytes() and m.dtype == root.dtype
 
     def test_trine_with_published_exit_unitaries(self):
         povm = validate_povm(trine_elements())
@@ -267,7 +328,7 @@ CHECKED = {
     "density_matrix": (density_matrix, "density matrix", None),
     "sqrt_psd": (sqrt_psd, "matrix", None),
     "eig_hermitian2": (eig_hermitian2, "matrix", None),
-    "unvalidated_PovmSet": (lambda m: kraus_from_povm(PovmSet((m, I2 - m))), "element 1", 0),
+    "unvalidated_PovmSet": (lambda m: PovmSet((m, I2 - m)), "element 1", 0),
 }
 
 
