@@ -248,19 +248,24 @@ def _verify_and_report(kraus, plan: CascadePlan, args, show_roundtrip: bool = Fa
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _print_exits(records) -> None:
-    total = 0.0
+def _print_exits(records, total: float | None = None) -> None:
+    """One line per exit record, with a pure state's conditional polarization
+    on it or a density matrix's conditional state below it, then the total
+    probability: ``total`` if given, else the running sum of the records'."""
+    running = 0.0
     for record in records:
-        total += record.probability
-        if record.polarization is None:
-            print(f"exit E{record.index}: probability {record.probability:.12g}")
-        else:
-            a, b = record.polarization
-            print(
-                f"exit E{record.index}: probability {record.probability:.12g}, "
-                f"polarization [{_fmt_complex(complex(a))}, {_fmt_complex(complex(b))}]"
-            )
-    print(f"total probability: {total:.12g}")
+        running += record.probability
+        line = f"exit E{record.index}: probability {record.probability:.12g}"
+        polarization = getattr(record, "polarization", None)
+        if polarization is not None:
+            a, b = polarization
+            line += f", polarization [{_fmt_complex(complex(a))}, {_fmt_complex(complex(b))}]"
+        print(line)
+        post_state = getattr(record, "post_state", None)
+        if post_state is not None:
+            print("  conditional state:")
+            print(_fmt_matrix(post_state.rho))
+    print(f"total probability: {running if total is None else total:.12g}")
 
 
 # ----------------------------------------------------------------------
@@ -333,12 +338,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
     rho = density_matrix(matrix_from_json(_load_json(args.density), "density matrix"))
     records = simulate_density(plan, rho)
-    for record in records:
-        print(f"exit E{record.index}: probability {record.probability:.12g}")
-        if record.post_state is not None:
-            print("  conditional state:")
-            print(_fmt_matrix(record.post_state.rho))
-    print(f"total probability: {float(np.sum([r.probability for r in records])):.12g}")
+    _print_exits(records, float(np.sum([r.probability for r in records])))
     return EXIT_OK
 
 

@@ -135,7 +135,7 @@ class PhaseShifter:
     phase: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeUnitary:
     """Arbitrary polarization unitary acting on one mode."""
 

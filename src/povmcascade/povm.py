@@ -4,7 +4,9 @@ A POVM on the polarization qubit is a list of Hermitian positive
 semidefinite 2x2 operators summing to the identity.  Each element F can be
 written F = M^dag M for a Kraus operator M; the measurement sends a state
 rho to M rho M^dag / p with probability p = tr(M rho M^dag).  Element order
-is significant: outcome i of the compiled cascade is list position i.
+is significant: outcome i of the compiled cascade is list position i.  One
+stacked kernel, _conditional_states, evaluates that map for every outcome
+at once; the network simulation runs it on its exit maps.
 
 A PovmSet is valid by construction.  One stacked spectral pass over its
 elements decides every check and takes every square root sqrt(F_i); the set
@@ -64,7 +66,7 @@ class NotUnitary(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmSet:
     """Ordered POVM elements F_1..F_n, checked when built (see :func:`validate_povm`).
 
@@ -74,7 +76,7 @@ class PovmSet:
     """
 
     elements: tuple[np.ndarray, ...]
-    _roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = _stack(self.elements, "element")
@@ -95,7 +97,7 @@ class PovmSet:
         return self.elements[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Validated, ordered Kraus operators M_1..M_n with sum M^dag M = I."""
 
@@ -111,7 +113,7 @@ class KrausSet:
         return self.operators[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD unit-trace 2x2 state.  Build via :func:`density_matrix`."""
 
@@ -160,7 +162,7 @@ def validate_kraus(operators) -> KrausSet:
     mats = _stack(operators, "operator")
     if len(mats) < 2:
         raise ValueError(f"a Kraus set needs at least 2 operators, got {len(mats)}")
-    residual = max_abs(np.sum(mats.conj().transpose(0, 2, 1) @ mats, axis=0) - identity2())
+    residual = max_abs(np.sum(dagger(mats) @ mats, axis=0) - identity2())
     if not residual <= DEFAULT_TOL:
         raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
     return KrausSet(tuple(mats))
@@ -180,9 +182,18 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
     if len(units) != len(povm):
         raise ValueError(f"expected {len(povm)} exit unitaries, got {len(units)}")
     for i, u in enumerate(units):
-        if not is_unitary(u):
-            raise NotUnitary(f"exit unitary {i + 1} is not unitary", index=i)
+        _check_unitary(u, f"exit unitary {i + 1}", i)
     return validate_kraus(units @ povm._roots)
+
+
+def _check_unitary(m, name: str, index: int | None = None) -> np.ndarray:
+    """The one unitarity check: m as a complex 2x2 array (as_matrix2's checks,
+    under name), or NotUnitary("name is not unitary", index) if m^dag m is
+    off the identity by more than DEFAULT_TOL."""
+    u = as_matrix2(m, name=name)
+    if not is_unitary(u):
+        raise NotUnitary(f"{name} is not unitary", index)
+    return u
 
 
 def density_matrix(rho) -> DensityMatrix:
@@ -200,20 +211,30 @@ def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRe
 
     Outcome i carries probability p_i = tr(M_i rho M_i^dag), clamped into
     [0, 1] against round-off, and the normalized post state
-    M_i rho M_i^dag / p_i when p_i is above PROBABILITY_FLOOR.
+    M_i rho M_i^dag / p_i when p_i is at or above PROBABILITY_FLOOR.  This
+    is :func:`_conditional_states` on the Kraus stack, the same kernel
+    :func:`verify.simulate_density` runs on the network's exit maps.
     """
-    records = []
-    for i, m in enumerate(kraus):
-        transformed = m @ rho.rho @ dagger(m)
-        p = float(np.trace(transformed).real)
-        p = min(max(p, 0.0), 1.0)
-        if p >= PROBABILITY_FLOOR:
-            post = transformed / p
-            post = 0.5 * (post + dagger(post))
-            records.append(OutcomeRecord(i + 1, p, DensityMatrix(post)))
-        else:
-            records.append(OutcomeRecord(i + 1, p, None))
-    return records
+    probabilities, states = _conditional_states(np.array(kraus.operators), rho)
+    return _outcome_records(np.clip(probabilities, 0.0, 1.0), states)
+
+
+def _conditional_states(maps: np.ndarray, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(p, states) for an (n, 2, 2) stack of maps T_i: the unnormalized
+    conditional states T_i rho T_i^dag, Hermitian-symmetrized, and their
+    traces p_i, the outcome probabilities."""
+    states = maps @ rho.rho @ dagger(maps)
+    states = 0.5 * (states + dagger(states))
+    return np.trace(states, axis1=1, axis2=2).real, states
+
+
+def _outcome_records(probabilities: np.ndarray, states: np.ndarray) -> list[OutcomeRecord]:
+    """One OutcomeRecord per outcome: its post state states[i] / p_i, or None
+    below PROBABILITY_FLOOR."""
+    return [
+        OutcomeRecord(i, p, DensityMatrix(state / p) if p >= PROBABILITY_FLOOR else None)
+        for i, (p, state) in enumerate(zip(probabilities.tolist(), states), start=1)
+    ]
 
 
 def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:

@@ -101,8 +101,8 @@ def as_matrix2(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return m.conj().T
+    """Hermitian conjugate of a matrix, or of each matrix of an (n, 2, 2) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m) -> float:
@@ -418,10 +418,11 @@ def _spectra(m: np.ndarray):
     Hermiticity residual max|m - m^dag| and, of the Hermitian part, the
     eigenvalues l0 >= l1 and a unit eigenvector (x, y) of l0 ((1, 0) on a
     scalar matrix), by the closed form of :func:`_eig`."""
-    m_dag = m.conj().transpose(0, 2, 1)
-    residual = np.abs(m - m_dag).max(axis=(1, 2))
-    h = 0.5 * (m + m_dag)
-    a, b, c = h[:, 0, 0].real, h[:, 0, 1], h[:, 1, 1].real
+    residual = np.abs(m - dagger(m)).max(axis=(1, 2))
+    # the Hermitian part's entries without forming m + m^dag, which overflows
+    # above half the double range; on Hermitian input b is m01 exactly
+    m01 = m[:, 0, 1]
+    a, b, c = m[:, 0, 0].real, m01 + 0.5 * (m[:, 1, 0].conj() - m01), m[:, 1, 1].real
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     lift = np.where(scale >= _TINY, 1.0, _LIFT)
     inv = 1.0 / np.where(scale > 0.0, scale * lift, 1.0)

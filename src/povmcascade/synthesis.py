@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import IncompleteSum, KrausSet, validate_kraus
+from .povm import IncompleteSum, KrausSet, _check_unitary, validate_kraus
 from .qmath import (
     _IDENTITY,
     DEFAULT_TOL,
@@ -47,9 +47,7 @@ from .qmath import (
     _qr,
     _svd,
     _unitary_residual,
-    as_matrix2,
     identity2,
-    is_unitary,
 )
 
 __all__ = [
@@ -69,7 +67,7 @@ class DomainError(ValueError):
     """Parameters outside the region where a construction is defined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleSettings:
     """Physical knobs of one cascade stage.
 
@@ -98,10 +96,7 @@ class ModuleSettings:
                 raise ValueError(f"{label} must be finite")
             object.__setattr__(self, label, value)
         for label in ("pre_unitary", "exit_unitary"):
-            u = as_matrix2(getattr(self, label), name=label)
-            if not is_unitary(u):
-                raise ValueError(f"{label} is not unitary")
-            object.__setattr__(self, label, u)
+            object.__setattr__(self, label, _check_unitary(getattr(self, label), label))
 
     def _transfers(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         # the diagonals of the exit and pass transfers, diag(e^{i zeta} cos theta,
@@ -112,7 +107,7 @@ class ModuleSettings:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadePlan:
     """Ordered stage settings plus the unitary on the final pass-arm exit.
 
@@ -128,10 +123,8 @@ class CascadePlan:
         object.__setattr__(self, "modules", tuple(self.modules))
         if not self.modules:
             raise ValueError("a plan needs at least one module")
-        u = as_matrix2(self.final_exit_unitary, name="final_exit_unitary")
-        if not is_unitary(u):
-            raise ValueError("final_exit_unitary is not unitary")
-        object.__setattr__(self, "final_exit_unitary", u)
+        final = _check_unitary(self.final_exit_unitary, "final_exit_unitary")
+        object.__setattr__(self, "final_exit_unitary", final)
 
     @property
     def n(self) -> int:

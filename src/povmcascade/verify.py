@@ -8,7 +8,10 @@ Kraus operator, sum T^dag T over every live mode, and bound the dark-mode
 maps, so they hold for all input states at once; the photon checks apply
 the exit maps to seeded random pure states and compare exit statistics
 and conditional states against direct application of the Kraus operators.
-Reports are deterministic for fixed inputs and seed.
+simulate_density and verify_density run the oracle's own kernel,
+T rho T^dag (povm._conditional_states), on the exit maps, so the mixed-state
+contract compares two outputs of one formula.  Reports are deterministic
+for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .povm import (
     KrausSet,
     OutcomeRecord,
     PovmSet,
-    outcome_probabilities,
+    _conditional_states,
+    _outcome_records,
     validate_povm,
 )
 from .qmath import dagger, eig_hermitian2, max_abs
@@ -155,14 +159,17 @@ def _report(residuals: dict[str, float], seed: int, case_count: int) -> Verifica
     return VerificationReport(checks, seed, case_count)
 
 
-def _daggers(maps: np.ndarray) -> np.ndarray:
-    """T^dag for each 2x2 map of a stack."""
-    return maps.conj().transpose(0, 2, 1)
-
-
 def _gram(maps: np.ndarray) -> np.ndarray:
     """T^dag T for each 2x2 map of a stack."""
-    return _daggers(maps) @ maps
+    return dagger(maps) @ maps
+
+
+def _network_maps(plan: CascadePlan):
+    """(network, transfer, exits): the plan's network, its per-mode maps
+    (:func:`optics.transfer_matrices`) and the exit maps stacked in exit order."""
+    network = build_cascade_network(plan)
+    transfer = transfer_matrices(network)
+    return network, transfer, np.array([transfer[mode] for mode in network.exits])
 
 
 def verify_plan(
@@ -203,9 +210,7 @@ def verify_plan(
         raise ValueError(f"trial_states must be at least 1, got {trial_states}")
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
-    network = build_cascade_network(plan)
-    transfer = transfer_matrices(network)
-    exits = np.array([transfer[mode] for mode in network.exits])
+    network, transfer, exits = _network_maps(plan)
     wanted = np.array(kraus.operators)
     rng = np.random.default_rng(seed)
     psis = _trial_states(rng, trial_states)
@@ -232,24 +237,25 @@ def simulate_density(plan: CascadePlan, rho: DensityMatrix) -> list[OutcomeRecor
 
     Each exit's unnormalized conditional state is T rho T^dag, with T the
     exit's map from :func:`optics.transfer_matrices`; its trace is the exit
-    probability.  Returns one record per exit, post_state normalized (and
-    Hermitian-symmetrized, as the oracle does) or None below PROBABILITY_FLOOR.
+    probability.  This is the oracle's kernel (:func:`povm.outcome_probabilities`)
+    run on the exit maps instead of the Kraus operators, with no clamp:
+    one record per exit, post_state normalized and Hermitian-symmetrized, or
+    None below PROBABILITY_FLOOR.
     """
-    network = build_cascade_network(plan)
-    transfer = transfer_matrices(network)
-    exits = np.array([transfer[mode] for mode in network.exits])
-    posts = exits @ rho.rho @ _daggers(exits)
-    posts = 0.5 * (posts + _daggers(posts))
-    probabilities = np.trace(posts, axis1=1, axis2=2).real.tolist()
-    return [
-        OutcomeRecord(i, p, DensityMatrix(post / p) if p >= PROBABILITY_FLOOR else None)
-        for i, (p, post) in enumerate(zip(probabilities, posts), start=1)
-    ]
+    return _outcome_records(*_conditional_states(_network_maps(plan)[2], rho))
 
 
 def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> VerificationReport:
     """Mixed-state contract: compare :func:`simulate_density` exit statistics
     and post states against the analytic oracle.
+
+    Both sides are one kernel, T rho T^dag, run on the network's exit maps
+    and on the Kraus operators; their arrays are compared directly.  The
+    checks (name: tolerance) are probability 1e-9, max |p_sim - p_oracle|
+    with the oracle's p clamped into [0, 1] as :func:`povm.outcome_probabilities`
+    does, and post_state 1e-9, the largest entry of the difference of the
+    normalized post states over the outcomes where both p are at or above
+    PROBABILITY_FLOOR.
 
     case_count is the rank of rho: the number of its eigenvalues above
     PROBABILITY_FLOOR.  It is counted from rho, not from propagated
@@ -258,12 +264,12 @@ def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> Ve
     """
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
-    simulated = simulate_density(plan, rho)
-    prob_res = 0.0
-    post_res = 0.0
-    for sim, record in zip(simulated, outcome_probabilities(rho, kraus)):
-        prob_res = max(prob_res, abs(sim.probability - record.probability))
-        if record.post_state is not None and sim.post_state is not None:
-            post_res = max(post_res, max_abs(sim.post_state.rho - record.post_state.rho))
+    p_sim, sim = _conditional_states(_network_maps(plan)[2], rho)
+    p_oracle, oracle = _conditional_states(np.array(kraus.operators), rho)
+    p_oracle = np.clip(p_oracle, 0.0, 1.0)
+    live = (p_sim >= PROBABILITY_FLOOR) & (p_oracle >= PROBABILITY_FLOOR)
+    posts = sim[live] / p_sim[live, None, None] - oracle[live] / p_oracle[live, None, None]
+    prob_res = np.max(np.abs(p_sim - p_oracle))
+    post_res = np.max(np.abs(posts), initial=0.0)
     rank = int(np.sum(eig_hermitian2(rho.rho)[0] > PROBABILITY_FLOOR))
     return _report({"probability": prob_res, "post_state": post_res}, 0, rank)

@@ -3,6 +3,7 @@
 These are stable across releases; a change here must be listed in CHANGES.md.
 """
 
+import copy
 import importlib
 import inspect
 import sys
@@ -146,6 +147,27 @@ def test_no_tolerance_parameters():
 def test_povm_set_takes_only_its_elements():
     # the roots a PovmSet keeps are private state, not a constructor knob
     assert list(inspect.signature(povm.PovmSet).parameters) == ["elements"]
+
+
+ARRAY_HOLDERS = {
+    "PovmSet": lambda: verify.random_povm(3, 1),
+    "KrausSet": lambda: povm.kraus_from_povm(verify.random_povm(3, 1)),
+    "DensityMatrix": lambda: povm.density_matrix(qmath.identity2() / 2.0),
+    "ModuleSettings": lambda: synthesis.ModuleSettings(theta=0.1, phi=0.2),
+    "CascadePlan": lambda: synthesis.CascadePlan((synthesis.ModuleSettings(theta=0.1, phi=0.2),), qmath.identity2()),
+    "ModeUnitary": lambda: optics.ModeUnitary(optics.ModeLabel(0, "in"), qmath.identity2()),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    # a field-wise == over numpy arrays would raise "truth value ... is ambiguous"
+    first = ARRAY_HOLDERS[name]()
+    same = first
+    assert (first == same) is True
+    assert (first == copy.deepcopy(first)) is False
+    assert (first != ARRAY_HOLDERS[name]()) is True
+    assert len({first, same, copy.deepcopy(first)}) == 2
 
 
 def test_distribution_metadata_matches_the_package():

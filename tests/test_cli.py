@@ -200,6 +200,19 @@ class TestValidateCommand:
         assert lines[-1] == f"INVALID: {raised.value}"
         assert len(lines) == len(elements) + 2
 
+    def test_huge_hermitian_element_is_incomplete(self, tmp_path, capsys):
+        # PSD but 1e308 times too large: the completeness line names the fault
+        path = write_json(tmp_path / "huge.json", povm_document([1e308 * np.eye(2), np.eye(2)]))
+        assert main(["validate", path]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "element 1: hermiticity residual 0.000e+00, min eigenvalue +1.000e+308",
+            "element 2: hermiticity residual 0.000e+00, min eigenvalue +1.000e+00",
+            "completeness residual: 1.000e+308",
+            "INVALID: sum of elements deviates from identity by 1.000e+308",
+        ]
+        assert err == ""
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -320,6 +333,20 @@ class TestSimulateCommand:
         mixed = probabilities(["simulate", str(plan_path), "--density", rho_path])
         assert len(pure) == len(mixed) == 3
         assert mixed == pytest.approx(pure, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("modules", 0, "pre_unitary"), "modules[0]: pre_unitary is not unitary"),
+            (("final_exit_unitary",), "final_exit_unitary is not unitary"),
+        ],
+        ids=["pre_unitary", "final_exit_unitary"],
+    )
+    def test_non_unitary_plan_matrix_is_input_error(self, tmp_path, capsys, keys, message):
+        doubled = matrix_to_json(2.0 * np.eye(2))
+        path = write_json(tmp_path / "plan.json", edited(TRINE_PLAN, keys, doubled))
+        assert main(["simulate", path, "--pure", "1,0,0,0"]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     def test_norm_deviation_warns(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "2,0,0,0"]) == 0

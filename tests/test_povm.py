@@ -109,6 +109,16 @@ class TestValidatePovm:
         with pytest.raises(error):
             _check_residuals(per_element, residual)
 
+    def test_huge_hermitian_element_fails_completeness_not_positivity(self):
+        # 1e308 * I is PSD; forming its Hermitian part as (m + m^dag) / 2 would
+        # overflow to a NaN eigenvalue, so the only fault is the sum
+        with pytest.raises(IncompleteSum) as info:
+            validate_povm([1e308 * I2, I2])
+        assert str(info.value) == "sum of elements deviates from identity by 1.000e+308"
+        assert info.value.residual == 1e308
+        per_element, _ = validation_residuals([1e308 * I2, I2])
+        assert per_element == [(0.0, pytest.approx(1e308, rel=1e-15)), (0.0, 1.0)]
+
     def test_residual_report(self):
         per_element, completeness = validation_residuals(trine_elements())
         assert all(h <= 1e-15 for h, _ in per_element)
@@ -255,6 +265,9 @@ class TestOutcomeProbabilities:
                 assert record.probability == pytest.approx(
                     brute_force_probability(m, rho.rho), abs=1e-12
                 )
+                # full-rank elements on a pure state: every outcome has a post state
+                post = m @ rho.rho @ dagger(m) / record.probability
+                assert max_abs(record.post_state.rho - post) <= 1e-12
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(11)
@@ -272,6 +285,7 @@ class TestOutcomeProbabilities:
             if record.post_state is None:
                 continue
             density_matrix(record.post_state.rho)  # revalidates all invariants
+            assert np.array_equal(record.post_state.rho, dagger(record.post_state.rho))  # symmetrized exactly
 
     def test_zero_probability_outcome_has_no_post_state(self):
         kraus = validate_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

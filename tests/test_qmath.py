@@ -241,6 +241,15 @@ class TestGaugeAndHelpers:
     def test_aligning_unitary_zero_source(self):
         np.testing.assert_allclose(aligning_unitary(np.zeros((2, 2)), np.zeros((2, 2))), I2)
 
+    def test_dagger_of_a_stack_is_each_matrix_dagger(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_complex_matrix(rng) for _ in range(5)])
+        daggers = dagger(stack)
+        assert daggers.shape == (5, 2, 2)
+        for m, m_dag in zip(stack, daggers):
+            assert np.array_equal(m_dag, m.conj().T)
+        assert np.array_equal(dagger(stack[0]), stack[0].conj().T)
+
     def test_identity2_is_fresh(self):
         first = identity2()
         first[0, 0] = 5.0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcascade.demos import trine_povm
-from povmcascade.povm import IncompleteSum, KrausSet, kraus_from_povm, validate_kraus, validate_povm
+from povmcascade.povm import IncompleteSum, KrausSet, NotUnitary, kraus_from_povm, validate_kraus, validate_povm
 from povmcascade.qmath import DEFAULT_TOL, dagger, eig_hermitian2, max_abs, rotation
 from povmcascade.synthesis import (
     CascadePlan,
@@ -62,6 +62,30 @@ class TestModuleSettings:
             ModuleSettings(theta=0.1, phi=0.2, exit_unitary=2.0 * I2)
         with pytest.raises(ValueError, match="final_exit_unitary"):
             CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), 2.0 * I2)
+
+    @pytest.mark.parametrize(
+        "build, message, index",
+        [
+            (lambda: ModuleSettings(theta=0.1, phi=0.2, pre_unitary=2.0 * I2), "pre_unitary is not unitary", None),
+            (
+                lambda: CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), 2.0 * I2),
+                "final_exit_unitary is not unitary",
+                None,
+            ),
+            (
+                lambda: kraus_from_povm(validate_povm([0.5 * I2, 0.5 * I2]), [I2, 2.0 * I2]),
+                "exit unitary 2 is not unitary",
+                1,
+            ),
+        ],
+        ids=["ModuleSettings", "CascadePlan", "kraus_from_povm"],
+    )
+    def test_one_unitary_check_raises_not_unitary(self, build, message, index):
+        with pytest.raises(NotUnitary) as info:
+            build()
+        assert type(info.value) is NotUnitary
+        assert str(info.value) == message
+        assert info.value.index == index
 
     def test_plan_requires_modules(self):
         with pytest.raises(ValueError):

@@ -245,6 +245,73 @@ class TestVerifyDensity:
             assert report.check("probability").max_residual <= 1e-9
             assert report.check("post_state").max_residual <= 1e-9
 
+    @pytest.mark.parametrize(
+        "position, change, failing",
+        [
+            # a unitary after the exit moves the post state, not the statistics
+            (1, lambda m: {"exit_unitary": rotation(0.8) @ m.exit_unitary}, {"post_state"}),
+            # a mis-set rotator moves weight between exits; the trine's rank-one
+            # operators still leave each exit in its own fixed state
+            (0, lambda m: {"theta": m.theta + 0.05}, {"probability"}),
+        ],
+        ids=["exit_unitary", "theta"],
+    )
+    def test_each_density_check_can_fire(self, position, change, failing):
+        _, kraus, plan = trine_povm()
+        modules = list(plan.modules)
+        modules[position] = dataclasses.replace(modules[position], **change(modules[position]))
+        tampered = CascadePlan(tuple(modules), plan.final_exit_unitary)
+        for rho in (I2 / 2.0, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), np.diag([1.0, 0.0])):
+            report = verify_density(density_matrix(rho), kraus, tampered)
+            assert {c.name for c in report.checks if not c.passed} == failing
+            for name in failing:
+                assert report.check(name).max_residual > 1e-2, name
+            for check in report.checks:
+                if check.name not in failing:
+                    assert check.max_residual <= 1e-14, check.name
+
+    @pytest.mark.parametrize("family", [random_povm, random_rank_one_povm], ids=["random", "rank_one"])
+    def test_residuals_match_per_outcome_records(self, family):
+        # reference: each side's conditional state built, normalized and
+        # compared outcome by outcome, the oracle's probability clamped into
+        # [0, 1] and its post state symmetrized after normalizing.  The
+        # mis-set plan (first rotator off by 0.05, first exit unitary turned)
+        # makes both residuals large, so agreement there is not agreement of
+        # round-off
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 7, 24, 80):
+            for seed in range(3):
+                kraus = kraus_from_povm(family(n, seed))
+                plan = synthesize_cascade(kraus)
+                first = plan.modules[0]
+                mis_set = dataclasses.replace(
+                    first, theta=abs(first.theta - 0.05), exit_unitary=rotation(0.8) @ first.exit_unitary
+                )
+                g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                psi = random_pure_state(rng)
+                for candidate in (plan, CascadePlan((mis_set, *plan.modules[1:]), plan.final_exit_unitary)):
+                    network = build_cascade_network(candidate)
+                    transfer = transfer_matrices(network)
+                    for rho in (g @ dagger(g) / np.trace(g @ dagger(g)).real, np.outer(psi, psi.conj())):
+                        rho = density_matrix(0.5 * (rho + dagger(rho))).rho
+                        prob_res = post_res = 0.0
+                        for mode, m in zip(network.exits, kraus):
+                            t = transfer[mode]
+                            sim = t @ rho @ dagger(t)
+                            sim = 0.5 * (sim + dagger(sim))
+                            p_sim = float(np.trace(sim).real)
+                            oracle = m @ rho @ dagger(m)
+                            p_oracle = min(max(float(np.trace(oracle).real), 0.0), 1.0)
+                            prob_res = max(prob_res, abs(p_sim - p_oracle))
+                            if min(p_sim, p_oracle) >= 1e-12:
+                                post = oracle / p_oracle
+                                post_res = max(post_res, max_abs(sim / p_sim - 0.5 * (post + dagger(post))))
+                        report = verify_density(density_matrix(rho), kraus, candidate)
+                        assert abs(report.check("probability").max_residual - prob_res) <= 1e-15
+                        assert abs(report.check("post_state").max_residual - post_res) <= 1e-15
+                        if candidate is not plan:
+                            assert prob_res > 1e-4 and post_res > 1e-4, (n, seed)
+
 
 class TestTrialStates:
     def test_batch_matches_successive_draws(self):
