@@ -1,6 +1,9 @@
 """Element-level simulator for the polarizing-beamsplitter cascade.
 
-The photon lives on (path mode, polarization) pairs.  A single module is
+The photon state holds one (H, V) amplitude pair per path mode: every
+rotator, phase shifter and polarization unitary acts on the pair of one
+mode, and every polarizing beamsplitter routes the pairs of two modes.  A
+single module is
 five polarizing beamsplitters plus rotators and phase shifters: the input
 is split into path s1 (H component) and s2 (V component), rotated by the
 variable angles theta and phi, fanned out onto paths t1..t4 by two more
@@ -19,9 +22,10 @@ the whole transfer manifestly unitary.
 
 propagate keeps one amplitude table per call and lets each element act on
 it in place, so a network costs the same per element at any depth; the
-caller's state is never modified.  Each element updates the table with
-Python-complex arithmetic on the four entries of its 2x2 matrix, with no
-numpy call per element.
+caller's state is never modified.  A beamsplitter moves whole pairs between
+modes; a one-mode element replaces its mode's pair using Python-complex
+arithmetic on the four entries of its 2x2 matrix, with no numpy call per
+element.
 """
 
 from __future__ import annotations
@@ -85,28 +89,25 @@ class ModeLabel(NamedTuple):
 
 @dataclass
 class PhotonState:
-    """Single-photon amplitudes keyed by (mode, polarization).
+    """Single-photon amplitudes: one (H, V) pair of complex numbers per path mode.
 
-    Live modes carry explicit entries for both polarizations; a unit-norm
-    state has total probability 1.
+    Every live mode carries its pair explicitly; a unit-norm state has total
+    probability 1.
     """
 
-    amplitudes: dict[tuple[ModeLabel, str], complex]
+    amplitudes: dict[ModeLabel, tuple[complex, complex]]
 
     @classmethod
     def pure(cls, mode: ModeLabel, amplitudes) -> "PhotonState":
         a, b = (complex(x) for x in np.asarray(amplitudes, dtype=complex))
-        return cls({(mode, H): a, (mode, V): b})
+        return cls({mode: (a, b)})
 
     def modes(self) -> set[ModeLabel]:
-        return {mode for mode, _ in self.amplitudes}
+        return set(self.amplitudes)
 
     def mode_vector(self, mode: ModeLabel) -> np.ndarray:
         """(H, V) amplitude pair on one mode (zeros if absent)."""
-        return np.array(
-            [self.amplitudes.get((mode, H), 0.0), self.amplitudes.get((mode, V), 0.0)],
-            dtype=complex,
-        )
+        return np.array(self.amplitudes.get(mode, (0j, 0j)), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -194,9 +195,9 @@ class ExitAmplitude(NamedTuple):
     polarization: np.ndarray | None
 
 
-def _mode_pair(amps, mode: ModeLabel) -> tuple[complex, complex]:
+def _pop(amps, mode: ModeLabel) -> tuple[complex, complex]:
     try:
-        return amps.pop((mode, H)), amps.pop((mode, V))
+        return amps.pop(mode)
     except KeyError:
         raise UnknownMode(mode) from None
 
@@ -214,15 +215,13 @@ def _require_finite(element: Rotator | PhaseShifter, angle: float) -> None:
 def _act(amps, element: OpticalElement) -> None:
     """Act with one element on an amplitude table, in place."""
     if isinstance(element, PolarizingBeamsplitter):
-        a_h, a_v = _mode_pair(amps, element.in_a)
-        b_h, b_v = _mode_pair(amps, element.in_b)
-        for key in ((element.out_a, H), (element.out_a, V), (element.out_b, H), (element.out_b, V)):
-            if key in amps:
-                raise ValueError(f"beamsplitter output mode {key[0]} already occupied")
-        amps[(element.out_a, H)] = a_h
-        amps[(element.out_a, V)] = b_v
-        amps[(element.out_b, H)] = b_h
-        amps[(element.out_b, V)] = a_v
+        a_h, a_v = _pop(amps, element.in_a)
+        b_h, b_v = _pop(amps, element.in_b)
+        for mode in (element.out_a, element.out_b):
+            if mode in amps:
+                raise ValueError(f"beamsplitter output mode {mode} already occupied")
+        amps[element.out_a] = (a_h, b_v)
+        amps[element.out_b] = (b_h, a_v)
         return
     # Four Python-complex coefficients, no numpy call per element; complex
     # rotator entries keep the image of a float amplitude complex
@@ -238,26 +237,26 @@ def _act(amps, element: OpticalElement) -> None:
         (m00, m01), (m10, m11) = as_matrix2(element.matrix).tolist()
     else:
         raise _not_an_element(element)
-    a_h, a_v = _mode_pair(amps, element.mode)
-    amps[(element.mode, H)] = m00 * a_h + m01 * a_v
-    amps[(element.mode, V)] = m10 * a_h + m11 * a_v
+    a_h, a_v = _pop(amps, element.mode)
+    amps[element.mode] = (m00 * a_h + m01 * a_v, m10 * a_h + m11 * a_v)
 
 
 def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
     """Feed a state through the network, seeding all vacuum ports with zeros.
 
-    The input state must live on the network's external input modes.  The
-    elements act in place on one fresh amplitude table per call, so the cost
-    is linear in the number of elements and the caller's state is left
-    untouched.
+    The input state must live on the network's external input modes, with
+    finite amplitudes.  The elements act in place on one fresh amplitude
+    table per call, so the cost is linear in the number of elements and the
+    caller's state is left untouched.
     """
-    external = network.external_inputs()
-    allowed = set(external)
-    for mode in state.modes():
-        if mode not in allowed:
+    amps = dict.fromkeys(network.external_inputs(), (0j, 0j))
+    for mode, (h, v) in state.amplitudes.items():
+        if mode not in amps:
             raise UnknownMode(mode)
-    amps = {(mode, pol): 0.0j for mode in external for pol in (H, V)}
-    amps.update({k: complex(v) for k, v in state.amplitudes.items()})
+        h, v = complex(h), complex(v)
+        if not (cmath.isfinite(h) and cmath.isfinite(v)):
+            raise ValueError(f"input mode {mode} has non-finite amplitudes ({h!r}, {v!r})")
+        amps[mode] = (h, v)
     for element in network.elements:
         _act(amps, element)
     return PhotonState(amps)
@@ -273,9 +272,8 @@ def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
     """
     from_h = propagate(PhotonState.pure(network.input, (1.0, 0.0)), network).amplitudes
     from_v = propagate(PhotonState.pure(network.input, (0.0, 1.0)), network).amplitudes
-    modes = list(dict.fromkeys(mode for mode, _ in from_h))
-    stacked = np.array([[[from_h[(m, p)], from_v[(m, p)]] for p in (H, V)] for m in modes], dtype=complex)
-    return dict(zip(modes, stacked))
+    stacked = np.array([tuple(zip(h, v)) for h, v in zip(from_h.values(), from_v.values())], dtype=complex)
+    return dict(zip(from_h, stacked))
 
 
 def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmplitude]:

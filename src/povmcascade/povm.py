@@ -263,5 +263,6 @@ def _spectral_pass(mats: np.ndarray):
     decide whether its PSD square root exists, the completeness residual
     max|sum F - I|, and the roots, with qmath's RANK_FLOOR."""
     roots, residual, low = _psd_roots(mats)
-    completeness = max_abs(np.sum(mats, axis=0) - identity2())
+    with np.errstate(over="ignore"):  # a sum beyond the double range is +-inf
+        completeness = max_abs(np.sum(mats, axis=0) - identity2())
     return list(zip(residual.tolist(), low.tolist())), completeness, roots

@@ -439,7 +439,8 @@ def _spectra(m: np.ndarray):
     inv_norm = 1.0 / np.where(live, norm, 1.0)
     x = np.where(live, np.where(first, b, top - c) * inv_norm, 1.0)
     y = np.where(live, np.where(first, top - a, b.conj()) * inv_norm, 0.0)
-    return residual, scale * top, scale * (t - r), x, y
+    with np.errstate(over="ignore"):  # an eigenvalue beyond the double range is +-inf
+        return residual, scale * top, scale * (t - r), x, y
 
 
 def _psd_roots(m: np.ndarray):
@@ -447,7 +448,8 @@ def _psd_roots(m: np.ndarray):
     of each Hermitian part with :func:`sqrt_psd`'s rank floor, and what
     decides whether it exists (Hermiticity residual, minimum eigenvalue)."""
     residual, high, low, x, y = _spectra(m)
-    high = np.maximum(high, 0.0)
+    over = np.isinf(high)
+    high = np.where(over, 0.0, np.maximum(high, 0.0))
     kept = np.maximum(low, 0.0)
     kept = np.where(kept <= RANK_FLOOR * high, 0.0, kept)
     s0, s1 = np.sqrt(high), np.sqrt(kept)
@@ -457,4 +459,6 @@ def _psd_roots(m: np.ndarray):
     roots[:, 1, 1] = s1 + gap * (y.real * y.real + y.imag * y.imag)
     roots[:, 0, 1] = gap * x * y.conj()
     roots[:, 1, 0] = roots[:, 0, 1].conj()
+    if over.any():  # sqrt(m) = 2 sqrt(m / 4), whose eigenvalues are finite
+        roots[over] = 2.0 * _psd_roots(0.25 * m[over])[0]
     return roots, residual, low

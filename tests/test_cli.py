@@ -213,6 +213,19 @@ class TestValidateCommand:
         ]
         assert err == ""
 
+    def test_eigenvalue_beyond_the_double_range_warns_nothing(self, tmp_path, capsys):
+        # the top eigenvalue 2e308 overflows; the report and verdict stand, stderr stays empty
+        path = write_json(tmp_path / "huge.json", povm_document([1e308 * np.ones((2, 2)), np.eye(2)]))
+        assert main(["validate", path]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "element 1: hermiticity residual 0.000e+00, min eigenvalue +0.000e+00",
+            "element 2: hermiticity residual 0.000e+00, min eigenvalue +1.000e+00",
+            "completeness residual: 1.000e+308",
+            "INVALID: sum of elements deviates from identity by 1.000e+308",
+        ]
+        assert err == ""
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.optics import (
-    H,
-    V,
     ModeLabel,
     ModeUnitary,
     OpticalNetwork,
@@ -42,8 +40,7 @@ OUT_B = ModeLabel(0, "out_b")
 def state_with_vacuum(mode, amplitudes, *vacuum_modes):
     state = PhotonState.pure(mode, amplitudes)
     for vac in vacuum_modes:
-        state.amplitudes[(vac, H)] = 0.0j
-        state.amplitudes[(vac, V)] = 0.0j
+        state.amplitudes[vac] = (0.0j, 0.0j)
     return state
 
 
@@ -53,7 +50,7 @@ def apply_one(state, element, *exits):
 
 
 def total_probability(state):
-    return sum(abs(a) ** 2 for a in state.amplitudes.values())
+    return sum(abs(h) ** 2 + abs(v) ** 2 for h, v in state.amplitudes.values())
 
 
 def module_transfers(settings):
@@ -82,14 +79,7 @@ class TestApplyElement:
         rng = np.random.default_rng(4)
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         amps /= np.linalg.norm(amps)
-        state = PhotonState(
-            {
-                (IN, H): amps[0],
-                (IN, V): amps[1],
-                (AUX, H): amps[2],
-                (AUX, V): amps[3],
-            }
-        )
+        state = PhotonState({IN: (amps[0], amps[1]), AUX: (amps[2], amps[3])})
         split = apply_one(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
         assert total_probability(split) == pytest.approx(1.0, abs=1e-15)
 
@@ -270,6 +260,21 @@ class TestPropagate:
         with pytest.raises(UnknownMode):
             propagate(PhotonState.pure(ModeLabel(9, "nowhere"), [1.0, 0.0]), network)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_raises_where_it_enters(self, bad):
+        network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
+        message = f"input mode {network.input} has non-finite amplitudes"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate(PhotonState.pure(network.input, [bad, 0.0]), network)
+
+    def test_non_finite_vacuum_pair_raises_where_it_enters(self):
+        network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
+        vacuum = ModeLabel(1, "vac_in")
+        assert vacuum in network.external_inputs()
+        state = PhotonState({network.input: (0.6, 0.8), vacuum: (0j, complex(math.nan))})
+        with pytest.raises(ValueError, match=re.escape(f"input mode {vacuum} has non-finite amplitudes")):
+            propagate(state, network)
+
     def test_random_element_sequences_preserve_norm(self):
         rng = np.random.default_rng(57)
         other = ModeLabel(0, "other")
@@ -358,6 +363,71 @@ def test_propagate_matches_numpy_formula(elements, theta, phase):
     for element in elements:
         expected = numpy_step(expected, element)
     assert max_abs(out.mode_vector(IN) - expected) <= 1e-15
+
+
+SLOT = st.integers(0, 3)
+STEP = st.one_of(
+    st.tuples(st.just("beamsplitter"), SLOT, st.integers(1, 3)),
+    st.tuples(st.just("rotator"), SLOT, ANGLE),
+    st.tuples(st.just("phase"), SLOT, ANGLE),
+    st.tuples(st.just("unitary"), SLOT, ANGLE, ANGLE, ANGLE),
+)
+
+
+def dense_network(steps):
+    """Steps on four path slots, as an OpticalNetwork and as one dense 8x8
+    matrix per element on the (slot, polarization) basis, entry 2 * slot + pol.
+
+    Returns (network, the slots' input labels, their final labels, matrices).
+    A beamsplitter on slots i, j gives both slots fresh labels.
+    """
+    first = [ModeLabel(0, f"slot{i}") for i in range(4)]
+    labels = list(first)
+    elements, matrices = [], []
+    for k, (kind, slot, *params) in enumerate(steps, start=1):
+        dense = np.eye(8, dtype=complex)
+        if kind == "beamsplitter":
+            other = (slot + params[0]) % 4
+            outputs = ModeLabel(k, "a"), ModeLabel(k, "b")
+            elements.append(PolarizingBeamsplitter(labels[slot], labels[other], *outputs))
+            labels[slot], labels[other] = outputs
+            # H stays on its slot; the V entries of the two slots trade places
+            dense[[2 * slot + 1, 2 * other + 1]] = dense[[2 * other + 1, 2 * slot + 1]]
+        else:
+            if kind == "rotator":
+                element, block = Rotator(labels[slot], params[0]), rotation(params[0])
+            elif kind == "phase":
+                element, block = PhaseShifter(labels[slot], params[0]), np.exp(1j * params[0]) * I2
+            else:
+                a, b, c = params
+                block = np.exp(1j * c) * rotation(a) @ np.diag([1.0, np.exp(1j * b)])
+                element = ModeUnitary(labels[slot], block)
+            elements.append(element)
+            dense[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = block
+        matrices.append(dense)
+    return OpticalNetwork(tuple(elements), tuple(labels), first[0]), first, labels, matrices
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.lists(STEP, max_size=10), seed=st.integers(0, 2**32 - 1))
+def test_propagate_matches_dense_mode_polarization_model(steps, seed):
+    # beamsplitters over up to four modes mixed with one-mode elements, fed
+    # a state on every external input the network has
+    network, first, labels, matrices = dense_network(steps)
+    rng = np.random.default_rng(seed)
+    live = [mode in network.external_inputs() for mode in first]
+    vec = np.zeros(8, dtype=complex)
+    for i, on in enumerate(live):
+        if on:
+            vec[2 * i : 2 * i + 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    vec /= np.linalg.norm(vec)
+    state = PhotonState({mode: tuple(vec[2 * i : 2 * i + 2].tolist()) for i, mode in enumerate(first) if live[i]})
+    out = propagate(state, network)
+    for dense in matrices:
+        vec = dense @ vec
+    assert out.modes() == {mode for mode, on in zip(labels, live) if on}
+    for i, mode in enumerate(labels):
+        assert max_abs(out.mode_vector(mode) - vec[2 * i : 2 * i + 2]) <= 1e-15, mode
 
 
 class TestExitAmplitudes:
@@ -461,6 +531,13 @@ class TestTransferMatrices:
             assert set(transfer) == out.modes()
             for mode in out.modes():
                 assert max_abs(transfer[mode] @ psi - out.mode_vector(mode)) <= 1e-14, mode
+
+    def test_live_modes_come_in_walk_order(self):
+        # the walk's order of live modes fixes the summation order, and so
+        # the bits, of verify_plan's norm residual
+        network = build_module_network(ModuleSettings(0.3, 0.7))
+        names = ["dark1", "p2", "dark2", "p1"]
+        assert list(transfer_matrices(network)) == [ModeLabel(1, name) for name in names]
 
     @pytest.mark.parametrize(
         "spec", [spec for spec in LINEARITY_SPECS if spec[0] != "module"], ids=lambda spec: "-".join(map(str, spec))

@@ -1,6 +1,7 @@
 """POVM validation and the analytic measurement oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,29 @@ class TestValidatePovm:
         assert info.value.residual == 1e308
         per_element, _ = validation_residuals([1e308 * I2, I2])
         assert per_element == [(0.0, pytest.approx(1e308, rel=1e-15)), (0.0, 1.0)]
+
+    @pytest.mark.parametrize(
+        "elements, error, message",
+        [
+            ([1e308 * np.ones((2, 2)), I2], IncompleteSum, "sum of elements deviates from identity by 1.000e+308"),
+            (
+                [1.7e308 * np.array([[1, 1j], [-1j, 1]]), I2],
+                IncompleteSum,
+                "sum of elements deviates from identity by 1.700e+308",
+            ),
+            ([-1e308 * np.ones((2, 2)), I2], NotPsd, "element 1: minimum eigenvalue -inf"),
+            ([1e308 * I2, 1e308 * I2], IncompleteSum, "sum of elements deviates from identity by inf"),
+        ],
+        ids=["projector", "complex-projector", "negative", "sum"],
+    )
+    def test_element_beyond_the_double_range_is_rejected_without_warning(self, elements, error, message):
+        # an eigenvalue or a sum beyond the double range is +-inf, never NaN,
+        # and overflowing to it is not worth a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                validate_povm(elements)
+        assert str(info.value) == message
 
     def test_residual_report(self):
         per_element, completeness = validation_residuals(trine_elements())

@@ -158,6 +158,15 @@ class TestSqrtPsd:
             assert herm_residual <= 1e-9 and min_eigenvalue >= -1e-9
             assert max_abs(root @ root - f) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "f", [1e308 * np.ones((2, 2)), 1.7e308 * np.array([[1, 1j], [-1j, 1]])], ids=["real", "complex"]
+    )
+    def test_eigenvalue_beyond_the_double_range_has_a_finite_root(self, f):
+        # the top eigenvalue overflows to inf, but the root's entries fit
+        root = sqrt_psd(f)
+        assert np.isfinite(root).all()
+        assert max_abs(root @ root - f) <= 1e-15 * max_abs(f)
+
     def test_clamps_slightly_negative_eigenvalue(self):
         f = np.diag([1.0, -0.5e-9]).astype(complex)
         root = sqrt_psd(f)
