@@ -25,7 +25,9 @@ it in place, so a network costs the same per element at any depth; the
 caller's state is never modified.  A beamsplitter moves whole pairs between
 modes; a one-mode element replaces its mode's pair using Python-complex
 arithmetic on the four entries of its 2x2 matrix, with no numpy call per
-element.
+element.  transfer_matrices runs the same elements once over a table whose
+pairs are the two rows of each mode's 2x2 map, so both input polarizations
+go through the network in one walk.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import as_matrix2, phase_fixed
+from .qmath import _matrix2_rows, phase_fixed
 from .synthesis import CascadePlan, ModuleSettings
 
 __all__ = [
-    "H",
-    "V",
     "UnknownMode",
     "ModeLabel",
     "PhotonState",
@@ -61,9 +61,6 @@ __all__ = [
     "build_module_network",
     "build_cascade_network",
 ]
-
-H = "H"
-V = "V"
 
 
 class UnknownMode(ValueError):
@@ -159,30 +156,28 @@ class OpticalNetwork:
     def external_inputs(self) -> tuple[ModeLabel, ...]:
         """Modes consumed by some element before any element produced them.
 
-        These are the photon input plus the vacuum ports; propagate seeds
-        them all with explicit zero amplitudes.  Computed once per network.
+        These are the photon input plus the vacuum ports; propagate and
+        transfer_matrices seed them all with explicit zeros.  Computed once
+        per network.
         """
         return self._external_inputs
 
     @cached_property
     def _external_inputs(self) -> tuple[ModeLabel, ...]:
+        needed: dict[ModeLabel, None] = {self.input: None}  # an ordered set
         produced: set[ModeLabel] = set()
-        needed: list[ModeLabel] = [self.input]
-        seen: set[ModeLabel] = {self.input}
         for element in self.elements:
             if isinstance(element, PolarizingBeamsplitter):
-                inputs = (element.in_a, element.in_b)
-                outputs = (element.out_a, element.out_b)
+                for mode in (element.in_a, element.in_b):
+                    if mode not in produced:
+                        needed.setdefault(mode)
+                produced.add(element.out_a)
+                produced.add(element.out_b)
             elif isinstance(element, (Rotator, PhaseShifter, ModeUnitary)):
-                inputs = (element.mode,)
-                outputs = ()
+                if element.mode not in produced:
+                    needed.setdefault(element.mode)
             else:
                 raise _not_an_element(element)
-            for mode in inputs:
-                if mode not in produced and mode not in seen:
-                    needed.append(mode)
-                    seen.add(mode)
-            produced.update(outputs)
         return tuple(needed)
 
 
@@ -212,15 +207,24 @@ def _require_finite(element: Rotator | PhaseShifter, angle: float) -> None:
         raise ValueError(f"{type(element).__name__} on mode {element.mode} has non-finite angle {angle!r}")
 
 
+def _occupied(mode: ModeLabel) -> ValueError:
+    return ValueError(f"beamsplitter output mode {mode} already occupied")
+
+
 def _act(amps, element: OpticalElement) -> None:
-    """Act with one element on an amplitude table, in place."""
+    """Act with one element on an amplitude table, in place.
+
+    An entry is a mode's (H, V) pair: two complex amplitudes in propagate,
+    or the two rows of the mode's 2x2 map in transfer_matrices.
+    """
     if isinstance(element, PolarizingBeamsplitter):
         a_h, a_v = _pop(amps, element.in_a)
         b_h, b_v = _pop(amps, element.in_b)
-        for mode in (element.out_a, element.out_b):
-            if mode in amps:
-                raise ValueError(f"beamsplitter output mode {mode} already occupied")
+        if element.out_a in amps:
+            raise _occupied(element.out_a)
         amps[element.out_a] = (a_h, b_v)
+        if element.out_b in amps:  # also when both outputs are one mode
+            raise _occupied(element.out_b)
         amps[element.out_b] = (b_h, a_v)
         return
     # Four Python-complex coefficients, no numpy call per element; complex
@@ -234,11 +238,16 @@ def _act(amps, element: OpticalElement) -> None:
         m00 = m11 = cmath.exp(1j * element.phase)
         m01 = m10 = 0j
     elif isinstance(element, ModeUnitary):
-        (m00, m01), (m10, m11) = as_matrix2(element.matrix).tolist()
+        (m00, m01), (m10, m11) = _matrix2_rows(np.asarray(element.matrix, dtype=complex))
     else:
         raise _not_an_element(element)
-    a_h, a_v = _pop(amps, element.mode)
-    amps[element.mode] = (m00 * a_h + m01 * a_v, m10 * a_h + m11 * a_v)
+    h, v = _pop(amps, element.mode)
+    if type(h) is complex:
+        amps[element.mode] = (m00 * h + m01 * v, m10 * h + m11 * v)
+    else:
+        # the H row (a, b) and V row (c, d): each column takes the products of a walk of its own
+        (a, b), (c, d) = h, v
+        amps[element.mode] = ((m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d))
 
 
 def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
@@ -263,17 +272,21 @@ def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
 
 
 def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
-    """The network's linear map, read off by propagating |H> and |V> once each.
+    """The network's linear map, read off in one walk that carries |H> and |V> together.
 
     For every mode a propagated state carries (exits, dark ports and any
     other live mode), the 2x2 matrix T with
     ``propagate(PhotonState.pure(network.input, psi), network).mode_vector(mode)
-    == T @ psi``: column 0 is the image of |H>, column 1 of |V>.
+    == T @ psi``: column 0 is the image of |H>, column 1 of |V>.  The walk
+    seeds the input with the identity's rows and every vacuum port with
+    zero rows, and each element acts on both columns with the scalar
+    products propagate uses, so T holds the same bits as two propagations.
     """
-    from_h = propagate(PhotonState.pure(network.input, (1.0, 0.0)), network).amplitudes
-    from_v = propagate(PhotonState.pure(network.input, (0.0, 1.0)), network).amplitudes
-    stacked = np.array([tuple(zip(h, v)) for h, v in zip(from_h.values(), from_v.values())], dtype=complex)
-    return dict(zip(from_h, stacked))
+    amps = dict.fromkeys(network.external_inputs(), ((0j, 0j), (0j, 0j)))
+    amps[network.input] = ((1 + 0j, 0j), (0j, 1 + 0j))
+    for element in network.elements:
+        _act(amps, element)
+    return dict(zip(amps, np.array(list(amps.values()), dtype=complex)))
 
 
 def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmplitude]:
@@ -294,24 +307,23 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
     return records
 
 
+#: the names of a module's own modes; its input mode is the caller's
+_MODULE_MODES = "s1 s2 t1 t2 t3 t4 p1 p2 dark1 dark2 vac_in vac_s1 vac_s2".split()
+
+
 def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel):
     """Elements of one module in signal-path order, faithful to the layout."""
-
-    def mode(name: str) -> ModeLabel:
-        return ModeLabel(index, name)
-
-    s1, s2 = mode("s1"), mode("s2")
-    t1, t2, t3, t4 = mode("t1"), mode("t2"), mode("t3"), mode("t4")
-    p1, p2 = mode("p1"), mode("p2")
-    dark1, dark2 = mode("dark1"), mode("dark2")
+    s1, s2, t1, t2, t3, t4, p1, p2, dark1, dark2, vac_in, vac_s1, vac_s2 = [
+        ModeLabel(index, name) for name in _MODULE_MODES
+    ]
     elements = [
         ModeUnitary(input_mode, settings.pre_unitary),
-        PolarizingBeamsplitter(input_mode, mode("vac_in"), s1, s2),
+        PolarizingBeamsplitter(input_mode, vac_in, s1, s2),
         Rotator(s1, settings.theta),
         Rotator(s2, settings.phi),
         Rotator(s1, math.pi / 2),
-        PolarizingBeamsplitter(s1, mode("vac_s1"), t1, t2),
-        PolarizingBeamsplitter(s2, mode("vac_s2"), t4, t3),
+        PolarizingBeamsplitter(s1, vac_s1, t1, t2),
+        PolarizingBeamsplitter(s2, vac_s2, t4, t3),
         Rotator(t2, -math.pi / 2),
         Rotator(t1, math.pi),
         Rotator(t4, math.pi / 2),

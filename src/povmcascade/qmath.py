@@ -93,11 +93,19 @@ class Svd2(NamedTuple):
 def as_matrix2(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex 2x2 array, rejecting wrong shapes and NaN/Inf entries."""
     out = np.array(m, dtype=complex)
-    if out.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {out.shape}")
-    if not all(map(cmath.isfinite, out.ravel().tolist())):
-        raise ValueError(f"{name} contains non-finite entries")
+    _matrix2_rows(out, name)
     return out
+
+
+def _matrix2_rows(m: np.ndarray, name: str = "matrix") -> list:
+    """Run as_matrix2's checks on an array already made complex and return
+    its rows as nested Python complex pairs, the form the scalar cores take."""
+    if m.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+    (a, b), (c, d) = rows = m.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return rows
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -1,17 +1,18 @@
 """End-to-end checks: the simulated cascade network vs the analytic oracle.
 
 verify_plan builds the optical network from a plan once and reads its
-linear map off |H> and |V> (optics.transfer_matrices): one 2x2 operator T
-per live mode.  Every check looks at that network, never at a second
-model of the plan.  The operator checks compare each exit's T with its
-Kraus operator, sum T^dag T over every live mode, and bound the dark-mode
-maps, so they hold for all input states at once; the photon checks apply
-the exit maps to seeded random pure states and compare exit statistics
-and conditional states against direct application of the Kraus operators.
-simulate_density and verify_density run the oracle's own kernel,
-T rho T^dag (povm._conditional_states), on the exit maps, so the mixed-state
-contract compares two outputs of one formula.  Reports are deterministic
-for fixed inputs and seed.
+linear map off one walk that carries |H> and |V> together
+(optics.transfer_matrices): one 2x2 operator T per live mode.  Every check
+looks at that network, never at a second model of the plan.  The operator
+checks compare each exit's T with its Kraus operator, sum T^dag T over
+every live mode, and bound the dark-mode maps, so they hold for all input
+states at once; the photon checks apply the exit maps to seeded random
+pure states and compare exit statistics and conditional states against
+direct application of the Kraus operators.  simulate_density and
+verify_density run the oracle's own kernel, T rho T^dag
+(povm._conditional_states), on the exit maps, so the mixed-state contract
+compares two outputs of one formula.  Reports are deterministic for fixed
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def verify_plan(
     photon level.
 
     One simulation feeds every check: the network's per-mode maps T
-    (:func:`optics.transfer_matrices`, two propagations).  With T_i the map
-    of exit i and M_i the i-th Kraus operator, the checks (name: tolerance)
-    are:
+    (:func:`optics.transfer_matrices`, one walk of the elements).  With
+    T_i the map of exit i and M_i the i-th Kraus operator, the checks
+    (name: tolerance) are:
 
     - f_roundtrip 1e-8: max |T_i^dag T_i - M_i^dag M_i|, the measurement
       operators the network realizes;
@@ -259,8 +260,8 @@ def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> Ve
 
     case_count is the rank of rho: the number of its eigenvalues above
     PROBABILITY_FLOOR.  It is counted from rho, not from propagated
-    components; the simulation itself propagates |H> and |V> whatever the
-    rank.
+    components; the simulation itself reads the network's whole map, both
+    columns in one walk, whatever the rank.
     """
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")

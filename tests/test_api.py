@@ -86,8 +86,6 @@ def test_module_exports():
         "aligning_unitary",
     ]
     assert optics.__all__ == [
-        "H",
-        "V",
         "UnknownMode",
         "ModeLabel",
         "PhotonState",

@@ -53,6 +53,12 @@ def total_probability(state):
     return sum(abs(h) ** 2 + abs(v) ** 2 for h, v in state.amplitudes.values())
 
 
+#: the two walks of the element kernel, each given a state and a network:
+#: propagate the state, or read the network's map off both input columns
+#: at once (the state is unused); an error test expects the same error of both
+WALKS = (propagate, lambda state, network: transfer_matrices(network))
+
+
 def module_transfers(settings):
     """The exit and pass arms of one module, read off reconstruct_kraus."""
     return tuple(reconstruct_kraus(CascadePlan((settings,), I2)))
@@ -108,20 +114,22 @@ class TestApplyElement:
         # unknown mode is one the first beamsplitter has already taken away
         state = PhotonState.pure(IN, [1.0, 0.0])
         split = PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)
-        for element in (Rotator(IN, 0.1), PolarizingBeamsplitter(OUT_A, IN, ModeLabel(0, "c"), ModeLabel(0, "d"))):
-            with pytest.raises(UnknownMode) as caught:
-                propagate(state, OpticalNetwork((split, element), (OUT_B,), IN))
-            assert caught.value.mode == IN
+        for walk in WALKS:
+            for element in (Rotator(IN, 0.1), PolarizingBeamsplitter(OUT_A, IN, ModeLabel(0, "c"), ModeLabel(0, "d"))):
+                with pytest.raises(UnknownMode) as caught:
+                    walk(state, OpticalNetwork((split, element), (OUT_B,), IN))
+                assert caught.value.mode == IN
 
     def test_non_element_raises_type_error(self):
         # a look-alike with a mode and an angle is still not a Rotator
         state = PhotonState.pure(IN, [0.6, 0.8])
         stranger = SimpleNamespace(mode=IN, angle=0.3)
-        with pytest.raises(TypeError, match="not an optical element"):
-            propagate(state, OpticalNetwork((stranger,), (IN,), IN))
-        # without a mode it is turned away before the network's inputs are traced
-        with pytest.raises(TypeError, match="not an optical element"):
-            propagate(state, OpticalNetwork((object(),), (IN,), IN))
+        for walk in WALKS:
+            with pytest.raises(TypeError, match="not an optical element"):
+                walk(state, OpticalNetwork((stranger,), (IN,), IN))
+            # without a mode it is turned away before the network's inputs are traced
+            with pytest.raises(TypeError, match="not an optical element"):
+                walk(state, OpticalNetwork((object(),), (IN,), IN))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("kind", [Rotator, PhaseShifter])
@@ -129,8 +137,9 @@ class TestApplyElement:
         state = PhotonState.pure(IN, [0.6, 0.8])
         element = kind(IN, bad)
         message = f"{kind.__name__} on mode {IN} has non-finite angle"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            propagate(state, OpticalNetwork((element,), (IN,), IN))
+        for walk in WALKS:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                walk(state, OpticalNetwork((element,), (IN,), IN))
 
     @pytest.mark.parametrize(
         "matrix, message",
@@ -140,8 +149,9 @@ class TestApplyElement:
     def test_malformed_mode_unitary_raises_when_it_acts(self, matrix, message):
         state = PhotonState.pure(IN, [0.6, 0.8])
         element = ModeUnitary(IN, matrix)
-        with pytest.raises(ValueError, match=message):
-            propagate(state, OpticalNetwork((element,), (IN,), IN))
+        for walk in WALKS:
+            with pytest.raises(ValueError, match=message):
+                walk(state, OpticalNetwork((element,), (IN,), IN))
 
 
 class TestModuleNetwork:
@@ -320,8 +330,17 @@ class TestPropagate:
         network = OpticalNetwork(
             (Rotator(OUT_A, 0.1), PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)), (OUT_A, OUT_B), IN
         )
-        with pytest.raises(ValueError, match="already occupied"):
-            propagate(PhotonState.pure(IN, [0.6, 0.8]), network)
+        for walk in WALKS:
+            with pytest.raises(ValueError, match="already occupied"):
+                walk(PhotonState.pure(IN, [0.6, 0.8]), network)
+
+    def test_beamsplitter_with_one_output_mode_raises(self):
+        # the second output would overwrite the first and lose its light
+        network = OpticalNetwork((PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_A),), (OUT_A,), IN)
+        state = PhotonState({IN: (0.6, 0.0), AUX: (0.0, 0.8)})
+        for walk in WALKS:
+            with pytest.raises(ValueError, match=re.escape(f"beamsplitter output mode {OUT_A} already occupied")):
+                walk(state, network)
 
     def test_trine_exit_weights_for_horizontal_input(self):
         _, _, plan = trine_povm()
@@ -428,6 +447,28 @@ def test_propagate_matches_dense_mode_polarization_model(steps, seed):
     assert out.modes() == {mode for mode, on in zip(labels, live) if on}
     for i, mode in enumerate(labels):
         assert max_abs(out.mode_vector(mode) - vec[2 * i : 2 * i + 2]) <= 1e-15, mode
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.lists(STEP, max_size=10))
+def test_transfer_matrices_is_both_propagations_in_one_walk(steps):
+    # the one walk must hold the bits of two propagations, |H> and |V> in turn
+    network, first, labels, matrices = dense_network(steps)
+    transfer = transfer_matrices(network)
+    from_h = propagate(PhotonState.pure(network.input, [1.0, 0.0]), network).amplitudes
+    from_v = propagate(PhotonState.pure(network.input, [0.0, 1.0]), network).amplitudes
+    assert list(transfer) == list(from_h) == list(from_v)
+    for mode, t in transfer.items():
+        assert t.tobytes() == np.array(list(zip(from_h[mode], from_v[mode]))).tobytes(), mode
+    # and agree with the dense model's input column (slot 0, both polarizations)
+    column = np.eye(8, dtype=complex)[:, :2]
+    for dense in matrices:
+        column = dense @ column
+    live = [mode in network.external_inputs() for mode in first]
+    assert set(transfer) == {mode for mode, on in zip(labels, live) if on}
+    for i, mode in enumerate(labels):
+        if live[i]:
+            assert max_abs(transfer[mode] - column[2 * i : 2 * i + 2]) <= 1e-15, mode
 
 
 class TestExitAmplitudes:
