@@ -8,7 +8,6 @@ from .optics import (
     OpticalNetwork,
     PhotonState,
     build_cascade_network,
-    build_module_network,
     exit_amplitudes,
     propagate,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Svd2",
     "VerificationReport",
     "build_cascade_network",
-    "build_module_network",
     "density_matrix",
     "eig_hermitian2",
     "ekert_alpha_prime",

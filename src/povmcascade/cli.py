@@ -49,8 +49,9 @@ def _complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_json(complex(m[r, c])) for c in range(2)] for r in range(2)]
+def matrix_to_json(m) -> list:
+    """A 2x2 matrix, as rows or as an array, in [re, im] pairs."""
+    return [[_complex_to_json(complex(m[r][c])) for c in range(2)] for r in range(2)]
 
 
 def _number(x) -> float | None:
@@ -202,9 +203,9 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}j"
 
 
-def _fmt_matrix(m: np.ndarray) -> str:
+def _fmt_matrix(m) -> str:
     rows = [
-        "    [" + ", ".join(_fmt_complex(complex(m[r, c])) for c in range(2)) + "]"
+        "    [" + ", ".join(_fmt_complex(complex(m[r][c])) for c in range(2)) + "]"
         for r in range(2)
     ]
     return "\n".join(rows)

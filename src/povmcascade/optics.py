@@ -41,7 +41,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import _matrix2_rows, phase_fixed
+from .qmath import Rows2, _matrix2_rows, phase_fixed
 from .synthesis import CascadePlan, ModuleSettings
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "propagate",
     "transfer_matrices",
     "exit_amplitudes",
-    "build_module_network",
     "build_cascade_network",
 ]
 
@@ -99,9 +98,6 @@ class PhotonState:
         a, b = (complex(x) for x in np.asarray(amplitudes, dtype=complex))
         return cls({mode: (a, b)})
 
-    def modes(self) -> set[ModeLabel]:
-        return set(self.amplitudes)
-
     def mode_vector(self, mode: ModeLabel) -> np.ndarray:
         """(H, V) amplitude pair on one mode (zeros if absent)."""
         return np.array(self.amplitudes.get(mode, (0j, 0j)), dtype=complex)
@@ -135,10 +131,15 @@ class PhaseShifter:
 
 @dataclass(frozen=True, eq=False)
 class ModeUnitary:
-    """Arbitrary polarization unitary acting on one mode."""
+    """Arbitrary polarization unitary acting on one mode.
+
+    matrix is rows ``((m00, m01), (m10, m11))`` of Python complex numbers,
+    as a plan's settings hold them and the walk reads them, or anything
+    array-like; its shape and finiteness are checked where it acts.
+    """
 
     mode: ModeLabel
-    matrix: np.ndarray
+    matrix: Rows2
 
 
 OpticalElement = Union[PolarizingBeamsplitter, Rotator, PhaseShifter, ModeUnitary]
@@ -238,7 +239,7 @@ def _act(amps, element: OpticalElement) -> None:
         m00 = m11 = cmath.exp(1j * element.phase)
         m01 = m10 = 0j
     elif isinstance(element, ModeUnitary):
-        (m00, m01), (m10, m11) = _matrix2_rows(np.asarray(element.matrix, dtype=complex))
+        (m00, m01), (m10, m11) = _matrix2_rows(element.matrix)
     else:
         raise _not_an_element(element)
     h, v = _pop(amps, element.mode)
@@ -335,14 +336,6 @@ def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel
         ModeUnitary(p1, settings.exit_unitary),
     ]
     return elements, p1, p2, (dark1, dark2)
-
-
-def build_module_network(settings: ModuleSettings, module_index: int = 1) -> OpticalNetwork:
-    """Standalone two-exit module: exit 1 is the p1 arm (after the exit
-    unitary), exit 2 the bare p2 arm that would feed a following module."""
-    input_mode = ModeLabel(module_index, "in")
-    elements, p1, p2, darks = _module_elements(settings, module_index, input_mode)
-    return OpticalNetwork(tuple(elements), (p1, p2), input_mode, darks)
 
 
 def build_cascade_network(plan: CascadePlan) -> OpticalNetwork:

@@ -21,13 +21,15 @@ import numpy as np
 
 from .qmath import (
     DEFAULT_TOL,
+    Rows2,
     _check_operator,
+    _matrix2_rows,
     _psd_roots,
+    _unitary_residual,
     as_matrix2,
     dagger,
     hermitian_residuals,
     identity2,
-    is_unitary,
     max_abs,
 )
 
@@ -186,14 +188,15 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
     return validate_kraus(units @ povm._roots)
 
 
-def _check_unitary(m, name: str, index: int | None = None) -> np.ndarray:
-    """The one unitarity check: m as a complex 2x2 array (as_matrix2's checks,
-    under name), or NotUnitary("name is not unitary", index) if m^dag m is
-    off the identity by more than DEFAULT_TOL."""
-    u = as_matrix2(m, name=name)
-    if not is_unitary(u):
+def _check_unitary(m, name: str, index: int | None = None) -> Rows2:
+    """The one unitarity check: m, given as rows of Python complex numbers or
+    as anything array-like, as rows (as_matrix2's checks, under name), or
+    NotUnitary("name is not unitary", index) if m^dag m is off the identity
+    by more than DEFAULT_TOL."""
+    rows = _matrix2_rows(m, name)
+    if not _unitary_residual(rows) <= DEFAULT_TOL:
         raise NotUnitary(f"{name} is not unitary", index)
-    return u
+    return rows
 
 
 def density_matrix(rho) -> DensityMatrix:

@@ -8,8 +8,9 @@ tie) is exactly real and non-negative.
 The work is done by cores of two kinds, each idea written once:
 
 * Scalar cores act on Python complex numbers, a matrix being the nested
-  pair ``((m00, m01), (m10, m11))`` as ``ndarray.tolist()`` gives it, with
-  no numpy call: the phase gauge (``_phase_fixed``), the Hermitian
+  pair ``((m00, m01), (m10, m11))`` (``Rows2``, the form a plan's settings
+  hold; ``_matrix2_rows`` reads any other form into it), with no numpy
+  call: the phase gauge (``_phase_fixed``), the Hermitian
   eigendecomposition (``_eig``), the completion of two orthogonal columns
   into a unitary and its weights (``_column_split``), the SVD built from
   those two (``_svd``) and the thin QR of two columns by Householder
@@ -48,7 +49,6 @@ __all__ = [
     "identity2",
     "rotation",
     "phase_fixed",
-    "is_unitary",
     "hermitian_residuals",
     "eig_hermitian2",
     "sqrt_psd",
@@ -82,6 +82,10 @@ class NotPsd(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
+#: a 2x2 matrix as the scalar cores hold it: rows ((m00, m01), (m10, m11))
+Rows2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
 class Svd2(NamedTuple):
     """Factorization m = v @ diag(d) @ u with v, u unitary and d[0] >= d[1] >= 0."""
 
@@ -97,15 +101,24 @@ def as_matrix2(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _matrix2_rows(m: np.ndarray, name: str = "matrix") -> list:
-    """Run as_matrix2's checks on an array already made complex and return
-    its rows as nested Python complex pairs, the form the scalar cores take."""
-    if m.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    (a, b), (c, d) = rows = m.tolist()
+def _matrix2_rows(m, name: str = "matrix") -> Rows2:
+    """Run as_matrix2's checks on m and return its rows as nested Python
+    complex pairs, the form the scalar cores take.  Rows already in that form
+    (a tuple of two pairs of complex numbers) are read as they are; anything
+    else is read through a complex array."""
+    try:  # an array or list fails the unpacking of (), a malformed tuple its own
+        (a, b), (c, d) = m if type(m) is tuple else ()
+        given = type(a) is type(b) is type(c) is type(d) is complex
+    except (TypeError, ValueError):
+        given = False
+    if not given:
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+        (a, b), (c, d) = m.tolist()
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
         raise ValueError(f"{name} contains non-finite entries")
-    return rows
+    return (a, b), (c, d)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -139,18 +152,13 @@ def phase_fixed(v: np.ndarray) -> np.ndarray:
     return np.array(fixed, dtype=complex)
 
 
-def is_unitary(m: np.ndarray) -> bool:
-    """m^dag m equals the identity within DEFAULT_TOL (False on NaN)."""
-    return _unitary_residual(np.asarray(m, dtype=complex).tolist()) <= DEFAULT_TOL
-
-
 def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
     """(Hermiticity residual max|m - m^dag|, minimum eigenvalue of the Hermitian part).
 
     m is Hermitian when the first is <= DEFAULT_TOL, and also positive
     semidefinite when the second is >= -DEFAULT_TOL.
     """
-    residual, _, low, _, _ = _spectra(as_matrix2(m)[None])
+    _, residual, low = _psd_roots(as_matrix2(m)[None])
     return float(residual[0]), float(low[0])
 
 
@@ -247,16 +255,12 @@ def _dag(p):
 def _unitary_residual(m) -> float:
     """max|m^dag m - I|, NaN if an entry of m is NaN."""
     (a, b), (c, d) = m
-    return _peak(
-        abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
-        abs(a.conjugate() * b + c.conjugate() * d),
-        abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
-    )
-
-
-def _peak(*values: float) -> float:
-    """max of non-negative values, NaN if one of them is NaN (max() alone may skip it)."""
-    return math.nan if math.isnan(sum(values)) else max(values)
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    top = abs(ar * ar + ai * ai + cr * cr + ci * ci - 1.0)
+    off = abs(a.conjugate() * b + c.conjugate() * d)
+    bottom = abs(br * br + bi * bi + dr * dr + di * di - 1.0)
+    # max() alone may skip a NaN; the sum of the three is NaN exactly when one is
+    return math.nan if math.isnan(top + off + bottom) else max(top, off, bottom)
 
 
 def _unit_scale(scale: float) -> tuple[float, float]:
@@ -425,38 +429,43 @@ def _spectra(m: np.ndarray):
     """(residual, l0, l1, x, y) per matrix of a finite (n, 2, 2) stack: the
     Hermiticity residual max|m - m^dag| and, of the Hermitian part, the
     eigenvalues l0 >= l1 and a unit eigenvector (x, y) of l0 ((1, 0) on a
-    scalar matrix), by the closed form of :func:`_eig`."""
-    residual = np.abs(m - dagger(m)).max(axis=(1, 2))
-    # the Hermitian part's entries without forming m + m^dag, which overflows
-    # above half the double range; on Hermitian input b is m01 exactly
-    m01 = m[:, 0, 1]
-    a, b, c = m[:, 0, 0].real, m01 + 0.5 * (m[:, 1, 0].conj() - m01), m[:, 1, 1].real
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    lift = np.where(scale >= _TINY, 1.0, _LIFT)
-    inv = 1.0 / np.where(scale > 0.0, scale * lift, 1.0)
-    a, b, c = (a * lift) * inv, (b * lift) * inv, (c * lift) * inv
-    abs_b = np.abs(b)
-    t = 0.5 * (a + c)
-    r = np.hypot(0.5 * (a - c), abs_b)
-    top = t + r
-    norm_a = np.hypot(abs_b, top - a)
-    norm_b = np.hypot(top - c, abs_b)
-    first = norm_a >= norm_b
-    norm = np.where(first, norm_a, norm_b)
-    live = norm > 0.0
-    inv_norm = 1.0 / np.where(live, norm, 1.0)
-    x = np.where(live, np.where(first, b, top - c) * inv_norm, 1.0)
-    y = np.where(live, np.where(first, top - a, b.conj()) * inv_norm, 0.0)
-    with np.errstate(over="ignore"):  # an eigenvalue beyond the double range is +-inf
+    scalar matrix), by the closed form of :func:`_eig`.  An eigenvalue beyond
+    the double range is +-inf; where |b| itself leaves the range both
+    eigenvalues are NaN, and :func:`_psd_roots` redoes that matrix as m / 4.
+    A residual beyond the range is inf, its true value rounded."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(m - dagger(m)).max(axis=(1, 2))
+        # the Hermitian part's entries without forming m + m^dag, which overflows
+        # above half the double range; on Hermitian input b is m01 exactly
+        m01 = m[:, 0, 1]
+        a, b, c = m[:, 0, 0].real, m01 + 0.5 * (m[:, 1, 0].conj() - m01), m[:, 1, 1].real
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        lift = np.where(scale >= _TINY, 1.0, _LIFT)
+        inv = 1.0 / np.where(scale > 0.0, scale * lift, 1.0)
+        a, b, c = (a * lift) * inv, (b * lift) * inv, (c * lift) * inv
+        abs_b = np.abs(b)
+        t = 0.5 * (a + c)
+        r = np.hypot(0.5 * (a - c), abs_b)
+        top = t + r
+        norm_a = np.hypot(abs_b, top - a)
+        norm_b = np.hypot(top - c, abs_b)
+        first = norm_a >= norm_b
+        norm = np.where(first, norm_a, norm_b)
+        live = norm > 0.0
+        inv_norm = 1.0 / np.where(live, norm, 1.0)
+        x = np.where(live, np.where(first, b, top - c) * inv_norm, 1.0)
+        y = np.where(live, np.where(first, top - a, b.conj()) * inv_norm, 0.0)
         return residual, scale * top, scale * (t - r), x, y
 
 
 def _psd_roots(m: np.ndarray):
     """(roots, residual, l1) for a finite (n, 2, 2) stack: the PSD square root
     of each Hermitian part with :func:`sqrt_psd`'s rank floor, and what
-    decides whether it exists (Hermiticity residual, minimum eigenvalue)."""
+    decides whether it exists (Hermiticity residual, minimum eigenvalue).
+    A matrix whose top eigenvalue, or |b|, leaves the double range is redone
+    as m / 4, exactly: its root doubles and its minimum eigenvalue scales by 4."""
     residual, high, low, x, y = _spectra(m)
-    over = np.isinf(high)
+    over = ~np.isfinite(high)
     high = np.where(over, 0.0, np.maximum(high, 0.0))
     kept = np.maximum(low, 0.0)
     kept = np.where(kept <= RANK_FLOOR * high, 0.0, kept)
@@ -467,6 +476,8 @@ def _psd_roots(m: np.ndarray):
     roots[:, 1, 1] = s1 + gap * (y.real * y.real + y.imag * y.imag)
     roots[:, 0, 1] = gap * x * y.conj()
     roots[:, 1, 0] = roots[:, 0, 1].conj()
-    if over.any():  # sqrt(m) = 2 sqrt(m / 4), whose eigenvalues are finite
-        roots[over] = 2.0 * _psd_roots(0.25 * m[over])[0]
+    if over.any():  # sqrt(m) = 2 sqrt(m / 4), whose eigenvalues and |b| are finite
+        quarter_roots, _, quarter_low = _psd_roots(0.25 * m[over])
+        with np.errstate(over="ignore"):  # the minimum eigenvalue may be beyond the range too
+            roots[over], low[over] = 2.0 * quarter_roots, 4.0 * quarter_low
     return roots, residual, low

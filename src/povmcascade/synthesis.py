@@ -25,15 +25,17 @@ exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
 
 The sweep and the splits run on the scalar cores of :mod:`qmath`, on
 Python complex numbers: each QR step is two Householder reflections, each
-split a closed-form SVD and column completion.  Only the settings handed to
-ModuleSettings and CascadePlan become numpy arrays.
+split a closed-form SVD and column completion.  The settings keep that
+form: ModuleSettings and CascadePlan hold their unitaries as rows of Python
+complex numbers, which reconstruct_kraus and the network walk read as they
+are.  Only the Kraus stacks on either side are numpy arrays.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +43,13 @@ from .povm import IncompleteSum, KrausSet, _check_unitary, validate_kraus
 from .qmath import (
     _IDENTITY,
     DEFAULT_TOL,
+    Rows2,
     _column_split,
     _dag,
     _mul,
     _qr,
     _svd,
     _unitary_residual,
-    identity2,
 )
 
 __all__ = [
@@ -75,28 +77,35 @@ class ModuleSettings:
     zeta and xi the phase-shifter settings on the exit and pass arms,
     pre_unitary the polarization unitary applied at the stage entrance and
     exit_unitary the one applied on the exit arm before its detector.
+
+    The unitaries may be given as rows of Python complex numbers or as
+    anything array-like; they are checked once and held as rows
+    ``((m00, m01), (m10, m11))``, the form the scalar cores read
+    (``np.array(settings.pre_unitary)`` gives the array).
     """
 
     theta: float
     phi: float
     zeta: float = 0.0
     xi: float = 0.0
-    pre_unitary: np.ndarray = field(default_factory=identity2)
-    exit_unitary: np.ndarray = field(default_factory=identity2)
+    pre_unitary: Rows2 = _IDENTITY
+    exit_unitary: Rows2 = _IDENTITY
 
     def __post_init__(self):
-        for label in ("theta", "phi"):
-            value = float(getattr(self, label))
-            if not (-BOUNDARY_EPS <= value <= math.pi / 2 + BOUNDARY_EPS):
-                raise ValueError(f"{label} = {value!r} outside [0, pi/2]")
-            object.__setattr__(self, label, value)
-        for label in ("zeta", "xi"):
-            value = float(getattr(self, label))
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite")
-            object.__setattr__(self, label, value)
-        for label in ("pre_unitary", "exit_unitary"):
-            object.__setattr__(self, label, _check_unitary(getattr(self, label), label))
+        theta, phi = float(self.theta), float(self.phi)
+        if not -BOUNDARY_EPS <= theta <= math.pi / 2 + BOUNDARY_EPS:
+            raise ValueError(f"theta = {theta!r} outside [0, pi/2]")
+        if not -BOUNDARY_EPS <= phi <= math.pi / 2 + BOUNDARY_EPS:
+            raise ValueError(f"phi = {phi!r} outside [0, pi/2]")
+        zeta, xi = float(self.zeta), float(self.xi)
+        if not math.isfinite(zeta):
+            raise ValueError("zeta must be finite")
+        if not math.isfinite(xi):
+            raise ValueError("xi must be finite")
+        pre = _check_unitary(self.pre_unitary, "pre_unitary")
+        exit_unitary = _check_unitary(self.exit_unitary, "exit_unitary")
+        # frozen: the checked values are stored past __setattr__
+        self.__dict__.update(theta=theta, phi=phi, zeta=zeta, xi=xi, pre_unitary=pre, exit_unitary=exit_unitary)
 
     def _transfers(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         # the diagonals of the exit and pass transfers, diag(e^{i zeta} cos theta,
@@ -113,11 +122,12 @@ class CascadePlan:
 
     A plan for n outcomes has n - 1 modules; reconstruct_kraus(plan) yields
     the Kraus set the plan implements (its completeness is guaranteed by the
-    diagonal-transfer construction).
+    diagonal-transfer construction).  final_exit_unitary is checked and held
+    as rows of Python complex numbers, as in :class:`ModuleSettings`.
     """
 
     modules: tuple[ModuleSettings, ...]
-    final_exit_unitary: np.ndarray
+    final_exit_unitary: Rows2
 
     def __post_init__(self):
         object.__setattr__(self, "modules", tuple(self.modules))
@@ -186,10 +196,10 @@ def reconstruct_kraus(plan: CascadePlan) -> KrausSet:
     prefix = _IDENTITY
     for settings in plan.modules:
         (e_h, e_v), (p_h, p_v) = settings._transfers()
-        (a, b), (c, d) = _mul(settings.pre_unitary.tolist(), prefix)
-        ops.append(_mul(settings.exit_unitary.tolist(), ((e_h * a, e_h * b), (e_v * c, e_v * d))))
+        (a, b), (c, d) = _mul(settings.pre_unitary, prefix)
+        ops.append(_mul(settings.exit_unitary, ((e_h * a, e_h * b), (e_v * c, e_v * d))))
         prefix = (p_h * a, p_h * b), (p_v * c, p_v * d)
-    ops.append(_mul(plan.final_exit_unitary.tolist(), prefix))
+    ops.append(_mul(plan.final_exit_unitary, prefix))
     return validate_kraus(ops)
 
 

@@ -14,7 +14,6 @@ from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.optics import (
     PhotonState,
     build_cascade_network,
-    build_module_network,
     exit_amplitudes,
     propagate,
 )
@@ -128,7 +127,7 @@ def test_criterion_4_single_module_closed_form():
     for _ in range(1000):
         theta, phi = rng.uniform(0.0, math.pi / 2, size=2)
         settings = ModuleSettings(theta=theta, phi=phi)
-        network = build_module_network(settings)
+        network = build_cascade_network(CascadePlan((settings,), I2))
         psi = random_pure_state(rng)
         out = propagate(PhotonState.pure(network.input, psi), network)
         a, b = psi

@@ -30,7 +30,6 @@ def test_package_exports():
         "Svd2",
         "VerificationReport",
         "build_cascade_network",
-        "build_module_network",
         "density_matrix",
         "eig_hermitian2",
         "ekert_alpha_prime",
@@ -78,7 +77,6 @@ def test_module_exports():
         "identity2",
         "rotation",
         "phase_fixed",
-        "is_unitary",
         "hermitian_residuals",
         "eig_hermitian2",
         "sqrt_psd",
@@ -99,7 +97,6 @@ def test_module_exports():
         "propagate",
         "transfer_matrices",
         "exit_amplitudes",
-        "build_module_network",
         "build_cascade_network",
     ]
     assert verify.__all__ == [
@@ -190,13 +187,17 @@ def test_traced_names_resolve(monkeypatch):
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
-def test_logical_line_counter(monkeypatch):
-    # tools/lloc.py is the LOC figure the ROADMAP quotes: code lines only
+def _tool(monkeypatch, name: str):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     try:
-        lloc = importlib.import_module("lloc")
+        return importlib.import_module(name)
     finally:
-        sys.modules.pop("lloc", None)
+        sys.modules.pop(name, None)
+
+
+def test_logical_line_counter(monkeypatch):
+    # tools/lloc.py is the LOC figure the ROADMAP quotes: code lines only
+    lloc = _tool(monkeypatch, "lloc")
     source = '''"""Module docstring,
 over two lines."""
 
@@ -217,3 +218,26 @@ class A:
         )
 '''
     assert lloc.logical_lines(source) == 9
+
+
+def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
+    # tools/identity.py is the byte-identity gate between two source trees; at
+    # a small corpus it must run and find a tree identical to itself
+    identity = _tool(monkeypatch, "identity")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    assert identity.main(["--compare", src, src, "--max-n", "6", "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(identity.FAMILIES)
+    assert all(" identical (" in line for line in lines)
+    assert "povms      identical (20 items)" in lines and "cli        identical (33 items)" in lines
+
+
+def test_identity_tool_names_the_items_that_differ(monkeypatch):
+    identity = _tool(monkeypatch, "identity")
+    items = {"a": "0" * 64, "b": "1" * 64}
+    old = {family: {"digest": "f" * 64, "items": dict(items)} for family in identity.FAMILIES}
+    new = copy.deepcopy(old)
+    new["plans"] = {"digest": "e" * 64, "items": {"a": "0" * 64, "b": "2" * 64, "c": "3" * 64}}
+    lines = identity.compare(old, new)
+    assert lines[1] == "plans      DIFFERS in 2 of 3 items, first: ['b', 'c']"
+    assert all("identical (2 items)" in line for i, line in enumerate(lines) if i != 1)

@@ -20,7 +20,6 @@ from povmcascade.optics import (
     Rotator,
     UnknownMode,
     build_cascade_network,
-    build_module_network,
     exit_amplitudes,
     propagate,
     transfer_matrices,
@@ -59,6 +58,12 @@ def total_probability(state):
 WALKS = (propagate, lambda state, network: transfer_matrices(network))
 
 
+def module_network(settings):
+    """One module as a network: a one-module plan with an identity final
+    unitary, so exit 1 is the p1 arm and exit 2 the p2 arm."""
+    return build_cascade_network(CascadePlan((settings,), I2))
+
+
 def module_transfers(settings):
     """The exit and pass arms of one module, read off reconstruct_kraus."""
     return tuple(reconstruct_kraus(CascadePlan((settings,), I2)))
@@ -73,7 +78,7 @@ class TestApplyElement:
         split = apply_one(state, PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B))
         np.testing.assert_allclose(split.mode_vector(OUT_A), [a, 0.0])
         np.testing.assert_allclose(split.mode_vector(OUT_B), [0.0, b])
-        assert IN not in split.modes()
+        assert IN not in split.amplitudes
 
     def test_pbs_second_input_routes_complementarily(self):
         state = state_with_vacuum(AUX, [0.6, 0.8], IN)
@@ -143,8 +148,13 @@ class TestApplyElement:
 
     @pytest.mark.parametrize(
         "matrix, message",
-        [(np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"), (np.eye(3), "must be 2x2")],
-        ids=["nan", "3x3"],
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"),
+            (np.eye(3), "must be 2x2"),
+            (((1 + 0j, complex(math.nan)), (0j, 1 + 0j)), re.escape("matrix contains non-finite entries")),
+            (tuple(tuple(complex(z) for z in row) for row in np.eye(3)), re.escape("matrix must be 2x2, got shape (3, 3)")),
+        ],
+        ids=["nan", "3x3", "nan-rows", "3x3-rows"],
     )
     def test_malformed_mode_unitary_raises_when_it_acts(self, matrix, message):
         state = PhotonState.pure(IN, [0.6, 0.8])
@@ -152,6 +162,20 @@ class TestApplyElement:
         for walk in WALKS:
             with pytest.raises(ValueError, match=message):
                 walk(state, OpticalNetwork((element,), (IN,), IN))
+
+    def test_mode_unitary_rows_act_like_the_equal_array(self):
+        # a plan's settings hand rows to ModeUnitary, user code may hand an array:
+        # both walks must see the same bits
+        rng = np.random.default_rng(58)
+        for _ in range(20):
+            array = rotation(rng.uniform(-3, 3)) @ np.diag([1.0, np.exp(1j * rng.uniform(-3, 3))])
+            (a, b), (c, d) = array.tolist()
+            state = PhotonState.pure(IN, random_pure_state(rng))
+            networks = [OpticalNetwork((ModeUnitary(IN, m),), (IN,), IN) for m in (((a, b), (c, d)), array)]
+            from_rows, from_array = (propagate(state, network).amplitudes for network in networks)
+            assert from_rows == from_array
+            maps = [transfer_matrices(network)[IN] for network in networks]
+            assert maps[0].tobytes() == maps[1].tobytes()
 
 
 class TestModuleNetwork:
@@ -161,7 +185,7 @@ class TestModuleNetwork:
             theta, phi = rng.uniform(0.0, math.pi / 2, size=2)
             zeta, xi = rng.uniform(-math.pi, math.pi, size=2)
             settings = ModuleSettings(theta=theta, phi=phi, zeta=zeta, xi=xi)
-            network = build_module_network(settings)
+            network = module_network(settings)
             psi = random_pure_state(rng)
             out = propagate(PhotonState.pure(network.input, psi), network)
             p1, p2 = network.exits
@@ -176,7 +200,7 @@ class TestModuleNetwork:
         pre = rotation(0.4)
         exit_u = rotation(-1.1) @ np.diag([1.0, np.exp(0.2j)])
         settings = ModuleSettings(theta=0.5, phi=1.2, pre_unitary=pre, exit_unitary=exit_u)
-        network = build_module_network(settings)
+        network = module_network(settings)
         psi = random_pure_state(rng)
         out = propagate(PhotonState.pure(network.input, psi), network)
         p1, p2 = network.exits
@@ -190,7 +214,7 @@ class TestModuleNetwork:
 
     def test_fully_transmissive_module_passes_input_through(self):
         settings = ModuleSettings(theta=0.0, phi=0.0)
-        network = build_module_network(settings)
+        network = module_network(settings)
         out = propagate(PhotonState.pure(network.input, [0.6, 0.8j]), network)
         p1, p2 = network.exits
         np.testing.assert_allclose(out.mode_vector(p1), [0.6, 0.8j], atol=1e-15)
@@ -203,13 +227,13 @@ class TestModuleNetwork:
             settings = ModuleSettings(
                 theta=theta, phi=phi, zeta=rng.uniform(-3, 3), xi=rng.uniform(-3, 3)
             )
-            network = build_module_network(settings)
+            network = module_network(settings)
             transfer = transfer_matrices(network)
             for mode in network.dark_ports:
                 assert max_abs(transfer[mode]) <= 1e-10, mode
 
     def test_module_contains_five_beamsplitters(self):
-        network = build_module_network(ModuleSettings(theta=0.3, phi=0.7))
+        network = module_network(ModuleSettings(theta=0.3, phi=0.7))
         count = sum(isinstance(e, PolarizingBeamsplitter) for e in network.elements)
         assert count == 5
 
@@ -252,7 +276,7 @@ class TestPropagate:
 
     def test_external_inputs_are_the_modes_consumed_before_produced(self):
         plan = synthesize_cascade(kraus_from_povm(random_povm(4, 2)))
-        for network in (build_module_network(ModuleSettings(theta=0.1, phi=0.2)), build_cascade_network(plan)):
+        for network in (module_network(ModuleSettings(theta=0.1, phi=0.2)), build_cascade_network(plan)):
             produced, expected = set(), [network.input]
             for element in network.elements:
                 if isinstance(element, PolarizingBeamsplitter):
@@ -266,19 +290,19 @@ class TestPropagate:
             assert network.external_inputs() is network.external_inputs()
 
     def test_rejects_state_on_unknown_mode(self):
-        network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
+        network = module_network(ModuleSettings(theta=0.1, phi=0.2))
         with pytest.raises(UnknownMode):
             propagate(PhotonState.pure(ModeLabel(9, "nowhere"), [1.0, 0.0]), network)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_amplitude_raises_where_it_enters(self, bad):
-        network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
+        network = module_network(ModuleSettings(theta=0.1, phi=0.2))
         message = f"input mode {network.input} has non-finite amplitudes"
         with pytest.raises(ValueError, match=re.escape(message)):
             propagate(PhotonState.pure(network.input, [bad, 0.0]), network)
 
     def test_non_finite_vacuum_pair_raises_where_it_enters(self):
-        network = build_module_network(ModuleSettings(theta=0.1, phi=0.2))
+        network = module_network(ModuleSettings(theta=0.1, phi=0.2))
         vacuum = ModeLabel(1, "vac_in")
         assert vacuum in network.external_inputs()
         state = PhotonState({network.input: (0.6, 0.8), vacuum: (0j, complex(math.nan))})
@@ -444,7 +468,7 @@ def test_propagate_matches_dense_mode_polarization_model(steps, seed):
     out = propagate(state, network)
     for dense in matrices:
         vec = dense @ vec
-    assert out.modes() == {mode for mode, on in zip(labels, live) if on}
+    assert set(out.amplitudes) == {mode for mode, on in zip(labels, live) if on}
     for i, mode in enumerate(labels):
         assert max_abs(out.mode_vector(mode) - vec[2 * i : 2 * i + 2]) <= 1e-15, mode
 
@@ -547,7 +571,7 @@ def linearity_network(spec):
             pre_unitary=rotation(0.4),
             exit_unitary=rotation(-1.1) @ np.diag([1.0, np.exp(0.2j)]),
         )
-        return build_module_network(settings, module_index=3)
+        return module_network(settings)
     return build_cascade_network(cascade_plan(spec))
 
 
@@ -569,15 +593,16 @@ class TestTransferMatrices:
         for _ in range(3):
             psi = random_pure_state(rng)
             out = propagate(PhotonState.pure(network.input, psi), network)
-            assert set(transfer) == out.modes()
-            for mode in out.modes():
+            assert set(transfer) == set(out.amplitudes)
+            for mode in out.amplitudes:
                 assert max_abs(transfer[mode] @ psi - out.mode_vector(mode)) <= 1e-14, mode
 
     def test_live_modes_come_in_walk_order(self):
         # the walk's order of live modes fixes the summation order, and so
-        # the bits, of verify_plan's norm residual
-        network = build_module_network(ModuleSettings(0.3, 0.7))
-        names = ["dark1", "p2", "dark2", "p1"]
+        # the bits, of verify_plan's norm residual; the exit unitary on p1 and
+        # then the final unitary on p2 act last, so those two come last
+        network = module_network(ModuleSettings(0.3, 0.7))
+        names = ["dark1", "dark2", "p1", "p2"]
         assert list(transfer_matrices(network)) == [ModeLabel(1, name) for name in names]
 
     @pytest.mark.parametrize(

@@ -131,8 +131,12 @@ class TestValidatePovm:
             ),
             ([-1e308 * np.ones((2, 2)), I2], NotPsd, "element 1: minimum eigenvalue -inf"),
             ([1e308 * I2, 1e308 * I2], IncompleteSum, "sum of elements deviates from identity by inf"),
+            # |b| = sqrt(2) * 1.7e308 and m - m^dag leave the double range; the
+            # entries themselves do not
+            ([1.7e308 * np.array([[1, 1 + 1j], [1 - 1j, 1]]), I2], NotPsd, "element 1: minimum eigenvalue -7.042e+307"),
+            ([np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]), I2], NotHermitian, "element 1: hermiticity residual inf"),
         ],
-        ids=["projector", "complex-projector", "negative", "sum"],
+        ids=["projector", "complex-projector", "negative", "sum", "off-diagonal-modulus", "anti-hermitian"],
     )
     def test_element_beyond_the_double_range_is_rejected_without_warning(self, elements, error, message):
         # an eigenvalue or a sum beyond the double range is +-inf, never NaN,
@@ -142,6 +146,17 @@ class TestValidatePovm:
             with pytest.raises(error) as info:
                 validate_povm(elements)
         assert str(info.value) == message
+
+    def test_off_diagonal_beyond_the_double_range_keeps_its_eigenvalues(self):
+        # the eigenvalues 1.7e308 (1 +- sqrt(2)) are read off m / 4 and scaled back
+        # by 4, exactly: the bottom one fits, the top one is inf
+        element = 1.7e308 * np.array([[1, 1 + 1j], [1 - 1j, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            per_element, _ = validation_residuals([element, I2])
+            quarter, _ = validation_residuals([element / 4, I2])
+        assert per_element[0] == (0.0, 4.0 * quarter[0][1])
+        assert per_element[0][1] == pytest.approx(1.7e308 * (1.0 - math.sqrt(2.0)), rel=1e-15)
 
     def test_residual_report(self):
         per_element, completeness = validation_residuals(trine_elements())

@@ -87,6 +87,51 @@ class TestModuleSettings:
         assert str(info.value) == message
         assert info.value.index == index
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda m: tuple(tuple(complex(z) for z in row) for row in m),
+            lambda m: np.array(m, dtype=complex),
+            lambda m: [[int(z.real) for z in row] for row in m],
+        ],
+        ids=["complex-rows", "ndarray", "int-lists"],
+    )
+    @pytest.mark.parametrize("field", ["pre_unitary", "exit_unitary", "final_exit_unitary"])
+    def test_one_unitary_check_reads_every_input_form(self, form, field):
+        # every form is checked once and held as rows of Python complex numbers
+        swap = [[0, 1], [1, 0]]
+        if field == "final_exit_unitary":
+            held = CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), form(swap)).final_exit_unitary
+        else:
+            held = getattr(ModuleSettings(theta=0.1, phi=0.2, **{field: form(swap)}), field)
+        assert held == ((0j, 1 + 0j), (1 + 0j, 0j))
+        assert type(held) is tuple and all(type(row) is tuple for row in held)
+        assert all(type(z) is complex for row in held for z in row)
+
+    @pytest.mark.parametrize(
+        "form",
+        [lambda m: tuple(tuple(complex(z) for z in row) for row in m), lambda m: np.array(m, dtype=complex)],
+        ids=["complex-rows", "ndarray"],
+    )
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            ([[1, math.nan], [0, 1]], ValueError, "{} contains non-finite entries"),
+            (np.eye(3).tolist(), ValueError, "{} must be 2x2, got shape (3, 3)"),
+            ([[2, 0], [0, 2]], NotUnitary, "{} is not unitary"),
+        ],
+        ids=["nan", "3x3", "not-unitary"],
+    )
+    @pytest.mark.parametrize("field", ["pre_unitary", "exit_unitary", "final_exit_unitary"])
+    def test_one_unitary_check_messages_on_every_input_form(self, form, matrix, error, message, field):
+        with pytest.raises(ValueError) as info:
+            if field == "final_exit_unitary":
+                CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), form(matrix))
+            else:
+                ModuleSettings(theta=0.1, phi=0.2, **{field: form(matrix)})
+        assert type(info.value) is error
+        assert str(info.value) == message.format(field)
+
     def test_plan_requires_modules(self):
         with pytest.raises(ValueError):
             CascadePlan((), I2)
@@ -118,7 +163,8 @@ class TestSynthesizeCascade:
         published = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
         d = bare_arms(second)[0]
         d_sq = d @ d
-        lhs = dagger(second.pre_unitary) @ d_sq @ second.pre_unitary
+        pre = np.array(second.pre_unitary)
+        lhs = dagger(pre) @ d_sq @ pre
         rhs = dagger(published) @ d_sq @ published
         assert max_abs(lhs - rhs) <= 1e-12
 
@@ -197,7 +243,7 @@ class TestSynthesizeCascade:
         elements[0] = elements[0] + sign * 0.9 * DEFAULT_TOL * I2
         kraus = kraus_from_povm(validate_povm(elements))
         plan = synthesize_cascade(kraus)
-        assert all(max_abs(dagger(m.pre_unitary) @ m.pre_unitary - I2) <= 1e-12 for m in plan.modules)
+        assert all(max_abs(dagger(np.array(m.pre_unitary)) @ m.pre_unitary - I2) <= 1e-12 for m in plan.modules)
         assert verify_plan(kraus, plan).passed
 
     def test_zero_element_is_compiled_through(self):
@@ -210,8 +256,8 @@ class TestSynthesizeCascade:
     def test_exit_unitaries_are_unitary(self):
         plan = synthesize_cascade(random_kraus(4, 3))
         for module in plan.modules:
-            assert max_abs(dagger(module.exit_unitary) @ module.exit_unitary - I2) <= 1e-12
-        assert max_abs(dagger(plan.final_exit_unitary) @ plan.final_exit_unitary - I2) <= 1e-12
+            assert max_abs(dagger(np.array(module.exit_unitary)) @ module.exit_unitary - I2) <= 1e-12
+        assert max_abs(dagger(np.array(plan.final_exit_unitary)) @ plan.final_exit_unitary - I2) <= 1e-12
 
     def test_inflated_operator_rejected(self):
         # F_1 eigenvalue 1.21 cannot be dominated by the remaining identity
@@ -258,9 +304,21 @@ class TestSynthesizeCascade:
         first, second = synthesize_cascade(kraus), synthesize_cascade(kraus)
 
         def entries(plan):
-            return [np.array([m.theta, m.phi]).tobytes() + m.pre_unitary.tobytes() + m.exit_unitary.tobytes() for m in plan.modules] + [plan.final_exit_unitary.tobytes()]
+            unitaries = [np.array((m.pre_unitary, m.exit_unitary)).tobytes() for m in plan.modules]
+            angles = [np.array([m.theta, m.phi]).tobytes() for m in plan.modules]
+            return angles + unitaries + [np.array(plan.final_exit_unitary).tobytes()]
 
         assert entries(first) == entries(second)
+
+    @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+    def test_settings_hold_the_rows_the_cores_produce(self, make):
+        # no array round trip between the scalar cores and the settings
+        plan = synthesize_cascade(kraus_from_povm(make(12, 5)))
+        held = [u for m in plan.modules for u in (m.pre_unitary, m.exit_unitary)] + [plan.final_exit_unitary]
+        for rows in held:
+            assert type(rows) is tuple and len(rows) == 2
+            assert all(type(row) is tuple and len(row) == 2 for row in rows)
+            assert all(type(z) is complex for row in rows for z in row)
 
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))

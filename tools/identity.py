@@ -1,0 +1,259 @@
+"""Fingerprint what a source tree's program produces, to compare two trees bit for bit.
+
+For one tree it prints one SHA-256 per artifact family:
+
+    povms      the elements and kraus_from_povm's operators of every corpus POVM
+    plans      every plan's angles and unitary entries, and reconstruct_kraus's operators
+    transfer   transfer_matrices of every plan's network: keys, their order and the map bytes
+    propagate  propagate's amplitudes and exit_amplitudes for a seeded pure state
+    reports    verify_plan(...).to_dict() and verify_density(...).to_dict()
+    cli        stdout, stderr, exit code and written files of the CLI on a fixed
+               document set (trine with labels, n = 2, n = 12 with exit unitaries,
+               rank-one n = 24, n = 80, a non-PSD document, a NaN pure state,
+               demo trine and demo ekert)
+
+The corpus is random_povm and random_rank_one_povm at n = 2..MAX_N outcomes and
+seeds 0..SEEDS-1 (790 POVMs at the defaults).  An error raised on an input is
+fingerprinted as its type and message.  Each tree runs in its own interpreter
+with only that tree's package on the path; the CLI documents are drawn here,
+not by the tree, so both trees read the same bytes.
+
+    python tools/identity.py src                        # fingerprints of one tree
+    python tools/identity.py --compare OLD/src NEW/src  # exit 1 if a family differs
+    python tools/identity.py --max-n 6 --seeds 2 src    # a small corpus
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = ("povms", "plans", "transfer", "propagate", "reports", "cli")
+
+
+def _digest(items: list[tuple[str, bytes]]) -> str:
+    h = hashlib.sha256()
+    for label, data in items:
+        h.update(label.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+def _array_bytes(m) -> bytes:
+    return np.asarray(m, dtype=complex).tobytes()
+
+
+def _error(exc: Exception) -> bytes:
+    return f"{type(exc).__name__}: {exc}".encode()
+
+
+def _corpus(max_n: int, seeds: int, records: dict) -> None:
+    """Fill records[family] with (label, bytes) pairs over the random corpus."""
+    from povmcascade import optics, povm, synthesis, verify
+
+    for family in ("random_povm", "random_rank_one_povm"):
+        make = getattr(verify, family)
+        for n in range(2, max_n + 1):
+            for seed in range(seeds):
+                label = f"{family}/n={n}/seed={seed}"
+                elements = make(n, seed)
+                try:
+                    kraus = povm.kraus_from_povm(elements)
+                    records["povms"].append((label, _array_bytes(elements.elements) + _array_bytes(kraus.operators)))
+                    plan = synthesis.synthesize_cascade(kraus)
+                except ValueError as exc:
+                    records["povms"].append((label, _error(exc)))
+                    continue
+                settings = [
+                    np.array([m.theta, m.phi, m.zeta, m.xi]).tobytes()
+                    + _array_bytes(m.pre_unitary)
+                    + _array_bytes(m.exit_unitary)
+                    for m in plan.modules
+                ]
+                rebuilt = synthesis.reconstruct_kraus(plan)
+                records["plans"].append(
+                    (label, b"".join(settings) + _array_bytes(plan.final_exit_unitary) + _array_bytes(rebuilt.operators))
+                )
+                network = optics.build_cascade_network(plan)
+                transfer = optics.transfer_matrices(network)
+                records["transfer"].append(
+                    (label, repr(list(transfer)).encode() + b"".join(_array_bytes(t) for t in transfer.values()))
+                )
+                rng = np.random.default_rng([seed, n])
+                psi = verify.random_pure_state(rng)
+                out = optics.propagate(optics.PhotonState.pure(network.input, psi), network)
+                exits = optics.exit_amplitudes(out, network)
+                records["propagate"].append(
+                    (
+                        label,
+                        repr(list(out.amplitudes.items())).encode()
+                        + repr([(e.index, e.probability, None if e.polarization is None else e.polarization.tolist()) for e in exits]).encode(),
+                    )
+                )
+                draws = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                rho = draws @ draws.conj().T
+                rho = povm.density_matrix(rho / np.trace(rho).real)
+                reports = [verify.verify_plan(kraus, plan, trial_states=20, seed=seed), verify.verify_density(rho, kraus, plan)]
+                records["reports"].append((label, json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()))
+
+
+def _pairs(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _document(elements, exit_unitaries=None, labels=None) -> dict:
+    doc = {"schema_version": "1", "elements": [_pairs(f) for f in elements]}
+    if exit_unitaries is not None:
+        doc["exit_unitaries"] = [_pairs(u) for u in exit_unitaries]
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+def _sandwich(rng, n: int, rank_one: bool) -> list:
+    """n random PSD matrices sandwiched by the inverse square root of their sum."""
+    if rank_one:
+        vecs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        raw = np.einsum("ni,nj->nij", vecs, vecs.conj())
+    else:
+        a = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        raw = a @ a.conj().transpose(0, 2, 1)
+    lam, basis = np.linalg.eigh(raw.sum(axis=0))
+    inv_sqrt = basis @ np.diag(lam**-0.5) @ basis.conj().T
+    out = inv_sqrt @ raw @ inv_sqrt
+    return list(0.5 * (out + out.conj().transpose(0, 2, 1)))
+
+
+def _unitary(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+def _cli_documents() -> dict[str, dict]:
+    rng = np.random.default_rng(20260101)
+    r3 = 3.0**0.5
+    trine = [
+        np.array([[2 / 3, 0], [0, 0]], dtype=complex),
+        np.array([[1, r3], [r3, 3]], dtype=complex) / 6,
+        np.array([[1, -r3], [-r3, 3]], dtype=complex) / 6,
+    ]
+    twelve = _sandwich(rng, 12, False)
+    return {
+        "trine": _document(trine, labels=["H", "trine+", "trine-"]),
+        "n2": _document(_sandwich(rng, 2, False)),
+        "n12_exits": _document(twelve, exit_unitaries=[_unitary(rng) for _ in twelve]),
+        "rank_one_n24": _document(_sandwich(rng, 24, True)),
+        "n80": _document(_sandwich(rng, 80, False)),
+        "not_psd": _document([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]),
+    }
+
+
+def _cli(records: dict) -> None:
+    """Fill records["cli"] with one entry per command run in a scratch directory."""
+    from povmcascade import cli
+
+    documents = _cli_documents()
+    runs = [["demo", "trine"], ["demo", "ekert", "--alpha", "10", "--beta", "70"]]
+    for name in documents:
+        doc, plan = f"{name}.json", f"{name}.plan.json"
+        runs += [
+            ["validate", doc],
+            ["synthesize", doc, "-o", plan, "--report", f"{name}.report.json"],
+            ["verify", doc, "--plan", plan, "--trials", "7", "--seed", "3"],
+            ["simulate", plan, "--pure", "0.6,0,0,0.8"],
+            ["simulate", plan, "--density", "rho.json"],
+        ]
+    runs.append(["simulate", "trine.plan.json", "--pure", "nan,0,1,0"])
+    documents["rho"] = [[[0.7, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, document in documents.items():
+                Path(f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
+            for argv in runs:
+                before = set(os.listdir("."))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                written = sorted(set(os.listdir(".")) - before)
+                files = b"".join(name.encode() + b"\0" + Path(name).read_bytes() for name in written)
+                records["cli"].append((" ".join(argv), f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode() + files))
+        finally:
+            os.chdir(cwd)
+
+
+def fingerprint(max_n: int, seeds: int) -> dict:
+    """{family: {"digest": sha256, "items": {label: sha256}}} for the importable package."""
+    records: dict[str, list] = {family: [] for family in FAMILIES}
+    _corpus(max_n, seeds, records)
+    _cli(records)
+    return {
+        family: {
+            "digest": _digest(items),
+            "items": {label: hashlib.sha256(data).hexdigest() for label, data in items},
+        }
+        for family, items in records.items()
+    }
+
+
+def run_tree(src: str, max_n: int, seeds: int) -> dict:
+    """fingerprint() in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, os.path.abspath(__file__), "--json", "--max-n", str(max_n), "--seeds", str(seeds), src]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"fingerprinting {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per family: identical, or the first items that differ."""
+    lines = []
+    for family in FAMILIES:
+        a, b = old[family], new[family]
+        if a["digest"] == b["digest"]:
+            lines.append(f"{family:<10} identical ({len(a['items'])} items)")
+            continue
+        labels = list(dict.fromkeys([*a["items"], *b["items"]]))
+        differ = [label for label in labels if a["items"].get(label) != b["items"].get(label)]
+        lines.append(f"{family:<10} DIFFERS in {len(differ)} of {len(labels)} items, first: {differ[:3]}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+", help="source directories holding the povmcascade package")
+    parser.add_argument("--compare", action="store_true", help="compare exactly two trees")
+    parser.add_argument("--max-n", type=int, default=80, help="largest outcome count of the corpus")
+    parser.add_argument("--seeds", type=int, default=5, help="seeds per family and outcome count")
+    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.json:  # the child run of run_tree: the package is already on the path
+        json.dump(fingerprint(args.max_n, args.seeds), sys.stdout)
+        return 0
+    if args.compare:
+        if len(args.trees) != 2:
+            parser.error("--compare takes exactly two trees")
+        old, new = (run_tree(tree, args.max_n, args.seeds) for tree in args.trees)
+        lines = compare(old, new)
+        print("\n".join(lines))
+        return 0 if all("identical" in line for line in lines) else 1
+    for tree in args.trees:
+        result = run_tree(tree, args.max_n, args.seeds)
+        for family in FAMILIES:
+            print(f"{result[family]['digest']}  {family:<10} {len(result[family]['items']):5d} items  {tree}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
