@@ -20,14 +20,23 @@ with no extra reflection phase (any physical phase belongs to the unitary
 elements).  Vacuum inputs are explicit zero-amplitude modes, which makes
 the whole transfer manifestly unitary.
 
+The elements are immutable records: each is one tuple of its fields
+(``typing.NamedTuple``), so a network of 16(n-1)+1 elements costs one tuple
+allocation per element to build.  Equality is typed: two elements are equal
+when they are of the same exact kind with equal fields, so a Rotator never
+equals a PhaseShifter or a plain tuple with the same values.  A ModeUnitary,
+which holds a matrix, compares by identity.
+
 propagate keeps one amplitude table per call and lets each element act on
 it in place, so a network costs the same per element at any depth; the
-caller's state is never modified.  A beamsplitter moves whole pairs between
-modes; a one-mode element replaces its mode's pair using Python-complex
-arithmetic on the four entries of its 2x2 matrix, with no numpy call per
-element.  transfer_matrices runs the same elements once over a table whose
-pairs are the two rows of each mode's 2x2 map, so both input polarizations
-go through the network in one walk.
+caller's state is never modified.  Each element is dispatched on its exact
+type and read by unpacking its fields; an object of any other type, a
+subclass of an element kind included, is not an optical element.  A
+beamsplitter moves whole pairs between modes; a one-mode element replaces
+its mode's pair using Python-complex arithmetic on the four entries of its
+2x2 matrix, with no numpy call per element.  transfer_matrices runs the
+same elements once over a table whose pairs are the two rows of each mode's
+2x2 map, so both input polarizations go through the network in one walk.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import Rows2, _matrix2_rows, phase_fixed
+from .qmath import Rows2, _matrix2_rows, _phase_fixed
 from .synthesis import CascadePlan, ModuleSettings
 
 __all__ = [
@@ -103,8 +112,18 @@ class PhotonState:
         return np.array(self.amplitudes.get(mode, (0j, 0j)), dtype=complex)
 
 
-@dataclass(frozen=True)
-class PolarizingBeamsplitter:
+def _typed_equality(kind):
+    """Give a tuple record typed equality: equal means the same exact kind and
+    equal fields, never another kind or a plain tuple with the same values.
+    The hash stays the tuple's, which equal records share."""
+    # False for another kind, not NotImplemented: Python would fall back to tuple equality
+    kind.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    kind.__ne__ = lambda self, other: not self == other
+    return kind
+
+
+@_typed_equality
+class PolarizingBeamsplitter(NamedTuple):
     """Two-port PBS: H transmits straight through, V reflects to the other output."""
 
     in_a: ModeLabel
@@ -113,33 +132,41 @@ class PolarizingBeamsplitter:
     out_b: ModeLabel
 
 
-@dataclass(frozen=True)
-class Rotator:
+@_typed_equality
+class Rotator(NamedTuple):
     """Polarization rotator |H> -> cos|H> + sin|V>, |V> -> cos|V> - sin|H>."""
 
     mode: ModeLabel
     angle: float
 
 
-@dataclass(frozen=True)
-class PhaseShifter:
+@_typed_equality
+class PhaseShifter(NamedTuple):
     """Path phase e^{i phase} on one mode (both polarizations)."""
 
     mode: ModeLabel
     phase: float
 
 
-@dataclass(frozen=True, eq=False)
-class ModeUnitary:
+class ModeUnitary(NamedTuple):
     """Arbitrary polarization unitary acting on one mode.
 
     matrix is rows ``((m00, m01), (m10, m11))`` of Python complex numbers,
     as a plan's settings hold them and the walk reads them, or anything
-    array-like; its shape and finiteness are checked where it acts.
+    array-like; its shape and finiteness are checked where it acts.  It
+    compares and hashes by identity, as the other holders of matrices do.
     """
 
     mode: ModeLabel
     matrix: Rows2
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
 
 
 OpticalElement = Union[PolarizingBeamsplitter, Rotator, PhaseShifter, ModeUnitary]
@@ -168,15 +195,18 @@ class OpticalNetwork:
         needed: dict[ModeLabel, None] = {self.input: None}  # an ordered set
         produced: set[ModeLabel] = set()
         for element in self.elements:
-            if isinstance(element, PolarizingBeamsplitter):
-                for mode in (element.in_a, element.in_b):
-                    if mode not in produced:
-                        needed.setdefault(mode)
-                produced.add(element.out_a)
-                produced.add(element.out_b)
-            elif isinstance(element, (Rotator, PhaseShifter, ModeUnitary)):
-                if element.mode not in produced:
-                    needed.setdefault(element.mode)
+            kind = type(element)
+            if kind is PolarizingBeamsplitter:
+                in_a, in_b, out_a, out_b = element
+                if in_a not in produced:
+                    needed[in_a] = None
+                if in_b not in produced:
+                    needed[in_b] = None
+                produced.add(out_a)
+                produced.add(out_b)
+            elif kind is Rotator or kind is PhaseShifter or kind is ModeUnitary:
+                if element[0] not in produced:
+                    needed[element[0]] = None
             else:
                 raise _not_an_element(element)
         return tuple(needed)
@@ -191,64 +221,67 @@ class ExitAmplitude(NamedTuple):
     polarization: np.ndarray | None
 
 
-def _pop(amps, mode: ModeLabel) -> tuple[complex, complex]:
-    try:
-        return amps.pop(mode)
-    except KeyError:
-        raise UnknownMode(mode) from None
-
-
 def _not_an_element(element) -> TypeError:
     return TypeError(f"not an optical element: {element!r}")
-
-
-def _require_finite(element: Rotator | PhaseShifter, angle: float) -> None:
-    # checked where the element acts, not at construction: networks are built per use
-    if not math.isfinite(angle):
-        raise ValueError(f"{type(element).__name__} on mode {element.mode} has non-finite angle {angle!r}")
-
-
-def _occupied(mode: ModeLabel) -> ValueError:
-    return ValueError(f"beamsplitter output mode {mode} already occupied")
 
 
 def _act(amps, element: OpticalElement) -> None:
     """Act with one element on an amplitude table, in place.
 
     An entry is a mode's (H, V) pair: two complex amplitudes in propagate,
-    or the two rows of the mode's 2x2 map in transfer_matrices.
+    or the two rows of the mode's 2x2 map in transfer_matrices.  The element
+    is dispatched on its exact type and read by unpacking its fields.
     """
-    if isinstance(element, PolarizingBeamsplitter):
-        a_h, a_v = _pop(amps, element.in_a)
-        b_h, b_v = _pop(amps, element.in_b)
-        if element.out_a in amps:
-            raise _occupied(element.out_a)
-        amps[element.out_a] = (a_h, b_v)
-        if element.out_b in amps:  # also when both outputs are one mode
-            raise _occupied(element.out_b)
-        amps[element.out_b] = (b_h, a_v)
+    kind = type(element)
+    if kind is PolarizingBeamsplitter:
+        in_a, in_b, out_a, out_b = element
+        a_h, a_v = amps.pop(in_a)
+        b_h, b_v = amps.pop(in_b)
+        # an output that is already live, or two outputs that are one mode, would lose a pair
+        if out_a in amps or out_b in amps or out_b == out_a:
+            taken = out_a if out_a in amps else out_b
+            raise ValueError(f"beamsplitter output mode {taken} already occupied")
+        amps[out_a] = (a_h, b_v)
+        amps[out_b] = (b_h, a_v)
         return
     # Four Python-complex coefficients, no numpy call per element; complex
     # rotator entries keep the image of a float amplitude complex
-    if isinstance(element, Rotator):
-        _require_finite(element, element.angle)
-        c, s = complex(math.cos(element.angle)), complex(math.sin(element.angle))
-        m00, m01, m10, m11 = c, -s, s, c
-    elif isinstance(element, PhaseShifter):
-        _require_finite(element, element.phase)
-        m00 = m11 = cmath.exp(1j * element.phase)
-        m01 = m10 = 0j
-    elif isinstance(element, ModeUnitary):
-        (m00, m01), (m10, m11) = _matrix2_rows(element.matrix)
+    if kind is Rotator or kind is PhaseShifter:
+        mode, angle = element
+        # checked where the element acts, not at construction: networks are built per use
+        if not math.isfinite(angle):
+            raise ValueError(f"{kind.__name__} on mode {mode} has non-finite angle {angle!r}")
+        if kind is Rotator:
+            c, s = complex(math.cos(angle)), complex(math.sin(angle))
+            m00, m01, m10, m11 = c, -s, s, c
+        else:
+            m00 = m11 = cmath.exp(1j * angle)
+            m01 = m10 = 0j
+    elif kind is ModeUnitary:
+        mode, matrix = element
+        (m00, m01), (m10, m11) = _matrix2_rows(matrix)
     else:
         raise _not_an_element(element)
-    h, v = _pop(amps, element.mode)
+    h, v = amps.pop(mode)
     if type(h) is complex:
-        amps[element.mode] = (m00 * h + m01 * v, m10 * h + m11 * v)
+        amps[mode] = (m00 * h + m01 * v, m10 * h + m11 * v)
     else:
         # the H row (a, b) and V row (c, d): each column takes the products of a walk of its own
         (a, b), (c, d) = h, v
-        amps[element.mode] = ((m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d))
+        amps[mode] = ((m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d))
+
+
+def _walk(amps, network: OpticalNetwork) -> None:
+    """Act with the network's elements in order on the amplitude table.
+
+    An element's pop of a mode the table lacks, the one KeyError a walk can
+    raise, becomes UnknownMode naming that mode.
+    """
+    try:
+        for element in network.elements:
+            _act(amps, element)
+    except KeyError as missing:
+        raise UnknownMode(missing.args[0]) from None
 
 
 def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
@@ -267,8 +300,7 @@ def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
         if not (cmath.isfinite(h) and cmath.isfinite(v)):
             raise ValueError(f"input mode {mode} has non-finite amplitudes ({h!r}, {v!r})")
         amps[mode] = (h, v)
-    for element in network.elements:
-        _act(amps, element)
+    _walk(amps, network)
     return PhotonState(amps)
 
 
@@ -285,8 +317,7 @@ def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
     """
     amps = dict.fromkeys(network.external_inputs(), ((0j, 0j), (0j, 0j)))
     amps[network.input] = ((1 + 0j, 0j), (0j, 1 + 0j))
-    for element in network.elements:
-        _act(amps, element)
+    _walk(amps, network)
     return dict(zip(amps, np.array(list(amps.values()), dtype=complex)))
 
 
@@ -299,10 +330,15 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
     """
     records = []
     for i, mode in enumerate(network.exits, start=1):
-        vec = state.mode_vector(mode)
+        vec = np.array(state.amplitudes.get(mode, (0j, 0j)), dtype=complex)
+        # numpy's vdot, not |h|^2 + |v|^2 in Python: its BLAS sums the squares in
+        # fused multiply-adds, which no FMA-free Python order reproduces bit for bit
         p = float(np.vdot(vec, vec).real)
         if p >= PROBABILITY_FLOOR:
-            records.append(ExitAmplitude(i, p, phase_fixed(vec / math.sqrt(p))))
+            # numpy's division, not h * (1 / sqrt(p)) in Python: numpy divides by the
+            # complex sqrt(p) + 0j, and the plain product would flip some zero parts' signs
+            fixed, _ = _phase_fixed(*(vec / math.sqrt(p)).tolist())
+            records.append(ExitAmplitude(i, p, np.array(fixed, dtype=complex)))
         else:
             records.append(ExitAmplitude(i, p, None))
     return records
@@ -314,26 +350,29 @@ _MODULE_MODES = "s1 s2 t1 t2 t3 t4 p1 p2 dark1 dark2 vac_in vac_s1 vac_s2".split
 
 def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel):
     """Elements of one module in signal-path order, faithful to the layout."""
+    # tuple.__new__ takes the fields in declaration order and skips the Python
+    # frame of a record's own __new__: half of what calling the class costs
+    new = tuple.__new__
     s1, s2, t1, t2, t3, t4, p1, p2, dark1, dark2, vac_in, vac_s1, vac_s2 = [
-        ModeLabel(index, name) for name in _MODULE_MODES
+        new(ModeLabel, (index, name)) for name in _MODULE_MODES
     ]
     elements = [
-        ModeUnitary(input_mode, settings.pre_unitary),
-        PolarizingBeamsplitter(input_mode, vac_in, s1, s2),
-        Rotator(s1, settings.theta),
-        Rotator(s2, settings.phi),
-        Rotator(s1, math.pi / 2),
-        PolarizingBeamsplitter(s1, vac_s1, t1, t2),
-        PolarizingBeamsplitter(s2, vac_s2, t4, t3),
-        Rotator(t2, -math.pi / 2),
-        Rotator(t1, math.pi),
-        Rotator(t4, math.pi / 2),
-        Rotator(t4, math.pi),
-        PhaseShifter(t2, settings.zeta),
-        PhaseShifter(t1, settings.xi),
-        PolarizingBeamsplitter(t2, t3, p1, dark1),
-        PolarizingBeamsplitter(t1, t4, p2, dark2),
-        ModeUnitary(p1, settings.exit_unitary),
+        new(ModeUnitary, (input_mode, settings.pre_unitary)),
+        new(PolarizingBeamsplitter, (input_mode, vac_in, s1, s2)),
+        new(Rotator, (s1, settings.theta)),
+        new(Rotator, (s2, settings.phi)),
+        new(Rotator, (s1, math.pi / 2)),
+        new(PolarizingBeamsplitter, (s1, vac_s1, t1, t2)),
+        new(PolarizingBeamsplitter, (s2, vac_s2, t4, t3)),
+        new(Rotator, (t2, -math.pi / 2)),
+        new(Rotator, (t1, math.pi)),
+        new(Rotator, (t4, math.pi / 2)),
+        new(Rotator, (t4, math.pi)),
+        new(PhaseShifter, (t2, settings.zeta)),
+        new(PhaseShifter, (t1, settings.xi)),
+        new(PolarizingBeamsplitter, (t2, t3, p1, dark1)),
+        new(PolarizingBeamsplitter, (t1, t4, p2, dark2)),
+        new(ModeUnitary, (p1, settings.exit_unitary)),
     ]
     return elements, p1, p2, (dark1, dark2)
 

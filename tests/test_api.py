@@ -6,6 +6,7 @@ These are stable across releases; a change here must be listed in CHANGES.md.
 import copy
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -241,3 +242,23 @@ def test_identity_tool_names_the_items_that_differ(monkeypatch):
     lines = identity.compare(old, new)
     assert lines[1] == "plans      DIFFERS in 2 of 3 items, first: ['b', 'c']"
     assert all("identical (2 items)" in line for i, line in enumerate(lines) if i != 1)
+
+
+def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
+    # tools/abtime.py gives the per-layer before/after of a perf change; at a
+    # tiny pool it must load a tree twice and print its table, whatever the timings
+    abtime = _tool(monkeypatch, "abtime")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        assert abtime.main([src, src, "--reps", "2", "--pool", "2", "--sizes", "3", "4"]) == 0
+    finally:
+        for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
+            del sys.modules[name]
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "pool of 2 plans, n = 3..4, seed 1, 2 repetitions"
+    assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins"]
+    assert [row.split()[0] for row in rows] == list(abtime.LAYERS)
+    for row in rows:
+        _, old_ms, new_ms, ratio, wins = row.split()
+        assert float(old_ms) > 0 and float(new_ms) > 0 and float(ratio) > 0
+        assert re.fullmatch(r"[012]/2", wins)

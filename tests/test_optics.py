@@ -3,6 +3,7 @@
 import math
 import re
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -126,12 +127,19 @@ class TestApplyElement:
                 assert caught.value.mode == IN
 
     def test_non_element_raises_type_error(self):
-        # a look-alike with a mode and an angle is still not a Rotator
+        # a look-alike with a mode and an angle is still not a Rotator: not an
+        # object with those attributes, not a plain tuple with those values and
+        # not a record of another class that happens to share the name
         state = PhotonState.pure(IN, [0.6, 0.8])
-        stranger = SimpleNamespace(mode=IN, angle=0.3)
-        for walk in WALKS:
+        named_alike = NamedTuple("Rotator", [("mode", ModeLabel), ("angle", float)])
+        strangers = (SimpleNamespace(mode=IN, angle=0.3), (IN, 0.3), named_alike(IN, 0.3))
+        for stranger in strangers:
             with pytest.raises(TypeError, match="not an optical element"):
-                walk(state, OpticalNetwork((stranger,), (IN,), IN))
+                OpticalNetwork((stranger,), (IN,), IN).external_inputs()
+            for walk in WALKS:
+                with pytest.raises(TypeError, match="not an optical element"):
+                    walk(state, OpticalNetwork((stranger,), (IN,), IN))
+        for walk in WALKS:
             # without a mode it is turned away before the network's inputs are traced
             with pytest.raises(TypeError, match="not an optical element"):
                 walk(state, OpticalNetwork((object(),), (IN,), IN))
@@ -176,6 +184,46 @@ class TestApplyElement:
             assert from_rows == from_array
             maps = [transfer_matrices(network)[IN] for network in networks]
             assert maps[0].tobytes() == maps[1].tobytes()
+
+
+class TestElementEquality:
+    """Elements compare by kind and fields, never as the tuples they are built on."""
+
+    def test_equal_fields_of_one_kind_compare_equal(self):
+        rows = ((1 + 0j, 0j), (0j, 1 + 0j))
+        twins = [
+            (PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B), PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B)),
+            (Rotator(IN, 0.3), Rotator(ModeLabel(0, "in"), 0.3)),
+            (PhaseShifter(IN, 0.3), PhaseShifter(ModeLabel(0, "in"), 0.3)),
+        ]
+        for first, second in twins:
+            assert first is not second
+            assert (first == second) is True and (first != second) is False
+            assert hash(first) == hash(second)
+            assert len({first, second}) == 1
+        # a matrix holder compares by identity, as PovmSet and CascadePlan do
+        unitary = ModeUnitary(IN, rows)
+        assert (unitary == unitary) is True and (unitary != unitary) is False
+        assert (unitary == ModeUnitary(IN, rows)) is False and (unitary != ModeUnitary(IN, rows)) is True
+        assert len({unitary, unitary, ModeUnitary(IN, rows)}) == 2
+
+    def test_no_element_equals_another_kind_or_a_plain_tuple(self):
+        rows = ((1 + 0j, 0j), (0j, 1 + 0j))
+        items = [
+            PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B),
+            (IN, AUX, OUT_A, OUT_B),
+            Rotator(IN, 0.3),
+            PhaseShifter(IN, 0.3),
+            (IN, 0.3),
+            Rotator(IN, 0.4),
+            ModeUnitary(IN, rows),
+            (IN, rows),
+        ]
+        for i, first in enumerate(items):
+            for j, second in enumerate(items):
+                # both operand orders, so a plain tuple on the left is covered too
+                assert (first == second) is (i == j), (first, second)
+                assert (first != second) is (i != j), (first, second)
 
 
 class TestModuleNetwork:
@@ -546,6 +594,21 @@ class TestExitAmplitudes:
             oracle = outcome_probabilities(density_matrix(np.outer(psi, psi.conj())), kraus)
             for record, expected in zip(records, oracle):
                 assert record.probability == pytest.approx(expected.probability, abs=1e-9)
+
+    def test_polarization_is_the_gauge_of_numpys_normalized_pair_bit_for_bit(self):
+        # the scalar read must keep the zero signs of numpy's complex division by
+        # sqrt(p), which a plain product by 1 / sqrt(p) flips
+        parts = (0.0, -0.0, 0.3, -0.7)
+        pairs = [(complex(a, b), complex(c, d)) for a in parts for b in parts for c in (0.0, -0.0, 0.6) for d in (-0.0, 0.8)]
+        for h, v in pairs:
+            vec = np.array([h, v])
+            p = float(np.vdot(vec, vec).real)
+            (record,) = exit_amplitudes(PhotonState({IN: (h, v)}), OpticalNetwork((), (IN,), IN))
+            assert record.probability == p
+            if p == 0.0:
+                assert record.polarization is None
+            else:
+                assert record.polarization.tobytes() == phase_fixed(vec / math.sqrt(p)).tobytes(), (h, v)
 
 
 def cascade_plan(spec):
