@@ -25,7 +25,8 @@ The elements are immutable records: each is one tuple of its fields
 allocation per element to build.  Equality is typed: two elements are equal
 when they are of the same exact kind with equal fields, so a Rotator never
 equals a PhaseShifter or a plain tuple with the same values.  A ModeUnitary,
-which holds a matrix, compares by identity.
+which holds a matrix, compares by identity.  Elements have no order: < and
+its kin raise TypeError.
 
 propagate keeps one amplitude table per call and lets each element act on
 it in place, so a network costs the same per element at any depth; the
@@ -50,7 +51,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import Rows2, _matrix2_rows, _phase_fixed
+from .qmath import Rows2, _matrix2_rows, phase_fixed
 from .synthesis import CascadePlan, ModuleSettings
 
 __all__ = [
@@ -112,13 +113,19 @@ class PhotonState:
         return np.array(self.amplitudes.get(mode, (0j, 0j)), dtype=complex)
 
 
+def _unordered(self, other):
+    raise TypeError(f"optical elements have no order: {type(self).__name__}")
+
+
 def _typed_equality(kind):
     """Give a tuple record typed equality: equal means the same exact kind and
     equal fields, never another kind or a plain tuple with the same values.
-    The hash stays the tuple's, which equal records share."""
+    The hash stays the tuple's, which equal records share.  Ordering raises
+    TypeError, as tuple ordering would disagree with this equality."""
     # False for another kind, not NotImplemented: Python would fall back to tuple equality
     kind.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
     kind.__ne__ = lambda self, other: not self == other
+    kind.__lt__ = kind.__le__ = kind.__gt__ = kind.__ge__ = _unordered
     return kind
 
 
@@ -167,6 +174,8 @@ class ModeUnitary(NamedTuple):
 
     def __ne__(self, other) -> bool:
         return self is not other
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 OpticalElement = Union[PolarizingBeamsplitter, Rotator, PhaseShifter, ModeUnitary]
@@ -239,10 +248,8 @@ def _act(amps, element: OpticalElement) -> None:
         b_h, b_v = amps.pop(in_b)
         # an output that is already live, or two outputs that are one mode, would lose a pair
         if out_a in amps or out_b in amps or out_b == out_a:
-            taken = out_a if out_a in amps else out_b
-            raise ValueError(f"beamsplitter output mode {taken} already occupied")
-        amps[out_a] = (a_h, b_v)
-        amps[out_b] = (b_h, a_v)
+            raise ValueError(f"beamsplitter output mode {out_a if out_a in amps else out_b} already occupied")
+        amps[out_a], amps[out_b] = (a_h, b_v), (b_h, a_v)
         return
     # Four Python-complex coefficients, no numpy call per element; complex
     # rotator entries keep the image of a float amplitude complex
@@ -330,15 +337,14 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
     """
     records = []
     for i, mode in enumerate(network.exits, start=1):
-        vec = np.array(state.amplitudes.get(mode, (0j, 0j)), dtype=complex)
+        vec = state.mode_vector(mode)
         # numpy's vdot, not |h|^2 + |v|^2 in Python: its BLAS sums the squares in
         # fused multiply-adds, which no FMA-free Python order reproduces bit for bit
         p = float(np.vdot(vec, vec).real)
         if p >= PROBABILITY_FLOOR:
             # numpy's division, not h * (1 / sqrt(p)) in Python: numpy divides by the
             # complex sqrt(p) + 0j, and the plain product would flip some zero parts' signs
-            fixed, _ = _phase_fixed(*(vec / math.sqrt(p)).tolist())
-            records.append(ExitAmplitude(i, p, np.array(fixed, dtype=complex)))
+            records.append(ExitAmplitude(i, p, phase_fixed(vec / math.sqrt(p))))
         else:
             records.append(ExitAmplitude(i, p, None))
     return records

@@ -255,7 +255,7 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
         for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
             del sys.modules[name]
     title, header, *rows = capsys.readouterr().out.splitlines()
-    assert title == "pool of 2 plans, n = 3..4, seed 1, 2 repetitions"
+    assert title == "pool of 2 plans, n = 3..4, 2 repetitions"
     assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins"]
     assert [row.split()[0] for row in rows] == list(abtime.LAYERS)
     for row in rows:

@@ -1,6 +1,7 @@
 """Element-level simulator: beamsplitter semantics, module transfer, cascades."""
 
 import math
+import operator
 import re
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -224,6 +225,24 @@ class TestElementEquality:
                 # both operand orders, so a plain tuple on the left is covered too
                 assert (first == second) is (i == j), (first, second)
                 assert (first != second) is (i != j), (first, second)
+
+    def test_elements_have_no_order(self):
+        # tuple ordering would disagree with the typed equality: Rotator(m, x) <= PhaseShifter(m, x)
+        rows = ((1 + 0j, 0j), (0j, 1 + 0j))
+        elements = [
+            PolarizingBeamsplitter(IN, AUX, OUT_A, OUT_B),
+            Rotator(IN, 0.3),
+            PhaseShifter(IN, 0.3),
+            ModeUnitary(IN, rows),
+        ]
+        others = elements + [Rotator(IN, 0.4), (IN, 0.4), (IN, AUX, OUT_A, OUT_B)]
+        for element in elements:
+            for other in others:
+                for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                    with pytest.raises(TypeError):
+                        compare(element, other)
+                    with pytest.raises(TypeError):
+                        compare(other, element)
 
 
 class TestModuleNetwork:

@@ -1,15 +1,16 @@
 """Time the simulate pipeline of two source trees layer by layer, interleaved in one interpreter.
 
 Each tree is imported under a package name of its own, so both run in one
-process on the same machine state.  The pool follows the benchmark's
-simulate workload: plans compiled from verify.random_povm and
-verify.random_rank_one_povm (three to one) at outcome counts spread
-log-uniformly over [LO, HI], with one pure state and one density matrix
-per plan.  Each repetition times every layer over the whole pool for both
-trees; which tree goes first alternates from one repetition to the next.
-Per layer it prints the median over repetitions of each tree's pool total,
-the ratio new/old of the two medians, and in how many repetitions the new
-tree was the faster.  The layers:
+process on the same machine state.  The pool is the benchmark's simulate
+pool at the benchmark's default seed, drawn with the benchmark's own
+generator (bench/oracle.py): POVMs of the full-rank and rank-one families
+(three to one) at outcome counts spread log-uniformly over [LO, HI], and
+one pure state and one density matrix per POVM.  Each tree validates and
+compiles the drawn POVMs itself.  Each repetition times every layer over
+the whole pool for both trees; which tree goes first alternates from one
+repetition to the next.  Per layer it prints the median over repetitions
+of each tree's pool total, the ratio new/old of the two medians, and in
+how many repetitions the new tree was the faster.  The layers:
 
     build              build_cascade_network(plan)
     external_inputs    network.external_inputs() on a fresh network
@@ -37,6 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
+#: the simulate workload's default seed and family mix (bench/run.py, bench/workloads.py)
+SEED = 1
+MIX = {"full_rank": 3, "rank_one": 1}
 LAYERS = ("build", "external_inputs", "propagate", "transfer_matrices", "exit_amplitudes", "verify_density", "op")
 
 
@@ -50,27 +54,38 @@ def load_tree(src: str, name: str):
     return {module: importlib.import_module(f"{name}.{module}") for module in ("optics", "povm", "synthesis", "verify")}
 
 
-def pool_sizes(count: int, lo: int, hi: int) -> list[int]:
-    """count outcome numbers at the midpoints of count equal strata of log n over [lo, hi]."""
-    return [round(lo * (hi / lo) ** ((k + 0.5) / count)) for k in range(count)]
+def load_oracle():
+    """The benchmark's input generator, bench/oracle.py, which imports no tree."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def draw_pool(count: int, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(POVM elements, pure state, density matrix) per plan, as the simulate workload draws them."""
+    oracle = load_oracle()
+    rng = np.random.default_rng([SEED, 3])
+    families = oracle.family_sequence(rng, count, MIX)
+    elements = [oracle.FAMILIES[f](rng, n) for f, n in zip(families, oracle.stratified_sizes(count, lo, hi))]
+    pool = []
+    for k, f in enumerate(elements):
+        states = np.random.default_rng([SEED, 4, k])
+        pool.append((f, oracle.random_pure_state(states), oracle.random_density(states)))
+    return pool
 
 
 class Side:
-    """One tree's pool and its layer timers."""
+    """One tree's compiled pool and its layer timers."""
 
-    def __init__(self, tree: dict, sizes: list[int], seed: int):
+    def __init__(self, tree: dict, pool: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
         self.optics, self.verify = tree["optics"], tree["verify"]
         povm, synthesis = tree["povm"], tree["synthesis"]
         self.inputs = []
-        for k, n in enumerate(sizes):
-            make = self.verify.random_rank_one_povm if k % 4 == 3 else self.verify.random_povm
-            kraus = povm.kraus_from_povm(make(n, 1000 * seed + k))
-            rng = np.random.default_rng([seed, k])
-            psi = self.verify.random_pure_state(rng)
-            draws = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            rho = draws @ draws.conj().T
-            rho = povm.density_matrix(rho / np.trace(rho).real)
-            self.inputs.append((kraus, synthesis.synthesize_cascade(kraus), psi, rho))
+        for f, psi, rho in pool:
+            kraus = povm.kraus_from_povm(povm.validate_povm(list(f)))
+            self.inputs.append((kraus, synthesis.synthesize_cascade(kraus), psi, povm.density_matrix(rho)))
 
     def time_layers(self) -> dict[str, float]:
         """Seconds per layer over the whole pool."""
@@ -131,14 +146,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("old", help="source directory holding the baseline povmcascade package")
     parser.add_argument("new", help="source directory holding the changed povmcascade package")
     parser.add_argument("--reps", type=int, default=21, help="repetitions, alternating which tree goes first")
-    parser.add_argument("--pool", type=int, default=64, help="plans in the pool")
+    parser.add_argument("--pool", type=int, default=64, help="plans in the pool, a power of two")
     parser.add_argument("--sizes", type=int, nargs=2, default=(10, 80), metavar=("LO", "HI"), help="outcome counts")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the pool's POVMs and states")
     args = parser.parse_args(argv)
-    sizes = pool_sizes(args.pool, *args.sizes)
+    pool = draw_pool(args.pool, *args.sizes)
     trees = (load_tree(args.old, "povmcascade_old"), load_tree(args.new, "povmcascade_new"))
-    old, new = (Side(tree, sizes, args.seed) for tree in trees)
-    print(f"pool of {args.pool} plans, n = {min(sizes)}..{max(sizes)}, seed {args.seed}, {args.reps} repetitions")
+    old, new = (Side(tree, pool) for tree in trees)
+    sizes = [len(f) for f, _, _ in pool]
+    print(f"pool of {args.pool} plans, n = {min(sizes)}..{max(sizes)}, {args.reps} repetitions")
     print("\n".join(report(measure(old, new, args.reps))))
     return 0
 
