@@ -5,7 +5,10 @@ stable across commands: 0 success/valid, 1 usage or parse error, 2 domain
 failure (invalid POVM, failed verification, out-of-domain parameters).
 
 File formats are JSON with complex numbers as [re, im] pairs; see the
-README for the POVM-document and plan-document schemas.
+README for the POVM-document and plan-document schemas.  Plans and reports
+are written as ``json.dump(doc, fh, indent=2)`` writes them, plus a final
+newline, but built in one pass and written at once.  When the first
+argument names a command, only that command's subparser is built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ SCHEMA_VERSION = "1"
 NORM_WARNING = 1e-6
 
 _DOUBLE_MAX = sys.float_info.max
+
+#: json.dumps's string encoder at its default ensure_ascii=True
+_json_string = json.encoder.encode_basestring_ascii
 
 
 class DocumentError(ValueError):
@@ -189,10 +195,29 @@ def _load_json(path: str):
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, for str-keyed documents,
+    joined in one recursive pass: with an indent the stdlib runs its
+    pure-Python generator encoder, chunk by chunk."""
+    if isinstance(obj, float) and obj - obj == 0.0:  # finite: json writes its repr
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json_text(item, inner) for item in obj]
+    elif isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_json_string(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+    else:  # any other value is one token, and json's own text for it takes no indent
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_json(path: str, payload: dict) -> None:
+    text = _json_text(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ----------------------------------------------------------------------
@@ -212,21 +237,21 @@ def _fmt_matrix(m) -> str:
 
 
 def _print_settings(plan: CascadePlan) -> None:
-    print(f"cascade plan: {plan.n} outcomes, {len(plan.modules)} modules")
+    lines = [f"cascade plan: {plan.n} outcomes, {len(plan.modules)} modules"]
     for j, module in enumerate(plan.modules, start=1):
         theta_deg = math.degrees(module.theta)
         phi_deg = math.degrees(module.phi)
-        print(
+        lines += [
             f"module {j}: theta {module.theta:.5f} rad ({theta_deg:.3f} deg), "
             f"phi {module.phi:.5f} rad ({phi_deg:.3f} deg), "
-            f"zeta {module.zeta:.5f} rad, xi {module.xi:.5f} rad"
-        )
-        print("  pre-unitary:")
-        print(_fmt_matrix(module.pre_unitary))
-        print("  exit unitary:")
-        print(_fmt_matrix(module.exit_unitary))
-    print("final exit unitary:")
-    print(_fmt_matrix(plan.final_exit_unitary))
+            f"zeta {module.zeta:.5f} rad, xi {module.xi:.5f} rad",
+            "  pre-unitary:",
+            _fmt_matrix(module.pre_unitary),
+            "  exit unitary:",
+            _fmt_matrix(module.exit_unitary),
+        ]
+    lines += ["final exit unitary:", _fmt_matrix(plan.final_exit_unitary)]
+    print("\n".join(lines))
 
 
 def _verify_and_report(kraus, plan: CascadePlan, args, show_roundtrip: bool = False) -> int:
@@ -396,58 +421,75 @@ def _add_verification_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report", help="write the verification report (JSON) here")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _validate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", help="POVM document (JSON)")
+
+
+def _synthesize_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", help="POVM document (JSON)")
+    parser.add_argument("-o", "--output", required=True, help="plan document to write")
+    _add_verification_options(parser)
+
+
+def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("plan", help="plan document (JSON)")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pure", help="pure state as a_re,a_im,b_re,b_im")
+    group.add_argument("--density", help="density-matrix file (JSON 2x2 matrix)")
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", help="POVM document (JSON)")
+    parser.add_argument("--plan", help="plan document (default: synthesize internally)")
+    _add_verification_options(parser)
+
+
+def _demo_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", choices=("trine", "ekert"))
+    parser.add_argument("--alpha", type=float, default=0.0, help="ekert: first polarization (degrees)")
+    parser.add_argument("--beta", type=float, default=45.0, help="ekert: second polarization (degrees)")
+    _add_verification_options(parser)
+
+
+#: per command: what it runs, its help line and what adds its arguments
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a POVM document", _validate_arguments),
+    "synthesize": (_cmd_synthesize, "compile a POVM document into a plan", _synthesize_arguments),
+    "simulate": (_cmd_simulate, "propagate a state through a plan", _simulate_arguments),
+    "verify": (_cmd_verify, "verify a plan against a POVM document", _verify_arguments),
+    "demo": (_cmd_demo, "run a built-in example", _demo_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `povm` parser; given a command's name, with that command's subparser only.
+
+    argparse hands every argument after the command's name to its subparser,
+    so when the first argument names a command, the other subparsers are
+    never consulted, and building them is the most of a parser's cost."""
     parser = _Parser(
         prog="povm",
         description="Compile polarization POVMs into beamsplitter-cascade settings and simulate them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a POVM document")
-    p_validate.add_argument("input", help="POVM document (JSON)")
-
-    p_synth = sub.add_parser("synthesize", help="compile a POVM document into a plan")
-    p_synth.add_argument("input", help="POVM document (JSON)")
-    p_synth.add_argument("-o", "--output", required=True, help="plan document to write")
-    _add_verification_options(p_synth)
-
-    p_sim = sub.add_parser("simulate", help="propagate a state through a plan")
-    p_sim.add_argument("plan", help="plan document (JSON)")
-    group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pure", help="pure state as a_re,a_im,b_re,b_im")
-    group.add_argument("--density", help="density-matrix file (JSON 2x2 matrix)")
-
-    p_verify = sub.add_parser("verify", help="verify a plan against a POVM document")
-    p_verify.add_argument("input", help="POVM document (JSON)")
-    p_verify.add_argument("--plan", help="plan document (default: synthesize internally)")
-    _add_verification_options(p_verify)
-
-    p_demo = sub.add_parser("demo", help="run a built-in example")
-    p_demo.add_argument("name", choices=("trine", "ekert"))
-    p_demo.add_argument("--alpha", type=float, default=0.0, help="ekert: first polarization (degrees)")
-    p_demo.add_argument("--beta", type=float, default=45.0, help="ekert: second polarization (degrees)")
-    _add_verification_options(p_demo)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        if command is None or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "synthesize": _cmd_synthesize,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "demo": _cmd_demo,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, no command, an unknown word or a leading option: the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -230,7 +230,8 @@ def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(identity.FAMILIES)
     assert all(" identical (" in line for line in lines)
-    assert "povms      identical (20 items)" in lines and "cli        identical (33 items)" in lines
+    assert "povms      identical (20 items)" in lines and "cli        identical (46 items)" in lines
+    assert "propagate  identical (58 items)" in lines
 
 
 def test_identity_tool_names_the_items_that_differ(monkeypatch):
@@ -249,16 +250,23 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
     # tiny pool it must load a tree twice and print its table, whatever the timings
     abtime = _tool(monkeypatch, "abtime")
     src = str(Path(__file__).resolve().parent.parent / "src")
+    tiny = ["--reps", "2", "--pool", "2", "--sizes", "3", "4"]
     try:
-        assert abtime.main([src, src, "--reps", "2", "--pool", "2", "--sizes", "3", "4"]) == 0
+        assert abtime.main([src, src, *tiny]) == 0
+        simulate = capsys.readouterr().out.splitlines()
+        assert abtime.main([src, src, "--workload", "synthesize", "--runs", "2", *tiny]) == 0
+        synthesize = capsys.readouterr().out.splitlines()
     finally:
         for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
             del sys.modules[name]
-    title, header, *rows = capsys.readouterr().out.splitlines()
-    assert title == "pool of 2 plans, n = 3..4, 2 repetitions"
-    assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins"]
-    assert [row.split()[0] for row in rows] == list(abtime.LAYERS)
-    for row in rows:
-        _, old_ms, new_ms, ratio, wins = row.split()
-        assert float(old_ms) > 0 and float(new_ms) > 0 and float(ratio) > 0
-        assert re.fullmatch(r"[012]/2", wins)
+    for (title, header, *rows), wanted, layers in (
+        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", abtime.LAYERS),
+        (synthesize, "pool of 2 documents, n = 3..4, 2 repetitions, 2 invocations per tree", ("main", "invocation")),
+    ):
+        assert title == wanted
+        assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins"]
+        assert [row.split()[0] for row in rows] == list(layers)
+        for row in rows:
+            _, old_ms, new_ms, ratio, wins = row.split()
+            assert float(old_ms) > 0 and float(new_ms) > 0 and float(ratio) > 0
+            assert re.fullmatch(r"[012]/2", wins)

@@ -1,13 +1,21 @@
 """Command-line interface: exit codes, document round trips, and output."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from povmcascade import cli
 from povmcascade.cli import (
+    _write_json,
+    build_parser,
     main,
     matrix_from_json,
     matrix_to_json,
@@ -451,3 +459,85 @@ class TestDemoCommand:
 
     def test_unknown_demo_name(self, capsys):
         assert main(["demo", "octahedron"]) == 1
+
+
+JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1.7e308])
+JSON_SCALARS = JSON_FLOATS | st.integers() | st.booleans() | st.none() | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("writer") / "out.json")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=JSON_VALUES)
+def test_document_writer_is_json_dump_with_indent_2(json_path, payload):
+    # the one-pass writer keeps json.dump(indent=2)'s bytes: NaN and Infinity,
+    # -0.0, repr-exact floats, ASCII escapes and empty containers
+    _write_json(json_path, payload)
+    with open(json_path, "rb") as fh:
+        assert fh.read() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def test_document_writer_refuses_what_json_refuses(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json(str(tmp_path / "out.json"), {"a": [1j]})
+
+
+# help, usage errors and ordinary runs, with and without a command in front
+PARSER_RUNS = [
+    ["-h"],
+    *([command, "-h"] for command in ("validate", "synthesize", "simulate", "verify", "demo")),
+    [],
+    ["synth"],
+    ["synthesize", "{trine}"],
+    ["synthesize", "{trine}", "-o", "{plan}", "--trials", "0"],
+    ["simulate", "{plan}", "--pure", "1,0,0,0", "--density", "{rho}"],
+    ["validate", "{trine}", "--bogus"],
+    ["-x", "synthesize"],
+    ["validate", "{trine}"],
+    ["synthesize", "{trine}", "-o", "{plan}", "--trials", "5"],
+    ["simulate", "{plan}", "--pure", "1,0,0,0"],
+    ["demo", "ekert", "--beta", "30", "--trials", "5"],
+]
+
+
+def _run(argv):
+    """(exit code or SystemExit, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code!r})"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_RUNS, ids=" ".join)
+def test_command_parser_answers_as_the_full_parser(argv, trine_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"trine": trine_file, "plan": write_json(tmp_path / "plan.json", TRINE_PLAN), "rho": write_json(tmp_path / "rho.json", RHO)}
+    argv = [arg.format(**files) for arg in argv]
+    asked = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or build_parser(command))
+    own = _run(argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert _run(argv) == own
+    # a first argument that names a command gets that command's parser only
+    assert asked == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+
+
+def test_main_reads_the_console_scripts_argv(monkeypatch, capsys):
+    # the installed `povm` calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["povm", "demo", "trine", "--trials", "5"])
+    assert main() == 0
+    assert capsys.readouterr() == (_run(["demo", "trine", "--trials", "5"])[1], "")
+    monkeypatch.setattr(sys, "argv", ["povm"])
+    assert main() == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: command\n"

@@ -1,16 +1,18 @@
-"""Time the simulate pipeline of two source trees layer by layer, interleaved in one interpreter.
+"""Time two source trees against each other, interleaved in one interpreter.
 
 Each tree is imported under a package name of its own, so both run in one
-process on the same machine state.  The pool is the benchmark's simulate
-pool at the benchmark's default seed, drawn with the benchmark's own
-generator (bench/oracle.py): POVMs of the full-rank and rank-one families
-(three to one) at outcome counts spread log-uniformly over [LO, HI], and
-one pure state and one density matrix per POVM.  Each tree validates and
-compiles the drawn POVMs itself.  Each repetition times every layer over
+process on the same machine state.  Each repetition times every layer over
 the whole pool for both trees; which tree goes first alternates from one
 repetition to the next.  Per layer it prints the median over repetitions
 of each tree's pool total, the ratio new/old of the two medians, and in
-how many repetitions the new tree was the faster.  The layers:
+how many repetitions the new tree was the faster.  The pools are the
+benchmark's own at its default seed, drawn with the benchmark's generator
+(bench/oracle.py): POVMs of the full-rank and rank-one families (three to
+one) at outcome counts spread log-uniformly over [LO, HI].
+
+--workload simulate (the default; LO..HI = 10..80): one pure state and one
+density matrix per POVM.  Each tree validates and compiles the drawn POVMs
+itself.  The layers:
 
     build              build_cascade_network(plan)
     external_inputs    network.external_inputs() on a fresh network
@@ -21,27 +23,57 @@ how many repetitions the new tree was the faster.  The layers:
     op                 the benchmark's op: build, propagate and exit_amplitudes
                        of the pure state, then verify_density
 
+--workload synthesize (LO..HI = 3..24): one POVM document per POVM, written
+once to a temporary directory.  The rows:
+
+    main               the benchmark's op: cli.main(["synthesize", doc, "-o",
+                       plan, "--report", report]), output to a string buffer
+    invocation         one such run per fresh interpreter, --runs of them per
+                       tree, trees alternated: cli.main timed after its import,
+                       with stdout to the null device; the median of one run
+                       each, and in how many pairs of runs the new tree won
+
     python tools/abtime.py OLD/src NEW/src                  # 21 repetitions, 64 plans
     python tools/abtime.py --reps 5 --pool 8 OLD/src NEW/src
+    python tools/abtime.py --workload synthesize OLD/src NEW/src
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
+import json
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-#: the simulate workload's default seed and family mix (bench/run.py, bench/workloads.py)
+#: the benchmark's default seed and the family mix of both workloads (bench/run.py, bench/workloads.py)
 SEED = 1
 MIX = {"full_rank": 3, "rank_one": 1}
 LAYERS = ("build", "external_inputs", "propagate", "transfer_matrices", "exit_amplitudes", "verify_density", "op")
+#: outcome counts per workload, as bench/workloads.py draws them
+SIZES = {"simulate": (10, 80), "synthesize": (3, 24)}
+
+#: one `povm synthesize` in a fresh interpreter: prints its seconds from after the import, exits with its code
+_INVOCATION = """
+import sys, time
+from povmcascade import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def load_tree(src: str, name: str):
@@ -51,7 +83,7 @@ def load_tree(src: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {module: importlib.import_module(f"{name}.{module}") for module in ("optics", "povm", "synthesis", "verify")}
+    return {module: importlib.import_module(f"{name}.{module}") for module in ("cli", "optics", "povm", "synthesis", "verify")}
 
 
 def load_oracle():
@@ -63,12 +95,17 @@ def load_oracle():
     return oracle
 
 
+def draw_elements(oracle, stream: int, count: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The POVMs of a workload's pool: bench/workloads._draw on default_rng([SEED, stream])."""
+    rng = np.random.default_rng([SEED, stream])
+    families = oracle.family_sequence(rng, count, MIX)
+    return [oracle.FAMILIES[f](rng, n) for f, n in zip(families, oracle.stratified_sizes(count, lo, hi))]
+
+
 def draw_pool(count: int, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(POVM elements, pure state, density matrix) per plan, as the simulate workload draws them."""
     oracle = load_oracle()
-    rng = np.random.default_rng([SEED, 3])
-    families = oracle.family_sequence(rng, count, MIX)
-    elements = [oracle.FAMILIES[f](rng, n) for f, n in zip(families, oracle.stratified_sizes(count, lo, hi))]
+    elements = draw_elements(oracle, 3, count, lo, hi)
     pool = []
     for k, f in enumerate(elements):
         states = np.random.default_rng([SEED, 4, k])
@@ -120,21 +157,76 @@ class Side:
         return times
 
 
-def measure(old: Side, new: Side, reps: int) -> dict[str, tuple[list[float], list[float]]]:
+def synthesize_pool(count: int, lo: int, hi: int, workdir: str) -> tuple[list[list[str]], list[int]]:
+    """The synthesize workload's op arguments and outcome counts: its POVM documents,
+    written once to workdir as bench/workloads.Synthesize writes them."""
+    oracle = load_oracle()
+    elements = draw_elements(oracle, 2, count, lo, hi)
+    plan, report = os.path.join(workdir, "plan.json"), os.path.join(workdir, "report.json")
+    argvs = []
+    for k, f in enumerate(elements):
+        doc = os.path.join(workdir, f"povm_{k}.json")
+        Path(doc).write_text(json.dumps(oracle.povm_document(f)), encoding="utf-8")
+        argvs.append(["synthesize", doc, "-o", plan, "--report", report])
+    return argvs, [len(f) for f in elements]
+
+
+class MainSide:
+    """One tree's cli.main on the synthesize pool."""
+
+    def __init__(self, tree: dict, argvs: list[list[str]]):
+        self.main, self.argvs = tree["cli"].main, argvs
+
+    def time_layers(self) -> dict[str, float]:
+        """Seconds of cli.main over the whole pool; raises if a run fails."""
+        sink = io.StringIO()
+        gc.collect()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            codes = [self.main(argv) for argv in self.argvs]
+        seconds = time.perf_counter() - start
+        if any(codes):
+            raise RuntimeError(f"cli.main failed on the pool:\n{sink.getvalue()}")
+        return {"main": seconds}
+
+
+def invocation(src: str, argv: list[str], workdir: str) -> float:
+    """Seconds of cli.main(argv) after its import, in a fresh interpreter that imports the tree at src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _INVOCATION, *argv],
+        cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"povm {' '.join(argv)} failed under {src}:\n{done.stderr}")
+    return float(done.stderr.split()[-1])
+
+
+def measure_invocations(srcs: tuple[str, str], argvs: list[list[str]], runs: int, workdir: str) -> tuple[list[float], list[float]]:
+    """Old and new seconds of `runs` fresh invocations each, on the pool's documents in turn; the first tree alternates."""
+    times = ([], [])
+    for run in range(runs):
+        argv = argvs[run % len(argvs)]
+        for slot in (0, 1) if run % 2 == 0 else (1, 0):
+            times[slot].append(invocation(srcs[slot], argv, workdir))
+    return times
+
+
+def measure(old, new, reps: int, layers: tuple[str, ...]) -> dict[str, tuple[list[float], list[float]]]:
     """Per layer, the old and new pool totals of each repetition; the first side alternates."""
-    runs = {layer: ([], []) for layer in LAYERS}
+    runs = {layer: ([], []) for layer in layers}
     for rep in range(reps):
         order = [(0, old), (1, new)] if rep % 2 == 0 else [(1, new), (0, old)]
         for slot, side in order:
-            for layer, seconds in side.time_layers().items():
-                runs[layer][slot].append(seconds)
+            times = side.time_layers()
+            for layer in layers:
+                runs[layer][slot].append(times[layer])
     return runs
 
 
 def report(runs: dict[str, tuple[list[float], list[float]]]) -> list[str]:
     lines = [f"{'layer':<18} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'wins':>7}"]
-    for layer in LAYERS:
-        old, new = runs[layer]
+    for layer, (old, new) in runs.items():
         old_ms, new_ms = 1e3 * statistics.median(old), 1e3 * statistics.median(new)
         wins = sum(b < a for a, b in zip(old, new))
         lines.append(f"{layer:<18} {old_ms:10.3f} {new_ms:10.3f} {new_ms / old_ms:8.3f} {f'{wins}/{len(old)}':>7}")
@@ -145,16 +237,31 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="source directory holding the baseline povmcascade package")
     parser.add_argument("new", help="source directory holding the changed povmcascade package")
+    parser.add_argument("--workload", choices=tuple(SIZES), default="simulate", help="the benchmark pool to time")
     parser.add_argument("--reps", type=int, default=21, help="repetitions, alternating which tree goes first")
     parser.add_argument("--pool", type=int, default=64, help="plans in the pool, a power of two")
-    parser.add_argument("--sizes", type=int, nargs=2, default=(10, 80), metavar=("LO", "HI"), help="outcome counts")
+    parser.add_argument("--sizes", type=int, nargs=2, metavar=("LO", "HI"), help="outcome counts (default: the workload's)")
+    parser.add_argument("--runs", type=int, default=20, help="synthesize: fresh-interpreter runs per tree")
     args = parser.parse_args(argv)
-    pool = draw_pool(args.pool, *args.sizes)
+    sizes = args.sizes or SIZES[args.workload]
     trees = (load_tree(args.old, "povmcascade_old"), load_tree(args.new, "povmcascade_new"))
-    old, new = (Side(tree, pool) for tree in trees)
-    sizes = [len(f) for f, _, _ in pool]
-    print(f"pool of {args.pool} plans, n = {min(sizes)}..{max(sizes)}, {args.reps} repetitions")
-    print("\n".join(report(measure(old, new, args.reps))))
+    if args.workload == "simulate":
+        pool = draw_pool(args.pool, *sizes)
+        old, new = (Side(tree, pool) for tree in trees)
+        counts = [len(f) for f, _, _ in pool]
+        print(f"pool of {args.pool} plans, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
+        print("\n".join(report(measure(old, new, args.reps, LAYERS))))
+        return 0
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs, counts = synthesize_pool(args.pool, *sizes, workdir)
+        old, new = (MainSide(tree, argvs) for tree in trees)
+        runs = measure(old, new, args.reps, ("main",))
+        runs["invocation"] = measure_invocations((args.old, args.new), argvs, args.runs, workdir)
+    print(
+        f"pool of {args.pool} documents, n = {min(counts)}..{max(counts)}, {args.reps} repetitions, "
+        f"{args.runs} invocations per tree"
+    )
+    print("\n".join(report(runs)))
     return 0
 
 

@@ -5,12 +5,15 @@ For one tree it prints one SHA-256 per artifact family:
     povms      the elements and kraus_from_povm's operators of every corpus POVM
     plans      every plan's angles and unitary entries, and reconstruct_kraus's operators
     transfer   transfer_matrices of every plan's network: keys, their order and the map bytes
-    propagate  propagate's amplitudes and exit_amplitudes for a seeded pure state
+    propagate  propagate's amplitudes and exit_amplitudes for a seeded pure state,
+               for |H>, |V> and i|V> through the trine and ekert demo plans, and
+               for signed-zero pairs on a one-mode network
     reports    verify_plan(...).to_dict() and verify_density(...).to_dict()
-    cli        stdout, stderr, exit code and written files of the CLI on a fixed
-               document set (trine with labels, n = 2, n = 12 with exit unitaries,
-               rank-one n = 24, n = 80, a non-PSD document, a NaN pure state,
-               demo trine and demo ekert)
+    cli        stdout, stderr, exit code (or SystemExit) and written files of the
+               CLI on a fixed document set (trine with labels, n = 2, n = 12 with
+               exit unitaries, rank-one n = 24, n = 80, a non-PSD document, a NaN
+               pure state, demo trine and demo ekert), and its help and usage
+               errors at COLUMNS=80
 
 The corpus is random_povm and random_rank_one_povm at n = 2..MAX_N outcomes and
 seeds 0..SEEDS-1 (790 POVMs at the defaults).  An error raised on an input is
@@ -90,20 +93,44 @@ def _corpus(max_n: int, seeds: int, records: dict) -> None:
                 )
                 rng = np.random.default_rng([seed, n])
                 psi = verify.random_pure_state(rng)
-                out = optics.propagate(optics.PhotonState.pure(network.input, psi), network)
-                exits = optics.exit_amplitudes(out, network)
-                records["propagate"].append(
-                    (
-                        label,
-                        repr(list(out.amplitudes.items())).encode()
-                        + repr([(e.index, e.probability, None if e.polarization is None else e.polarization.tolist()) for e in exits]).encode(),
-                    )
-                )
+                records["propagate"].append((label, _propagation(optics, network, psi)))
                 draws = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 rho = draws @ draws.conj().T
                 rho = povm.density_matrix(rho / np.trace(rho).real)
                 reports = [verify.verify_plan(kraus, plan, trial_states=20, seed=seed), verify.verify_density(rho, kraus, plan)]
                 records["reports"].append((label, json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()))
+
+
+def _propagation(optics, network, psi) -> bytes:
+    """propagate's amplitudes and exit_amplitudes' records of psi, as their reprs."""
+    out = optics.propagate(optics.PhotonState.pure(network.input, psi), network)
+    exits = optics.exit_amplitudes(out, network)
+    return (
+        repr(list(out.amplitudes.items())).encode()
+        + repr([(e.index, e.probability, None if e.polarization is None else e.polarization.tolist()) for e in exits]).encode()
+    )
+
+
+def _zero_parts(records: dict) -> None:
+    """Exits with exactly zero parts: the demo plans on |H>, |V> and i|V> (the
+    trine's read (0.5-0j)), and signed-zero pairs read straight off a one-mode
+    network.  Only the pairs can show a change of exit_amplitudes'
+    normalization that flips the sign of a zero: a plan's walk sums the zeros
+    it leaves to +0.0, where numpy's division and a plain product agree."""
+    from povmcascade import demos, optics
+
+    _, _, trine = demos.trine_povm()
+    _, ekert = demos.ekert_povm(demos.EkertParams(0.0, np.pi / 4))
+    for name, plan in (("trine", trine), ("ekert", ekert)):
+        network = optics.build_cascade_network(plan)
+        for state, psi in (("H", [1, 0]), ("V", [0, 1]), ("iV", [0, 1j])):
+            records["propagate"].append((f"demo/{name}/{state}", _propagation(optics, network, psi)))
+    mode = optics.ModeLabel(0, "in")
+    bare = optics.OpticalNetwork((), (mode,), mode)
+    parts = (0.0, -0.0, 0.3, -0.7)
+    for h in (complex(a, b) for a in parts for b in parts):
+        for v in (complex(-0.0, 0.8), complex(0.6, -0.0)):
+            records["propagate"].append((f"bare/{h!r},{v!r}", _propagation(optics, bare, [h, v])))
 
 
 def _pairs(m) -> list:
@@ -173,6 +200,18 @@ def _cli(records: dict) -> None:
             ["simulate", plan, "--density", "rho.json"],
         ]
     runs.append(["simulate", "trine.plan.json", "--pure", "nan,0,1,0"])
+    # help and usage errors: the parser's own output, the --trials check and
+    # the --pure/--density group, with and without a command in front
+    runs += [["-h"]] + [[command, "-h"] for command in ("validate", "synthesize", "simulate", "verify", "demo")]
+    runs += [
+        [],
+        ["synth"],
+        ["synthesize", "trine.json"],
+        ["synthesize", "trine.json", "-o", "usage.plan.json", "--trials", "0"],
+        ["simulate", "trine.plan.json", "--pure", "1,0,0,0", "--density", "rho.json"],
+        ["validate", "trine.json", "--bogus"],
+        ["-x", "synthesize"],
+    ]
     documents["rho"] = [[[0.7, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -184,7 +223,10 @@ def _cli(records: dict) -> None:
                 before = set(os.listdir("."))
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:  # argparse's help exits
+                        code = f"SystemExit({exc.code!r})"
                 written = sorted(set(os.listdir(".")) - before)
                 files = b"".join(name.encode() + b"\0" + Path(name).read_bytes() for name in written)
                 records["cli"].append((" ".join(argv), f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode() + files))
@@ -196,6 +238,7 @@ def fingerprint(max_n: int, seeds: int) -> dict:
     """{family: {"digest": sha256, "items": {label: sha256}}} for the importable package."""
     records: dict[str, list] = {family: [] for family in FAMILIES}
     _corpus(max_n, seeds, records)
+    _zero_parts(records)
     _cli(records)
     return {
         family: {
@@ -208,7 +251,8 @@ def fingerprint(max_n: int, seeds: int) -> dict:
 
 def run_tree(src: str, max_n: int, seeds: int) -> dict:
     """fingerprint() in a fresh interpreter that imports the package from src."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    # COLUMNS: argparse wraps the CLI's help to the terminal's width
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
     argv = [sys.executable, os.path.abspath(__file__), "--json", "--max-n", str(max_n), "--seeds", str(seeds), src]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
