@@ -5,10 +5,11 @@ stable across commands: 0 success/valid, 1 usage or parse error, 2 domain
 failure (invalid POVM, failed verification, out-of-domain parameters).
 
 File formats are JSON with complex numbers as [re, im] pairs; see the
-README for the POVM-document and plan-document schemas.  Plans and reports
-are written as ``json.dump(doc, fh, indent=2)`` writes them, plus a final
-newline, but built in one pass and written at once.  When the first
-argument names a command, only that command's subparser is built.
+README for the POVM-document and plan-document schemas.  Plans and reports,
+whose keys are all strings, are written as ``json.dump(doc, fh, indent=2)``
+writes them, plus a final newline, but built in one pass and written at
+once.  When the first argument names a command, only that command's
+subparser is built.
 """
 
 from __future__ import annotations

@@ -490,6 +490,13 @@ def test_document_writer_refuses_what_json_refuses(tmp_path):
         _write_json(str(tmp_path / "out.json"), {"a": [1j]})
 
 
+def test_document_writer_takes_only_str_keys(tmp_path):
+    # json.dump would write the key 1 as "1"; plans and reports have only
+    # str keys, and the writer refuses any other
+    with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "out.json"), {"a": {1: 2.0}})
+
+
 # help, usage errors and ordinary runs, with and without a command in front
 PARSER_RUNS = [
     ["-h"],

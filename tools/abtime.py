@@ -28,7 +28,7 @@ once to a temporary directory.  The rows:
 
     main               the benchmark's op: cli.main(["synthesize", doc, "-o",
                        plan, "--report", report]), output to a string buffer
-    invocation         one such run per fresh interpreter, --runs of them per
+    invocation         one such run per fresh interpreter, --reps of them per
                        tree, trees alternated: cli.main timed after its import,
                        with stdout to the null device; the median of one run
                        each, and in how many pairs of runs the new tree won
@@ -202,12 +202,12 @@ def invocation(src: str, argv: list[str], workdir: str) -> float:
     return float(done.stderr.split()[-1])
 
 
-def measure_invocations(srcs: tuple[str, str], argvs: list[list[str]], runs: int, workdir: str) -> tuple[list[float], list[float]]:
-    """Old and new seconds of `runs` fresh invocations each, on the pool's documents in turn; the first tree alternates."""
+def measure_invocations(srcs: tuple[str, str], argvs: list[list[str]], reps: int, workdir: str) -> tuple[list[float], list[float]]:
+    """Old and new seconds of `reps` fresh invocations each, on the pool's documents in turn; the first tree alternates."""
     times = ([], [])
-    for run in range(runs):
-        argv = argvs[run % len(argvs)]
-        for slot in (0, 1) if run % 2 == 0 else (1, 0):
+    for rep in range(reps):
+        argv = argvs[rep % len(argvs)]
+        for slot in (0, 1) if rep % 2 == 0 else (1, 0):
             times[slot].append(invocation(srcs[slot], argv, workdir))
     return times
 
@@ -241,7 +241,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--reps", type=int, default=21, help="repetitions, alternating which tree goes first")
     parser.add_argument("--pool", type=int, default=64, help="plans in the pool, a power of two")
     parser.add_argument("--sizes", type=int, nargs=2, metavar=("LO", "HI"), help="outcome counts (default: the workload's)")
-    parser.add_argument("--runs", type=int, default=20, help="synthesize: fresh-interpreter runs per tree")
     args = parser.parse_args(argv)
     sizes = args.sizes or SIZES[args.workload]
     trees = (load_tree(args.old, "povmcascade_old"), load_tree(args.new, "povmcascade_new"))
@@ -256,11 +255,8 @@ def main(argv: list[str]) -> int:
         argvs, counts = synthesize_pool(args.pool, *sizes, workdir)
         old, new = (MainSide(tree, argvs) for tree in trees)
         runs = measure(old, new, args.reps, ("main",))
-        runs["invocation"] = measure_invocations((args.old, args.new), argvs, args.runs, workdir)
-    print(
-        f"pool of {args.pool} documents, n = {min(counts)}..{max(counts)}, {args.reps} repetitions, "
-        f"{args.runs} invocations per tree"
-    )
+        runs["invocation"] = measure_invocations((args.old, args.new), argvs, args.reps, workdir)
+    print(f"pool of {args.pool} documents, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
     print("\n".join(report(runs)))
     return 0
 
