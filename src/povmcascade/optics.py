@@ -21,12 +21,16 @@ elements).  Vacuum inputs are explicit zero-amplitude modes, which makes
 the whole transfer manifestly unitary.
 
 The elements are immutable records: each is one tuple of its fields
-(``typing.NamedTuple``), so a network of 16(n-1)+1 elements costs one tuple
-allocation per element to build.  Equality is typed: two elements are equal
-when they are of the same exact kind with equal fields, so a Rotator never
-equals a PhaseShifter or a plain tuple with the same values.  A ModeUnitary,
-which holds a matrix, compares by identity.  Elements have no order: < and
-its kin raise TypeError.
+(``typing.NamedTuple``).  Of a module's 16 elements, the 10 that carry no
+setting (its five beamsplitters and five fixed rotators) and its 13 mode
+labels are made once per process, keyed by the module's index alone (the
+4,096 used last are kept), and shared by every network built in it, so a
+build makes only the six records per module that hold the plan's values,
+and ``is`` can hold between two networks' elements and labels.  Equality
+is typed: two elements are equal when they are of the same exact kind with
+equal fields, so a Rotator never equals a PhaseShifter or a plain tuple
+with the same values.  A ModeUnitary, which holds a matrix, compares by
+identity.  Elements have no order: < and its kin raise TypeError.
 
 propagate keeps one amplitude table per call and lets each element act on
 it in place, so a network costs the same per element at any depth; the
@@ -45,14 +49,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
 from .qmath import Rows2, _matrix2_rows, phase_fixed
-from .synthesis import CascadePlan, ModuleSettings
+from .synthesis import CascadePlan
 
 __all__ = [
     "UnknownMode",
@@ -350,23 +354,29 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
     return records
 
 
-#: the names of a module's own modes; its input mode is the caller's
+#: the names of a module's own modes; its input mode is the previous module's pass arm
 _MODULE_MODES = "s1 s2 t1 t2 t3 t4 p1 p2 dark1 dark2 vac_in vac_s1 vac_s2".split()
 
 
-def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel):
-    """Elements of one module in signal-path order, faithful to the layout."""
+@lru_cache(maxsize=4096)
+def _module_layout(index: int):
+    """The part of module `index` that no setting touches, made once per process
+    and shared by every network: its input mode (module index - 1's pass arm,
+    the same object), the labels the settings act on, its pass arm and dark
+    ports, and its ten fixed records in three runs of signal-path order.  It
+    holds no plan value.  Keyed by the index, not grown as a list in module
+    order, which two threads building at once could fill with one layout twice.
+    At about 2 KiB a module, the bound keeps at most some 8 MiB."""
     # tuple.__new__ takes the fields in declaration order and skips the Python
     # frame of a record's own __new__: half of what calling the class costs
     new = tuple.__new__
     s1, s2, t1, t2, t3, t4, p1, p2, dark1, dark2, vac_in, vac_s1, vac_s2 = [
         new(ModeLabel, (index, name)) for name in _MODULE_MODES
     ]
-    elements = [
-        new(ModeUnitary, (input_mode, settings.pre_unitary)),
-        new(PolarizingBeamsplitter, (input_mode, vac_in, s1, s2)),
-        new(Rotator, (s1, settings.theta)),
-        new(Rotator, (s2, settings.phi)),
+    # the previous module's pass arm p2, made in its layout, which a build has just read
+    input_mode = new(ModeLabel, (1, "in")) if index == 1 else _module_layout(index - 1)[6]
+    split = new(PolarizingBeamsplitter, (input_mode, vac_in, s1, s2))
+    fan_out = (
         new(Rotator, (s1, math.pi / 2)),
         new(PolarizingBeamsplitter, (s1, vac_s1, t1, t2)),
         new(PolarizingBeamsplitter, (s2, vac_s2, t4, t3)),
@@ -374,29 +384,35 @@ def _module_elements(settings: ModuleSettings, index: int, input_mode: ModeLabel
         new(Rotator, (t1, math.pi)),
         new(Rotator, (t4, math.pi / 2)),
         new(Rotator, (t4, math.pi)),
-        new(PhaseShifter, (t2, settings.zeta)),
-        new(PhaseShifter, (t1, settings.xi)),
-        new(PolarizingBeamsplitter, (t2, t3, p1, dark1)),
-        new(PolarizingBeamsplitter, (t1, t4, p2, dark2)),
-        new(ModeUnitary, (p1, settings.exit_unitary)),
-    ]
-    return elements, p1, p2, (dark1, dark2)
+    )
+    recombine = (new(PolarizingBeamsplitter, (t2, t3, p1, dark1)), new(PolarizingBeamsplitter, (t1, t4, p2, dark2)))
+    return input_mode, s1, s2, t1, t2, p1, p2, (dark1, dark2), split, fan_out, recombine
 
 
 def build_cascade_network(plan: CascadePlan) -> OpticalNetwork:
     """Chain the plan's modules: module j's pass arm feeds module j + 1, and
-    the final pass arm becomes the last exit after the plan's final unitary."""
+    the final pass arm becomes the last exit after the plan's final unitary.
+    Each module's elements are in signal-path order, faithful to the layout;
+    only the six records that carry its settings are made here."""
+    new = tuple.__new__
     elements: list[OpticalElement] = []
     exits: list[ModeLabel] = []
     darks: list[ModeLabel] = []
-    input_mode = ModeLabel(1, "in")
-    current = input_mode
     for j, settings in enumerate(plan.modules, start=1):
-        module_elements, p1, p2, module_darks = _module_elements(settings, j, current)
-        elements.extend(module_elements)
+        input_mode, s1, s2, t1, t2, p1, current, module_darks, split, fan_out, recombine = _module_layout(j)
+        elements += (
+            new(ModeUnitary, (input_mode, settings.pre_unitary)),
+            split,
+            new(Rotator, (s1, settings.theta)),
+            new(Rotator, (s2, settings.phi)),
+            *fan_out,
+            new(PhaseShifter, (t2, settings.zeta)),
+            new(PhaseShifter, (t1, settings.xi)),
+            *recombine,
+            new(ModeUnitary, (p1, settings.exit_unitary)),
+        )
         exits.append(p1)
-        darks.extend(module_darks)
-        current = p2
+        darks += module_darks
     elements.append(ModeUnitary(current, plan.final_exit_unitary))
     exits.append(current)
-    return OpticalNetwork(tuple(elements), tuple(exits), input_mode, tuple(darks))
+    return OpticalNetwork(tuple(elements), tuple(exits), _module_layout(1)[0], tuple(darks))

@@ -260,13 +260,15 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
         for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
             del sys.modules[name]
     for (title, header, *rows), wanted, layers in (
-        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", abtime.LAYERS),
+        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", (*abtime.LAYERS, "invocation")),
         (synthesize, "pool of 2 documents, n = 3..4, 2 repetitions", ("main", "invocation")),
     ):
         assert title == wanted
-        assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins"]
+        assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins", "old", "gc0", "new", "gc0"]
         assert [row.split()[0] for row in rows] == list(layers)
         for row in rows:
-            _, old_ms, new_ms, ratio, wins = row.split()
+            layer, old_ms, new_ms, ratio, wins, *young = row.split()
             assert float(old_ms) > 0 and float(new_ms) > 0 and float(ratio) > 0
             assert re.fullmatch(r"[012]/2", wins)
+            # collections are counted in process; a fresh interpreter's are not
+            assert young == ["-", "-"] if layer == "invocation" else all(float(count) >= 0 for count in young)

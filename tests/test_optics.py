@@ -3,6 +3,8 @@
 import math
 import operator
 import re
+import sys
+import threading
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmcascade import optics
 from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.optics import (
     ModeLabel,
@@ -333,6 +336,111 @@ class TestCascadeNetwork:
         for _ in range(20):
             out = propagate(PhotonState.pure(network.input, random_pure_state(rng)), network)
             assert abs(total_probability(out) - 1.0) <= 1e-12
+
+
+def reference_network(plan):
+    """(elements, exits, dark ports, external inputs) of the plan's network,
+    written out with the record constructors, one module after another."""
+    elements, exits, darks = [], [], []
+    inputs = [ModeLabel(1, "in")]
+    current = ModeLabel(1, "in")
+    for j, settings in enumerate(plan.modules, start=1):
+        s1, s2, t1, t2, t3, t4, p1, p2, dark1, dark2, vac_in, vac_s1, vac_s2 = (
+            ModeLabel(j, name) for name in "s1 s2 t1 t2 t3 t4 p1 p2 dark1 dark2 vac_in vac_s1 vac_s2".split()
+        )
+        elements += [
+            ModeUnitary(current, settings.pre_unitary),
+            PolarizingBeamsplitter(current, vac_in, s1, s2),
+            Rotator(s1, settings.theta),
+            Rotator(s2, settings.phi),
+            Rotator(s1, math.pi / 2),
+            PolarizingBeamsplitter(s1, vac_s1, t1, t2),
+            PolarizingBeamsplitter(s2, vac_s2, t4, t3),
+            Rotator(t2, -math.pi / 2),
+            Rotator(t1, math.pi),
+            Rotator(t4, math.pi / 2),
+            Rotator(t4, math.pi),
+            PhaseShifter(t2, settings.zeta),
+            PhaseShifter(t1, settings.xi),
+            PolarizingBeamsplitter(t2, t3, p1, dark1),
+            PolarizingBeamsplitter(t1, t4, p2, dark2),
+            ModeUnitary(p1, settings.exit_unitary),
+        ]
+        exits.append(p1)
+        darks += [dark1, dark2]
+        inputs += [vac_in, vac_s1, vac_s2]
+        current = p2
+    elements.append(ModeUnitary(current, plan.final_exit_unitary))
+    exits.append(current)
+    return elements, exits, darks, inputs
+
+
+def typed(items):
+    """Each item as its exact kind and fields, every field with its kind too, so
+    a ModeUnitary (equal only to itself) is compared by its mode and matrix, and
+    a label compares unequal to a plain tuple with the same values."""
+    return [(type(item), [(type(field), field) for field in item]) for item in items]
+
+
+def network_records(network):
+    return [typed(part) for part in (network.elements, network.exits, network.dark_ports, network.external_inputs())]
+
+
+class TestSharedLayout:
+    """The settings-free part of each module is made once per process and shared."""
+
+    def test_networks_match_the_written_out_layout(self):
+        # n = 80 first, so the smaller builds read layouts that are already there;
+        # then two different plans of one n back to back
+        povms = [random_povm(80, 1), random_povm(2, 2), random_povm(12, 3), random_povm(3, 4)]
+        povms += [random_povm(12, 5), random_rank_one_povm(12, 6)]
+        plans = [synthesize_cascade(kraus_from_povm(povm)) for povm in povms]
+        networks = [build_cascade_network(plan) for plan in plans]
+        for plan, network in zip(plans, networks):
+            assert network_records(network) == [typed(part) for part in reference_network(plan)]
+            assert typed([network.input]) == typed([ModeLabel(1, "in")])
+        # a plan value leaking into a shared record would move the second plan's maps
+        transfer = transfer_matrices(networks[-1])
+        for mode, operator in zip(networks[-1].exits, reconstruct_kraus(plans[-1]), strict=True):
+            assert max_abs(transfer[mode] - operator) <= 1e-14, mode
+        # a module's input is the previous pass arm itself, as the walk's table holds it
+        for network in networks:
+            assert network.input is network.elements[0].mode
+            for start in range(16, len(network.elements) - 1, 16):
+                assert network.elements[start].mode is network.elements[start - 2].out_a
+        # the fixed beamsplitter on the input of module 2 is one record in every network
+        split = [network.elements[17] for network in networks if len(network.exits) > 2]
+        p2, vac_in, s1, s2 = ModeLabel(1, "p2"), ModeLabel(2, "vac_in"), ModeLabel(2, "s1"), ModeLabel(2, "s2")
+        assert len(split) == 5 and split[0] == PolarizingBeamsplitter(p2, vac_in, s1, s2)
+        assert all(record is split[0] for record in split)
+
+    def test_concurrent_first_builds_give_the_serial_networks(self):
+        plans = [synthesize_cascade(kraus_from_povm(random_povm(n, n))) for n in range(2, 41)]
+        serial = [network_records(build_cascade_network(plan)) for plan in plans]
+        results = {}
+        start = threading.Barrier(4, timeout=60)
+
+        def build(worker):
+            # each thread walks the sizes from its own starting point
+            order = list(range(len(plans)))
+            start.wait()
+            for k in order[9 * worker :] + order[: 9 * worker]:
+                results[worker, k] = network_records(build_cascade_network(plans[k]))
+
+        interval = sys.getswitchinterval()
+        optics._module_layout.cache_clear()  # every layout is first made by one of the threads
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(worker,)) for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * len(plans)
+        assert all(records == serial[k] for (_, k), records in results.items())
 
 
 class TestPropagate:
