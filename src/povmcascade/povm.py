@@ -154,8 +154,14 @@ def _check_residuals(per_element, residual: float) -> None:
     a NaN residual is a violation."""
     for i, (herm_residual, min_eigenvalue) in enumerate(per_element):
         _check_operator(herm_residual, min_eigenvalue, f"element {i + 1}", i)
+    _check_complete(residual, "elements")
+
+
+def _check_complete(residual: float, what: str) -> None:
+    """The one completeness check: IncompleteSum("sum of what deviates from
+    identity by ...", residual) if residual exceeds DEFAULT_TOL; NaN fails it."""
     if not residual <= DEFAULT_TOL:
-        raise IncompleteSum(f"sum of elements deviates from identity by {residual:.3e}", residual)
+        raise IncompleteSum(f"sum of {what} deviates from identity by {residual:.3e}", residual)
 
 
 def validate_kraus(operators) -> KrausSet:
@@ -164,9 +170,7 @@ def validate_kraus(operators) -> KrausSet:
     mats = _stack(operators, "operator")
     if len(mats) < 2:
         raise ValueError(f"a Kraus set needs at least 2 operators, got {len(mats)}")
-    residual = max_abs(np.sum(dagger(mats) @ mats, axis=0) - identity2())
-    if not residual <= DEFAULT_TOL:
-        raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
+    _check_complete(max_abs(np.sum(dagger(mats) @ mats, axis=0) - identity2()), "M^dag M")
     return KrausSet(tuple(mats))
 
 

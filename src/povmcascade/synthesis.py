@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import IncompleteSum, KrausSet, _check_unitary, validate_kraus
+from .povm import KrausSet, _check_complete, _check_unitary, validate_kraus
 from .qmath import (
     _IDENTITY,
-    DEFAULT_TOL,
     Rows2,
     _column_split,
     _dag,
@@ -170,9 +169,7 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
         q0, q1, r = _qr([m00, m10, r00, 0j], [m01, m11, r01, r11])
         blocks.append((_rows(q0, q1, 0), _rows(q0, q1, 2)))
     # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
-    residual = _unitary_residual(r)
-    if not residual <= DEFAULT_TOL:
-        raise IncompleteSum(f"sum of M^dag M deviates from identity by {residual:.3e}", residual)
+    _check_complete(_unitary_residual(r), "M^dag M")
     v, _, u = _svd(r)
     y = _mul(v, u)  # Y_0: the unitary polar factor of R_1, which is I up to that residual
     modules = []

@@ -251,6 +251,7 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
     abtime = _tool(monkeypatch, "abtime")
     src = str(Path(__file__).resolve().parent.parent / "src")
     tiny = ["--reps", "2", "--pool", "2", "--sizes", "3", "4"]
+    path = list(sys.path)
     try:
         assert abtime.main([src, src, *tiny]) == 0
         simulate = capsys.readouterr().out.splitlines()
@@ -259,6 +260,10 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
     finally:
         for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
             del sys.modules[name]
+    # each tree's bench/workloads.py binds povmcascade only while it runs: a
+    # leaked entry would make every later test import the wrong tree
+    assert sys.modules["povmcascade"] is povmcascade
+    assert sys.path == path
     for (title, header, *rows), wanted, layers in (
         (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", (*abtime.LAYERS, "invocation")),
         (synthesize, "pool of 2 documents, n = 3..4, 2 repetitions", ("main", "invocation")),
@@ -272,3 +277,22 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
             assert re.fullmatch(r"[012]/2", wins)
             # collections are counted in process; a fresh interpreter's are not
             assert young == ["-", "-"] if layer == "invocation" else all(float(count) >= 0 for count in young)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--reps", "0"], "--reps must be at least 1"),
+        (["--sizes", "1", "4"], "--sizes needs 2 <= LO <= HI"),
+        (["--sizes", "9", "4"], "--sizes needs 2 <= LO <= HI"),
+        (["--pool", "3"], "--pool must be a power of two"),
+    ],
+    ids=["reps-0", "sizes-1-4", "sizes-9-4", "pool-3"],
+)
+def test_ab_timer_rejects_bad_arguments_before_loading_a_tree(monkeypatch, capsys, bad, message):
+    # the trees do not exist: an argument that got past the parser would fail on loading them
+    abtime = _tool(monkeypatch, "abtime")
+    with pytest.raises(SystemExit) as info:
+        abtime.main(["no/such/old", "no/such/new", *bad])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")

@@ -9,6 +9,7 @@ import pytest
 from povmcascade import qmath
 from povmcascade.povm import (
     IncompleteSum,
+    KrausSet,
     NotUnitary,
     PovmSet,
     _check_residuals,
@@ -20,6 +21,7 @@ from povmcascade.povm import (
     validation_residuals,
 )
 from povmcascade.qmath import NotHermitian, NotPsd, dagger, eig_hermitian2, max_abs, rotation, sqrt_psd
+from povmcascade.synthesis import synthesize_cascade
 from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
 
 R3 = math.sqrt(3.0)
@@ -408,3 +410,27 @@ def test_one_checker_raises_every_violation(entry, matrix, error, message):
         assert info.value.residual == pytest.approx(0.1)
     else:
         assert info.value.min_eigenvalue == pytest.approx(-1e-3)
+
+
+@pytest.mark.parametrize(
+    "call, message, residual",
+    [
+        (lambda: validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])]), "sum of elements", 0.1),
+        (lambda: _check_residuals([(0.0, 0.0), (0.0, 0.0)], math.nan), "sum of elements", math.nan),
+        (lambda: validate_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])]), "sum of M^dag M", 0.19),
+        # |1e200 (1 + i)|^2 overflows, so the residual is NaN
+        (lambda: validate_kraus([np.diag([1e200 + 1e200j, 0.0]), I2]), "sum of M^dag M", math.nan),
+        (lambda: synthesize_cascade(KrausSet((np.diag([1.1, 0.0]) + 0j, np.diag([0.0, 1.0]) + 0j))), "sum of M^dag M", 0.21),
+        (lambda: synthesize_cascade(KrausSet((np.array([[1, math.nan], [0, 0]]) + 0j, I2))), "sum of M^dag M", math.nan),
+    ],
+    ids=["validate_povm", "validate_povm-nan", "validate_kraus", "validate_kraus-nan", "synthesize_cascade", "synthesize_cascade-nan"],
+)
+def test_one_completeness_check_raises_every_incomplete_sum(call, message, residual):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(IncompleteSum) as info:
+        call()
+    assert type(info.value) is IncompleteSum
+    assert str(info.value) == f"{message} deviates from identity by {residual:.3e}"
+    if math.isnan(residual):
+        assert math.isnan(info.value.residual)
+    else:
+        assert info.value.residual == pytest.approx(residual, abs=1e-12)

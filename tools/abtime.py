@@ -9,14 +9,12 @@ many repetitions the new tree was the faster, and each tree's median count
 of young-generation (generation 0) garbage collections per pool pass, read
 through gc.callbacks: a layer's time moves with the collections that its
 own and earlier allocations set off, so a gain is explained by counts.
-The pools are the benchmark's own at its default seed, drawn with the
-benchmark's generator (bench/oracle.py): POVMs of the full-rank and
-rank-one families (three to one) at outcome counts spread log-uniformly
-over [LO, HI].
+The pools and ops are bench/workloads.py's own Simulate and Synthesize at
+the benchmark's default seed: that file runs once per tree, bound to it,
+and --pool and --sizes set its workload's pool and outcome counts LO..HI.
 
---workload simulate (the default; LO..HI = 10..80): one pure state and one
-density matrix per POVM.  Each tree validates and compiles the drawn POVMs
-itself.  The layers:
+--workload simulate (the default; LO..HI = 10..80).  The layers, over the
+instance's plans, Kraus sets and prepared inputs:
 
     build              build_cascade_network(plan)
     external_inputs    network.external_inputs() on a fresh network
@@ -33,8 +31,7 @@ itself.  The layers:
                        cold; the median of one run each, and in how many pairs
                        of runs the new tree won
 
---workload synthesize (LO..HI = 3..24): one POVM document per POVM, written
-once to a temporary directory.  The rows:
+--workload synthesize (LO..HI = 3..24).  The rows:
 
     main               the benchmark's op: cli.main(["synthesize", doc, "-o",
                        plan, "--report", report]), output to a string buffer
@@ -51,12 +48,9 @@ once to a temporary directory.  The rows:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import importlib
 import importlib.util
-import io
-import json
 import os
 import statistics
 import subprocess
@@ -67,12 +61,10 @@ from pathlib import Path
 
 import numpy as np
 
-#: the benchmark's default seed and the family mix of both workloads (bench/run.py, bench/workloads.py)
+#: the benchmark's default seed (bench/run.py) and the directory of its workloads
 SEED = 1
-MIX = {"full_rank": 3, "rank_one": 1}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS = ("build", "external_inputs", "propagate", "transfer_matrices", "exit_amplitudes", "verify_density", "op")
-#: outcome counts per workload, as bench/workloads.py draws them
-SIZES = {"simulate": (10, 80), "synthesize": (3, 24)}
 
 #: one `povm synthesize` in a fresh interpreter: prints its seconds from after the import, exits with its code
 _SYNTHESIZE = """
@@ -100,41 +92,37 @@ print(time.perf_counter() - start, file=sys.stderr)
 """
 
 
-def load_tree(src: str, name: str):
-    """The povmcascade package under src, imported as the package `name`."""
+def load_workloads(src: str, name: str):
+    """bench/workloads.py bound to the povmcascade package under src, which is
+    imported as the package `name`: while the file runs, sys.modules["povmcascade"]
+    is that package and bench/ leads sys.path (for `import oracle`); both are
+    restored after."""
     init = Path(src).resolve() / "povmcascade" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {module: importlib.import_module(f"{name}.{module}") for module in ("cli", "optics", "povm", "synthesis", "verify")}
+    for module in ("cli", "optics", "povm", "synthesis", "verify"):
+        importlib.import_module(f"{name}.{module}")
+    spec = importlib.util.spec_from_file_location(f"{name}_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    saved, path = sys.modules.get("povmcascade"), list(sys.path)
+    sys.modules["povmcascade"] = package
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path[:] = path
+        del sys.modules["povmcascade"]
+        if saved is not None:
+            sys.modules["povmcascade"] = saved
+    return workloads
 
 
-def load_oracle():
-    """The benchmark's input generator, bench/oracle.py, which imports no tree."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
-    return oracle
-
-
-def draw_elements(oracle, stream: int, count: int, lo: int, hi: int) -> list[np.ndarray]:
-    """The POVMs of a workload's pool: bench/workloads._draw on default_rng([SEED, stream])."""
-    rng = np.random.default_rng([SEED, stream])
-    families = oracle.family_sequence(rng, count, MIX)
-    return [oracle.FAMILIES[f](rng, n) for f, n in zip(families, oracle.stratified_sizes(count, lo, hi))]
-
-
-def draw_pool(count: int, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(POVM elements, pure state, density matrix) per plan, as the simulate workload draws them."""
-    oracle = load_oracle()
-    elements = draw_elements(oracle, 3, count, lo, hi)
-    pool = []
-    for k, f in enumerate(elements):
-        states = np.random.default_rng([SEED, 4, k])
-        pool.append((f, oracle.random_pure_state(states), oracle.random_density(states)))
-    return pool
+def instance(workloads, workload: str, pool: int, sizes: tuple[int, int], workdir: str):
+    """The workload's class of bench/workloads.py with `pool` inputs at outcome counts `sizes`, set up at SEED."""
+    base = workloads.WORKLOADS[workload]
+    return type(base.__name__, (base,), {"pool": pool, "sizes": sizes})(SEED, workdir)
 
 
 def time_calls(calls) -> tuple[float, int]:
@@ -157,71 +145,39 @@ def time_calls(calls) -> tuple[float, int]:
 
 
 class Side:
-    """One tree's compiled pool and its layer timers."""
+    """One tree's workload instance, its prepared op inputs and its layer timers."""
 
-    def __init__(self, tree: dict, pool: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
-        self.optics, self.verify = tree["optics"], tree["verify"]
-        povm, synthesis = tree["povm"], tree["synthesis"]
-        self.inputs = []
-        for f, psi, rho in pool:
-            kraus = povm.kraus_from_povm(povm.validate_povm(list(f)))
-            self.inputs.append((kraus, synthesis.synthesize_cascade(kraus), psi, povm.density_matrix(rho)))
+    def __init__(self, workloads, workload):
+        self.optics, self.verify, self.workload = workloads.optics, workloads.verify, workload
+        self.inputs = [workload.prepare(k) for k in range(workload.pool)]
 
     def time_layers(self) -> dict[str, tuple[float, int]]:
-        """Seconds and young collections per layer over the whole pool."""
-        optics, verify = self.optics, self.verify
-        plans = [plan for _, plan, _, _ in self.inputs]
+        """Seconds and young collections per layer over the whole pool: for synthesize,
+        the op's cli.main alone, which raises if a run fails."""
+        optics, verify, workload = self.optics, self.verify, self.workload
+        if workload.name == "synthesize":
+            codes = []
+            main = time_calls([lambda k=k: codes.append(workload.op(k)) for k in self.inputs])
+            if any(codes):
+                raise RuntimeError(f"cli.main failed on {[workload.docs[k] for k, c in zip(self.inputs, codes) if c]}")
+            return {"main": main}
         times = {}
         built = []
-        times["build"] = time_calls([lambda plan=plan: built.append(optics.build_cascade_network(plan)) for plan in plans])
+        times["build"] = time_calls([lambda p=p: built.append(optics.build_cascade_network(p)) for p in workload.plans])
         networks = [optics.OpticalNetwork(n.elements, n.exits, n.input, n.dark_ports) for n in built]
         times["external_inputs"] = time_calls([network.external_inputs for network in networks])
-        states = [optics.PhotonState.pure(n.input, psi) for n, (_, _, psi, _) in zip(networks, self.inputs)]
+        states = [optics.PhotonState.pure(n.input, a[2]) for n, a in zip(networks, self.inputs)]
         outs = []
         times["propagate"] = time_calls(
             [lambda s=s, n=n: outs.append(optics.propagate(s, n)) for s, n in zip(states, networks)]
         )
         times["transfer_matrices"] = time_calls([lambda n=n: optics.transfer_matrices(n) for n in networks])
         times["exit_amplitudes"] = time_calls([lambda o=o, n=n: optics.exit_amplitudes(o, n) for o, n in zip(outs, networks)])
-        times["verify_density"] = time_calls([lambda a=a: verify.verify_density(a[3], a[0], a[1]) for a in self.inputs])
-
-        def op(kraus, plan, psi, rho):
-            network = optics.build_cascade_network(plan)
-            out = optics.propagate(optics.PhotonState.pure(network.input, psi), network)
-            return optics.exit_amplitudes(out, network), verify.verify_density(rho, kraus, plan)
-
-        times["op"] = time_calls([lambda a=a: op(*a) for a in self.inputs])
+        times["verify_density"] = time_calls(
+            [lambda a=a: verify.verify_density(a[3], workload.kraus[a[0]], a[1]) for a in self.inputs]
+        )
+        times["op"] = time_calls([lambda a=a: workload.op(a) for a in self.inputs])
         return times
-
-
-def synthesize_pool(count: int, lo: int, hi: int, workdir: str) -> tuple[list[list[str]], list[int]]:
-    """The synthesize workload's op arguments and outcome counts: its POVM documents,
-    written once to workdir as bench/workloads.Synthesize writes them."""
-    oracle = load_oracle()
-    elements = draw_elements(oracle, 2, count, lo, hi)
-    plan, report = os.path.join(workdir, "plan.json"), os.path.join(workdir, "report.json")
-    argvs = []
-    for k, f in enumerate(elements):
-        doc = os.path.join(workdir, f"povm_{k}.json")
-        Path(doc).write_text(json.dumps(oracle.povm_document(f)), encoding="utf-8")
-        argvs.append(["synthesize", doc, "-o", plan, "--report", report])
-    return argvs, [len(f) for f in elements]
-
-
-class MainSide:
-    """One tree's cli.main on the synthesize pool."""
-
-    def __init__(self, tree: dict, argvs: list[list[str]]):
-        self.main, self.argvs = tree["cli"].main, argvs
-
-    def time_layers(self) -> dict[str, tuple[float, int]]:
-        """Seconds and young collections of cli.main over the whole pool; raises if a run fails."""
-        sink, codes = io.StringIO(), []
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            main = time_calls([lambda argv=argv: codes.append(self.main(argv)) for argv in self.argvs])
-        if any(codes):
-            raise RuntimeError(f"cli.main failed on the pool:\n{sink.getvalue()}")
-        return {"main": main}
 
 
 def invocation(script: str, src: str, argv: list[str], workdir: str) -> float:
@@ -275,29 +231,33 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="source directory holding the baseline povmcascade package")
     parser.add_argument("new", help="source directory holding the changed povmcascade package")
-    parser.add_argument("--workload", choices=tuple(SIZES), default="simulate", help="the benchmark pool to time")
+    parser.add_argument("--workload", choices=("simulate", "synthesize"), default="simulate", help="the benchmark pool to time")
     parser.add_argument("--reps", type=int, default=21, help="repetitions, alternating which tree goes first")
     parser.add_argument("--pool", type=int, default=64, help="plans in the pool, a power of two")
     parser.add_argument("--sizes", type=int, nargs=2, metavar=("LO", "HI"), help="outcome counts (default: the workload's)")
     args = parser.parse_args(argv)
-    sizes = args.sizes or SIZES[args.workload]
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    if args.pool < 1 or args.pool & (args.pool - 1):
+        parser.error("--pool must be a power of two")
+    if args.sizes and not 2 <= args.sizes[0] <= args.sizes[1]:
+        parser.error("--sizes needs 2 <= LO <= HI")
     srcs = (args.old, args.new)
-    trees = (load_tree(args.old, "povmcascade_old"), load_tree(args.new, "povmcascade_new"))
+    trees = (load_workloads(args.old, "povmcascade_old"), load_workloads(args.new, "povmcascade_new"))
+    sizes = args.sizes or trees[0].WORKLOADS[args.workload].sizes
     with tempfile.TemporaryDirectory() as workdir:
+        old, new = (Side(tree, instance(tree, args.workload, args.pool, sizes, workdir)) for tree in trees)
+        counts = [len(f) for f in old.workload.elements]
         if args.workload == "simulate":
-            pool = draw_pool(args.pool, *sizes)
-            old, new = (Side(tree, pool) for tree in trees)
-            counts, what = [len(f) for f, _, _ in pool], "plans"
-            runs = measure(old, new, args.reps, LAYERS)
-            ((f, psi, _),) = draw_pool(1, sizes[1], sizes[1])
+            what, runs = "plans", measure(old, new, args.reps, LAYERS)
+            cold = instance(trees[0], "simulate", 1, (sizes[1], sizes[1]), workdir)
             saved = os.path.join(workdir, "cold.npz")
-            np.savez(saved, elements=f, psi=psi)
+            np.savez(saved, elements=cold.elements[0], psi=cold.prepare(0)[2])
             runs["invocation"] = measure_invocations(_BUILD, srcs, [[saved]], args.reps, workdir)
         else:
-            argvs, counts = synthesize_pool(args.pool, *sizes, workdir)
-            old, new = (MainSide(tree, argvs) for tree in trees)
-            what = "documents"
-            runs = measure(old, new, args.reps, ("main",))
+            what, runs = "documents", measure(old, new, args.reps, ("main",))
+            paths = ["-o", old.workload.plan_path, "--report", old.workload.report_path]
+            argvs = [["synthesize", doc, *paths] for doc in old.workload.docs]
             runs["invocation"] = measure_invocations(_SYNTHESIZE, srcs, argvs, args.reps, workdir)
     print(f"pool of {args.pool} {what}, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
     print("\n".join(report(runs)))
