@@ -23,25 +23,28 @@ the whole transfer manifestly unitary.
 The elements are immutable records: each is one tuple of its fields
 (``typing.NamedTuple``).  Of a module's 16 elements, the 10 that carry no
 setting (its five beamsplitters and five fixed rotators) and its 13 mode
-labels are made once per process, keyed by the module's index alone (the
-4,096 used last are kept), and shared by every network built in it, so a
-build makes only the six records per module that hold the plan's values,
-and ``is`` can hold between two networks' elements and labels.  Equality
-is typed: two elements are equal when they are of the same exact kind with
-equal fields, so a Rotator never equals a PhaseShifter or a plain tuple
-with the same values.  A ModeUnitary, which holds a matrix, compares by
-identity.  Elements have no order: < and its kin raise TypeError.
+labels, its three vacuum ports among them, are made once per process, keyed
+by the module's index alone (the 4,096 used last are kept), and shared by
+every network built in it, so a build makes only the six records per module
+that hold the plan's values, and ``is`` can hold between two networks'
+elements and labels.  A build also hands the network its vacuum ports, so
+no walk has to find them.  Equality is typed: two elements are equal when
+they are of the same exact kind with equal fields, so a Rotator never equals
+a PhaseShifter or a plain tuple with the same values.  A ModeUnitary, which
+holds a matrix, compares by identity.  Elements have no order: < and its kin
+raise TypeError.
 
 propagate keeps one amplitude table per call and lets each element act on
-it in place, so a network costs the same per element at any depth; the
-caller's state is never modified.  Each element is dispatched on its exact
-type and read by unpacking its fields; an object of any other type, a
-subclass of an element kind included, is not an optical element.  A
-beamsplitter moves whole pairs between modes; a one-mode element replaces
-its mode's pair using Python-complex arithmetic on the four entries of its
-2x2 matrix, with no numpy call per element.  transfer_matrices runs the
-same elements once over a table whose pairs are the two rows of each mode's
-2x2 map, so both input polarizations go through the network in one walk.
+it in place, in one loop with no Python call per element, so a network costs
+the same per element at any depth; the caller's state is never modified.
+Each element is dispatched on its exact type and read by unpacking its
+fields; an object of any other type, a subclass of an element kind included,
+is not an optical element.  A beamsplitter moves whole pairs between modes;
+a one-mode element replaces its mode's pair using Python-complex arithmetic
+on the four entries of its 2x2 matrix, with no numpy call per element.
+transfer_matrices runs the same elements once over a table whose pairs are
+the two rows of each mode's 2x2 map, so both input polarizations go through
+the network in one walk.
 """
 
 from __future__ import annotations
@@ -109,8 +112,10 @@ class PhotonState:
 
     @classmethod
     def pure(cls, mode: ModeLabel, amplitudes) -> "PhotonState":
-        a, b = (complex(x) for x in np.asarray(amplitudes, dtype=complex))
-        return cls({mode: (a, b)})
+        pair = np.asarray(amplitudes, dtype=complex)
+        if pair.shape != (2,):
+            raise ValueError(f"a pure state needs 2 amplitudes, got shape {pair.shape}")
+        return cls({mode: tuple(pair.tolist())})
 
     def mode_vector(self, mode: ModeLabel) -> np.ndarray:
         """(H, V) amplitude pair on one mode (zeros if absent)."""
@@ -198,8 +203,9 @@ class OpticalNetwork:
         """Modes consumed by some element before any element produced them.
 
         These are the photon input plus the vacuum ports; propagate and
-        transfer_matrices seed them all with explicit zeros.  Computed once
-        per network.
+        transfer_matrices seed them all with explicit zeros.  A cascade build
+        supplies them from its module layouts, in the order a walk would find
+        them; a hand-made network walks its elements for them once.
         """
         return self._external_inputs
 
@@ -238,59 +244,53 @@ def _not_an_element(element) -> TypeError:
     return TypeError(f"not an optical element: {element!r}")
 
 
-def _act(amps, element: OpticalElement) -> None:
-    """Act with one element on an amplitude table, in place.
+def _walk(amps, network: OpticalNetwork) -> None:
+    """Act with the network's elements in order on the amplitude table, in place.
 
     An entry is a mode's (H, V) pair: two complex amplitudes in propagate,
-    or the two rows of the mode's 2x2 map in transfer_matrices.  The element
-    is dispatched on its exact type and read by unpacking its fields.
+    or the two rows of the mode's 2x2 map in transfer_matrices.  Each element
+    is dispatched on its exact type and read by unpacking its fields, in this
+    one loop, with no Python call per element.  An element's pop of a mode
+    the table lacks, the one KeyError a walk can raise, becomes UnknownMode
+    naming that mode.
     """
-    kind = type(element)
-    if kind is PolarizingBeamsplitter:
-        in_a, in_b, out_a, out_b = element
-        a_h, a_v = amps.pop(in_a)
-        b_h, b_v = amps.pop(in_b)
-        # an output that is already live, or two outputs that are one mode, would lose a pair
-        if out_a in amps or out_b in amps or out_b == out_a:
-            raise ValueError(f"beamsplitter output mode {out_a if out_a in amps else out_b} already occupied")
-        amps[out_a], amps[out_b] = (a_h, b_v), (b_h, a_v)
-        return
-    # Four Python-complex coefficients, no numpy call per element; complex
-    # rotator entries keep the image of a float amplitude complex
-    if kind is Rotator or kind is PhaseShifter:
-        mode, angle = element
-        # checked where the element acts, not at construction: networks are built per use
-        if not math.isfinite(angle):
-            raise ValueError(f"{kind.__name__} on mode {mode} has non-finite angle {angle!r}")
-        if kind is Rotator:
-            c, s = complex(math.cos(angle)), complex(math.sin(angle))
-            m00, m01, m10, m11 = c, -s, s, c
-        else:
-            m00 = m11 = cmath.exp(1j * angle)
-            m01 = m10 = 0j
-    elif kind is ModeUnitary:
-        mode, matrix = element
-        (m00, m01), (m10, m11) = _matrix2_rows(matrix)
-    else:
-        raise _not_an_element(element)
-    h, v = amps.pop(mode)
-    if type(h) is complex:
-        amps[mode] = (m00 * h + m01 * v, m10 * h + m11 * v)
-    else:
-        # the H row (a, b) and V row (c, d): each column takes the products of a walk of its own
-        (a, b), (c, d) = h, v
-        amps[mode] = ((m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d))
-
-
-def _walk(amps, network: OpticalNetwork) -> None:
-    """Act with the network's elements in order on the amplitude table.
-
-    An element's pop of a mode the table lacks, the one KeyError a walk can
-    raise, becomes UnknownMode naming that mode.
-    """
+    pop = amps.pop
     try:
         for element in network.elements:
-            _act(amps, element)
+            kind = type(element)
+            if kind is PolarizingBeamsplitter:
+                in_a, in_b, out_a, out_b = element
+                (a_h, a_v), (b_h, b_v) = pop(in_a), pop(in_b)
+                # an output that is already live, or two outputs that are one mode, would lose a pair
+                if out_a in amps or out_b in amps or out_b == out_a:
+                    raise ValueError(f"beamsplitter output mode {out_a if out_a in amps else out_b} already occupied")
+                amps[out_a], amps[out_b] = (a_h, b_v), (b_h, a_v)
+                continue
+            # Four Python-complex coefficients, no numpy call per element; complex
+            # rotator entries keep the image of a float amplitude complex
+            if kind is Rotator or kind is PhaseShifter:
+                mode, angle = element
+                # checked where the element acts, not at construction: networks are built per use
+                if not math.isfinite(angle):
+                    raise ValueError(f"{kind.__name__} on mode {mode} has non-finite angle {angle!r}")
+                if kind is Rotator:
+                    c, s = complex(math.cos(angle)), complex(math.sin(angle))
+                    m00, m01, m10, m11 = c, -s, s, c
+                else:
+                    m00 = m11 = cmath.exp(1j * angle)
+                    m01 = m10 = 0j
+            elif kind is ModeUnitary:
+                mode, matrix = element
+                (m00, m01), (m10, m11) = _matrix2_rows(matrix)
+            else:
+                raise _not_an_element(element)
+            h, v = pop(mode)
+            if type(h) is complex:
+                amps[mode] = (m00 * h + m01 * v, m10 * h + m11 * v)
+            else:
+                # the H row (a, b) and V row (c, d): each column takes the products of a walk of its own
+                (a, b), (c, d) = h, v
+                amps[mode] = ((m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d))
     except KeyError as missing:
         raise UnknownMode(missing.args[0]) from None
 
@@ -315,6 +315,14 @@ def propagate(state: PhotonState, network: OpticalNetwork) -> PhotonState:
     return PhotonState(amps)
 
 
+def _transfer_rows(network: OpticalNetwork) -> dict[ModeLabel, Rows2]:
+    """transfer_matrices before its conversion: each live mode's map as the
+    walk leaves it, the pair of its two rows of Python complex numbers."""
+    amps = dict.fromkeys(network.external_inputs(), ((0j, 0j), (0j, 0j))) | {network.input: ((1 + 0j, 0j), (0j, 1 + 0j))}
+    _walk(amps, network)
+    return amps
+
+
 def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
     """The network's linear map, read off in one walk that carries |H> and |V> together.
 
@@ -326,10 +334,8 @@ def transfer_matrices(network: OpticalNetwork) -> dict[ModeLabel, np.ndarray]:
     zero rows, and each element acts on both columns with the scalar
     products propagate uses, so T holds the same bits as two propagations.
     """
-    amps = dict.fromkeys(network.external_inputs(), ((0j, 0j), (0j, 0j)))
-    amps[network.input] = ((1 + 0j, 0j), (0j, 1 + 0j))
-    _walk(amps, network)
-    return dict(zip(amps, np.array(list(amps.values()), dtype=complex)))
+    rows = _transfer_rows(network)
+    return dict(zip(rows, np.array(list(rows.values()), dtype=complex)))
 
 
 def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmplitude]:
@@ -362,8 +368,9 @@ _MODULE_MODES = "s1 s2 t1 t2 t3 t4 p1 p2 dark1 dark2 vac_in vac_s1 vac_s2".split
 def _module_layout(index: int):
     """The part of module `index` that no setting touches, made once per process
     and shared by every network: its input mode (module index - 1's pass arm,
-    the same object), the labels the settings act on, its pass arm and dark
-    ports, and its ten fixed records in three runs of signal-path order.  It
+    the same object), the labels the settings act on, its pass arm, dark
+    ports and vacuum ports (vac_in, vac_s1, vac_s2, in the order a walk meets
+    them), and its ten fixed records in three runs of signal-path order.  It
     holds no plan value.  Keyed by the index, not grown as a list in module
     order, which two threads building at once could fill with one layout twice.
     At about 2 KiB a module, the bound keeps at most some 8 MiB."""
@@ -386,20 +393,24 @@ def _module_layout(index: int):
         new(Rotator, (t4, math.pi)),
     )
     recombine = (new(PolarizingBeamsplitter, (t2, t3, p1, dark1)), new(PolarizingBeamsplitter, (t1, t4, p2, dark2)))
-    return input_mode, s1, s2, t1, t2, p1, p2, (dark1, dark2), split, fan_out, recombine
+    return input_mode, s1, s2, t1, t2, p1, p2, (dark1, dark2), (vac_in, vac_s1, vac_s2), split, fan_out, recombine
 
 
 def build_cascade_network(plan: CascadePlan) -> OpticalNetwork:
     """Chain the plan's modules: module j's pass arm feeds module j + 1, and
     the final pass arm becomes the last exit after the plan's final unitary.
     Each module's elements are in signal-path order, faithful to the layout;
-    only the six records that carry its settings are made here."""
+    only the six records that carry its settings are made here.  The network
+    carries its external inputs from the layouts: the input, then each
+    module's vacuum ports, in the order of the walk that would otherwise
+    find them."""
     new = tuple.__new__
     elements: list[OpticalElement] = []
     exits: list[ModeLabel] = []
     darks: list[ModeLabel] = []
+    ports = [_module_layout(1)[0]]  # the walk's order: the input, then each module's vac_in, vac_s1, vac_s2
     for j, settings in enumerate(plan.modules, start=1):
-        input_mode, s1, s2, t1, t2, p1, current, module_darks, split, fan_out, recombine = _module_layout(j)
+        input_mode, s1, s2, t1, t2, p1, current, module_darks, vacs, split, fan_out, recombine = _module_layout(j)
         elements += (
             new(ModeUnitary, (input_mode, settings.pre_unitary)),
             split,
@@ -413,6 +424,9 @@ def build_cascade_network(plan: CascadePlan) -> OpticalNetwork:
         )
         exits.append(p1)
         darks += module_darks
+        ports += vacs
     elements.append(ModeUnitary(current, plan.final_exit_unitary))
     exits.append(current)
-    return OpticalNetwork(tuple(elements), tuple(exits), _module_layout(1)[0], tuple(darks))
+    network = OpticalNetwork(tuple(elements), tuple(exits), ports[0], tuple(darks))
+    network.__dict__[OpticalNetwork._external_inputs.attrname] = tuple(ports)  # the slot the walk would fill
+    return network

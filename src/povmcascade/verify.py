@@ -1,8 +1,10 @@
 """End-to-end checks: the simulated cascade network vs the analytic oracle.
 
 verify_plan builds the optical network from a plan once and reads its
-linear map off one walk that carries |H> and |V> together
-(optics.transfer_matrices): one 2x2 operator T per live mode.  Every check
+linear map off one walk that carries |H> and |V> together: one 2x2 operator
+T per live mode.  The exit maps are stacked straight from the rows the walk
+leaves, with no array per mode in between; optics.transfer_matrices is the
+public form of the same walk, with the same bits.  Every check
 looks at that network, never at a second model of the plan.  The operator
 checks compare each exit's T with its Kraus operator, sum T^dag T over
 every live mode, and bound the dark-mode maps, so they hold for all input
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import build_cascade_network, transfer_matrices
+from .optics import _transfer_rows, build_cascade_network
 from .povm import (
     PROBABILITY_FLOOR,
     DensityMatrix,
@@ -166,11 +168,13 @@ def _gram(maps: np.ndarray) -> np.ndarray:
 
 
 def _network_maps(plan: CascadePlan):
-    """(network, transfer, exits): the plan's network, its per-mode maps
-    (:func:`optics.transfer_matrices`) and the exit maps stacked in exit order."""
+    """(network, rows, exits): the plan's network, its per-mode maps as the
+    walk leaves them (rows of Python complex numbers, see
+    :func:`optics.transfer_matrices`) and the exit maps stacked in exit order,
+    converted straight from those rows."""
     network = build_cascade_network(plan)
-    transfer = transfer_matrices(network)
-    return network, transfer, np.array([transfer[mode] for mode in network.exits])
+    rows = _transfer_rows(network)
+    return network, rows, np.array([rows[mode] for mode in network.exits], dtype=complex)
 
 
 def verify_plan(
@@ -211,7 +215,7 @@ def verify_plan(
         raise ValueError(f"trial_states must be at least 1, got {trial_states}")
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
-    network, transfer, exits = _network_maps(plan)
+    network, rows, exits = _network_maps(plan)
     wanted = np.array(kraus.operators)
     rng = np.random.default_rng(seed)
     psis = _trial_states(rng, trial_states)
@@ -227,8 +231,8 @@ def verify_plan(
         "kraus_roundtrip": max_abs(exits - wanted),
         "probability": np.max(np.abs(p_sim - p_oracle)),
         "conditional_state": np.max(1.0 - np.minimum(overlap, 1.0), initial=0.0),
-        "dark_port": max_abs([transfer[mode] for mode in network.dark_ports]),
-        "norm": max_abs(np.sum(_gram(np.array(list(transfer.values()))), axis=0) - np.eye(2)),
+        "dark_port": max_abs([rows[mode] for mode in network.dark_ports]),
+        "norm": max_abs(np.sum(_gram(np.array(list(rows.values()), dtype=complex)), axis=0) - np.eye(2)),
     }
     return _report(residuals, seed, trial_states)
 

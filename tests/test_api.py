@@ -6,7 +6,9 @@ These are stable across releases; a change here must be listed in CHANGES.md.
 import copy
 import importlib
 import inspect
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -277,6 +279,60 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
             assert re.fullmatch(r"[012]/2", wins)
             # collections are counted in process; a fresh interpreter's are not
             assert young == ["-", "-"] if layer == "invocation" else all(float(count) >= 0 for count in young)
+
+
+def test_trajectory_recorder_summarizes_runs_per_workload_and_metric(monkeypatch):
+    # tools/trajectory.py reduces the untraced runs to median, min and max per
+    # workload and metric, and keeps the traced run's metrics as they are
+    trajectory = _tool(monkeypatch, "trajectory")
+    spec = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "ops_per_s"}, {"name": "setup_s"}]}
+    runs = [
+        {"seed": seed, "metrics": {"w.ops_per_s": {"value": ops}, "w.setup_s": {"value": 0.5}}}
+        for seed, ops in ((1, 30.0), (2, 10.0), (3, 20.0))
+    ]
+    traced = {"correct": True, "metrics": {"n3.layer.us_per_call": {"value": 7.0, "unit": "us"}}}
+    document = trajectory.record(runs, traced, spec)
+    assert document["end_to_end"] == {
+        "w": {"ops_per_s": {"median": 20.0, "min": 10.0, "max": 30.0}, "setup_s": {"median": 0.5, "min": 0.5, "max": 0.5}}
+    }
+    assert document["per_layer"] == {"n3.layer.us_per_call": 7.0}
+    assert document["traced_correct"] is True and document["runs"] is runs
+
+
+def test_trajectory_recorder_stops_on_an_incorrect_run(monkeypatch):
+    # a run whose result line says correct: false is no point on the trajectory
+    trajectory = _tool(monkeypatch, "trajectory")
+    stdout = '# machine: {"cpu": "x"}\n{"correct": false, "metrics": {}}\n'
+    done = subprocess.CompletedProcess([], 0, stdout=stdout, stderr="")
+    monkeypatch.setattr(trajectory.subprocess, "run", lambda *args, **kwargs: done)
+    with pytest.raises(RuntimeError, match="reports correct: false"):
+        trajectory.bench("tree", ["--seed", "1"], "pycache")
+
+
+def test_bench_files_hold_the_benchmarks_metric_names():
+    # each BENCH_<label>.json at the repository root (tools/trajectory.py) holds,
+    # per workload, exactly the end-to-end metrics BENCHMARK.json declares, and
+    # exactly its per-layer metrics from the traced run
+    root = Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    end_to_end = {metric["name"] for metric in spec["end_to_end"]}
+    per_layer = {metric["name"] for metric in spec["per_layer"]}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name == f"BENCH_{document['label']}.json"
+        assert list(document["end_to_end"]) == workloads, path.name
+        for workload, metrics in document["end_to_end"].items():
+            assert set(metrics) == end_to_end, (path.name, workload)
+            assert all(list(value) == ["median", "min", "max"] for value in metrics.values()), (path.name, workload)
+        assert set(document["per_layer"]) == per_layer, path.name
+        assert [run["seed"] for run in document["runs"]] == document["seeds"], path.name
+        assert all(run["correct"] for run in document["runs"]) and document["traced_correct"], path.name
+        for run in document["runs"]:
+            assert set(run["metrics"]) == {f"{w}.{m}" for w in workloads for m in end_to_end}, (path.name, run["seed"])
+        assert isinstance(document["bytecode_cached"], bool) and document["commit"] and document["machine"]
 
 
 @pytest.mark.parametrize(

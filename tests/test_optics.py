@@ -443,6 +443,42 @@ class TestSharedLayout:
         assert all(records == serial[k] for (_, k), records in results.items())
 
 
+class TestBuiltPorts:
+    """A cascade build supplies the vacuum ports that a hand-made network walks for."""
+
+    @staticmethod
+    def assert_ports_of_the_walk(plans):
+        for plan in plans:
+            network = build_cascade_network(plan)
+            # the build filled the walk's cache slot before any read, and that tuple
+            # is the one read; a bare copy has the slot empty until it walks
+            slot = OpticalNetwork._external_inputs.attrname
+            ports = vars(network)[slot]
+            assert network.external_inputs() is ports
+            bare = OpticalNetwork(network.elements, network.exits, network.input, network.dark_ports)
+            assert slot not in vars(bare)
+            # the same ports in the walk's order, as records of the same kinds
+            assert typed(network.external_inputs()) == typed(bare.external_inputs())
+            assert len(network.external_inputs()) == 1 + 3 * len(plan.modules)
+
+    def test_built_ports_equal_the_walk_for_both_families(self):
+        plans = [
+            synthesize_cascade(kraus_from_povm(family(n, n)))
+            for family in (random_povm, random_rank_one_povm)
+            for n in range(2, 81)
+        ]
+        self.assert_ports_of_the_walk(plans)
+        # layouts made afresh, in a new order, give the same ports
+        optics._module_layout.cache_clear()
+        self.assert_ports_of_the_walk(plans[::-1])
+
+    def test_built_ports_equal_the_walk_beyond_the_layout_cache(self):
+        # 4,097 modules: the first layouts have left the cache when the build ends
+        plan = synthesize_cascade(kraus_from_povm(random_povm(4098, 3)))
+        assert len(plan.modules) > optics._module_layout.cache_info().maxsize
+        self.assert_ports_of_the_walk([plan])
+
+
 class TestPropagate:
     def test_empty_network_is_identity(self):
         network = OpticalNetwork((), (IN,), IN)
@@ -475,6 +511,15 @@ class TestPropagate:
         message = f"input mode {network.input} has non-finite amplitudes"
         with pytest.raises(ValueError, match=re.escape(message)):
             propagate(PhotonState.pure(network.input, [bad, 0.0]), network)
+
+    @pytest.mark.parametrize(
+        "amplitudes, shape",
+        [([1, 2, 3], (3,)), ([[1, 0], [0, 1]], (2, 2)), (1.0, ())],
+        ids=["three", "matrix", "scalar"],
+    )
+    def test_pure_state_of_the_wrong_shape_is_a_value_error(self, amplitudes, shape):
+        with pytest.raises(ValueError, match=re.escape(f"a pure state needs 2 amplitudes, got shape {shape}")):
+            PhotonState.pure(IN, amplitudes)
 
     def test_non_finite_vacuum_pair_raises_where_it_enters(self):
         network = module_network(ModuleSettings(theta=0.1, phi=0.2))

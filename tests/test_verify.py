@@ -24,6 +24,7 @@ from povmcascade.povm import (
 from povmcascade.qmath import dagger, eig_hermitian2, max_abs, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, synthesize_cascade
 from povmcascade.verify import (
+    _network_maps,
     _trial_states,
     random_povm,
     random_pure_state,
@@ -55,6 +56,46 @@ def split_last_exit_to_stray_mode(network):
     last = network.exits[-1]
     split = PolarizingBeamsplitter(last, ModeLabel(99, "vac"), last, ModeLabel(99, "stray"))
     return dataclasses.replace(network, elements=network.elements + (split,))
+
+
+def diagonal_plan():
+    """A diagonal POVM's plan: most entries of its exit maps are exact zeros."""
+    elements = [np.diag([0.25, 0.5]), np.diag([0.75, 0.0]), np.diag([0.0, 0.5])]
+    return synthesize_cascade(kraus_from_povm(validate_povm(elements)))
+
+
+def random_plan():
+    return synthesize_cascade(kraus_from_povm(random_povm(12, 5)))
+
+
+def negated_plan():
+    """A hand-made one-module plan with -I unitaries: some exit map entries are -0.0."""
+    minus = ((-1 + 0j, -0j), (-0j, -1 + 0j))
+    return CascadePlan((ModuleSettings(0.0, np.pi / 4, pre_unitary=minus, exit_unitary=minus),), minus)
+
+
+class TestExitMaps:
+    """verify reads the exit maps straight off the walk's rows."""
+
+    @pytest.mark.parametrize("make_plan", [diagonal_plan, negated_plan, random_plan], ids=["diagonal", "negated", "random"])
+    def test_exit_stack_is_transfer_matrices_byte_for_byte(self, make_plan):
+        plan = make_plan()
+        network, rows, exits = _network_maps(plan)
+        transfer = transfer_matrices(build_cascade_network(plan))
+        assert list(rows) == list(transfer)
+        assert exits.dtype == complex and exits.shape == (len(network.exits), 2, 2)
+        for mode, stacked in zip(network.exits, exits, strict=True):
+            assert stacked.tobytes() == transfer[mode].tobytes(), mode
+
+    def test_the_zero_plans_carry_zeros_of_both_signs(self):
+        # the byte comparison above would see a flipped zero sign only where zeros are
+        def zeros(plan):
+            exits = _network_maps(plan)[2]
+            parts = np.concatenate([exits.real.ravel(), exits.imag.ravel()])
+            return int(np.sum(parts == 0)), int(np.sum((parts == 0) & np.signbit(parts)))
+
+        assert zeros(diagonal_plan())[0] >= 12
+        assert zeros(negated_plan())[1] >= 1
 
 
 class TestVerifyPlan:

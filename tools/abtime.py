@@ -17,7 +17,10 @@ and --pool and --sizes set its workload's pool and outcome counts LO..HI.
 instance's plans, Kraus sets and prepared inputs:
 
     build              build_cascade_network(plan)
-    external_inputs    network.external_inputs() on a fresh network
+    external_inputs    network.external_inputs() on the built networks, as the
+                       op's first walk pays it: a walk over the elements for a
+                       network that does not carry its vacuum ports, a cached
+                       read for one whose build supplied them
     propagate          propagate(pure state, network)
     transfer_matrices  transfer_matrices(network)
     exit_amplitudes    exit_amplitudes(propagated state, network)
@@ -164,15 +167,14 @@ class Side:
         times = {}
         built = []
         times["build"] = time_calls([lambda p=p: built.append(optics.build_cascade_network(p)) for p in workload.plans])
-        networks = [optics.OpticalNetwork(n.elements, n.exits, n.input, n.dark_ports) for n in built]
-        times["external_inputs"] = time_calls([network.external_inputs for network in networks])
-        states = [optics.PhotonState.pure(n.input, a[2]) for n, a in zip(networks, self.inputs)]
+        times["external_inputs"] = time_calls([network.external_inputs for network in built])
+        states = [optics.PhotonState.pure(n.input, a[2]) for n, a in zip(built, self.inputs)]
         outs = []
         times["propagate"] = time_calls(
-            [lambda s=s, n=n: outs.append(optics.propagate(s, n)) for s, n in zip(states, networks)]
+            [lambda s=s, n=n: outs.append(optics.propagate(s, n)) for s, n in zip(states, built)]
         )
-        times["transfer_matrices"] = time_calls([lambda n=n: optics.transfer_matrices(n) for n in networks])
-        times["exit_amplitudes"] = time_calls([lambda o=o, n=n: optics.exit_amplitudes(o, n) for o, n in zip(outs, networks)])
+        times["transfer_matrices"] = time_calls([lambda n=n: optics.transfer_matrices(n) for n in built])
+        times["exit_amplitudes"] = time_calls([lambda o=o, n=n: optics.exit_amplitudes(o, n) for o, n in zip(outs, built)])
         times["verify_density"] = time_calls(
             [lambda a=a: verify.verify_density(a[3], workload.kraus[a[0]], a[1]) for a in self.inputs]
         )
