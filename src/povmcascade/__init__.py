@@ -21,7 +21,6 @@ from .povm import (
     outcome_probabilities,
     validate_povm,
 )
-from .qmath import Svd2, eig_hermitian2, sqrt_psd, svd2
 from .synthesis import (
     CascadePlan,
     ModuleSettings,
@@ -44,11 +43,9 @@ __all__ = [
     "OutcomeRecord",
     "PhotonState",
     "PovmSet",
-    "Svd2",
     "VerificationReport",
     "build_cascade_network",
     "density_matrix",
-    "eig_hermitian2",
     "ekert_alpha_prime",
     "ekert_povm",
     "exit_amplitudes",
@@ -57,8 +54,6 @@ __all__ = [
     "propagate",
     "random_povm",
     "reconstruct_kraus",
-    "sqrt_psd",
-    "svd2",
     "synthesize_cascade",
     "trine_povm",
     "validate_povm",

@@ -52,13 +52,9 @@ class DocumentError(ValueError):
 # document encoding/decoding
 
 
-def _complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_json(m) -> list:
     """A 2x2 matrix, as rows or as an array, in [re, im] pairs."""
-    return [[_complex_to_json(complex(m[r][c])) for c in range(2)] for r in range(2)]
+    return [[[(z := complex(m[r][c])).real, z.imag] for c in range(2)] for r in range(2)]
 
 
 def _number(x) -> float | None:
@@ -90,18 +86,6 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
             raise DocumentError(f"{where}[{r}][{c}]: expected an [re, im] pair of finite numbers")
         rows.append(entries)
     return np.array(rows, dtype=complex)
-
-
-def povm_document(elements, exit_unitaries=None, labels=None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "elements": [matrix_to_json(np.asarray(e, dtype=complex)) for e in elements],
-    }
-    if exit_unitaries is not None:
-        doc["exit_unitaries"] = [matrix_to_json(np.asarray(u, dtype=complex)) for u in exit_unitaries]
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
 
 
 def _check_header(doc, kind: str) -> None:

@@ -28,7 +28,6 @@ from .qmath import (
     _unitary_residual,
     as_matrix2,
     dagger,
-    hermitian_residuals,
     identity2,
     max_abs,
 )
@@ -206,7 +205,8 @@ def _check_unitary(m, name: str, index: int | None = None) -> Rows2:
 def density_matrix(rho) -> DensityMatrix:
     """Validate a 2x2 density matrix (Hermitian, PSD, unit trace) at DEFAULT_TOL."""
     rho = as_matrix2(rho, name="density matrix")
-    _check_operator(*hermitian_residuals(rho), "density matrix")
+    _, residual, low = _psd_roots(rho[None])
+    _check_operator(float(residual[0]), float(low[0]), "density matrix")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"density matrix trace {trace:.12g} is not 1")

@@ -49,7 +49,6 @@ __all__ = [
     "identity2",
     "rotation",
     "phase_fixed",
-    "hermitian_residuals",
     "eig_hermitian2",
     "sqrt_psd",
     "svd2",
@@ -150,16 +149,6 @@ def phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale a 2-vector by a unit phase so its largest-modulus entry is real >= 0."""
     fixed, _ = _phase_fixed(*np.asarray(v, dtype=complex).tolist())
     return np.array(fixed, dtype=complex)
-
-
-def hermitian_residuals(m: np.ndarray) -> tuple[float, float]:
-    """(Hermiticity residual max|m - m^dag|, minimum eigenvalue of the Hermitian part).
-
-    m is Hermitian when the first is <= DEFAULT_TOL, and also positive
-    semidefinite when the second is >= -DEFAULT_TOL.
-    """
-    _, residual, low = _psd_roots(as_matrix2(m)[None])
-    return float(residual[0]), float(low[0])
 
 
 def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:

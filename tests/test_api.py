@@ -30,11 +30,9 @@ def test_package_exports():
         "OutcomeRecord",
         "PhotonState",
         "PovmSet",
-        "Svd2",
         "VerificationReport",
         "build_cascade_network",
         "density_matrix",
-        "eig_hermitian2",
         "ekert_alpha_prime",
         "ekert_povm",
         "exit_amplitudes",
@@ -43,8 +41,6 @@ def test_package_exports():
         "propagate",
         "random_povm",
         "reconstruct_kraus",
-        "sqrt_psd",
-        "svd2",
         "synthesize_cascade",
         "trine_povm",
         "validate_povm",
@@ -80,7 +76,6 @@ def test_module_exports():
         "identity2",
         "rotation",
         "phase_fixed",
-        "hermitian_residuals",
         "eig_hermitian2",
         "sqrt_psd",
         "svd2",
@@ -230,10 +225,19 @@ def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
     src = str(Path(__file__).resolve().parent.parent / "src")
     assert identity.main(["--compare", src, src, "--max-n", "6", "--seeds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == list(identity.FAMILIES)
-    assert all(" identical (" in line for line in lines)
-    assert "povms      identical (20 items)" in lines and "cli        identical (46 items)" in lines
-    assert "propagate  identical (58 items)" in lines
+    families, counts = lines[: len(identity.FAMILIES)], lines[len(identity.FAMILIES) :]
+    assert [line.split()[0] for line in families] == list(identity.FAMILIES)
+    assert all(" identical (" in line for line in families)
+    assert "povms      identical (20 items)" in families and "cli        identical (46 items)" in families
+    assert "propagate  identical (58 items)" in families
+    # then each tree's two count lines over the same tiny corpus: the plans a
+    # one-ulp input change moves, and the boundary outcomes with both repros
+    assert [line.split()[0] for line in counts] == ["one-ulp", "boundary"] * 2
+    assert counts[:2] == counts[2:]
+    assert counts[0] == f"one-ulp    5 final and 0 exit unitaries of 10 rank-one plans move by > 1e-06  {src}"
+    assert counts[1].startswith("boundary   0 rejected, 0 not compiling, 5 failing verify_plan of 20 inputs; repros ")
+    assert "n = 2: failing: probability 1.786e-09" in counts[1]
+    assert "n = 3: not compiling: IncompleteSum" in counts[1] and "n = 80: not compiling: IncompleteSum" in counts[1]
 
 
 def test_identity_tool_names_the_items_that_differ(monkeypatch):

@@ -22,7 +22,6 @@ from povmcascade.cli import (
     parse_plan_document,
     parse_povm_document,
     plan_document,
-    povm_document,
 )
 from povmcascade.demos import trine_povm
 from povmcascade.povm import IncompleteSum, kraus_from_povm, validate_kraus, validate_povm
@@ -31,6 +30,19 @@ from povmcascade.synthesis import reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm
 
 R3 = math.sqrt(3.0)
+
+
+def povm_document(elements, exit_unitaries=None, labels=None) -> dict:
+    """A POVM document of the README's schema, optionally with exit unitaries and labels."""
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "elements": [matrix_to_json(np.asarray(e, dtype=complex)) for e in elements],
+    }
+    if exit_unitaries is not None:
+        doc["exit_unitaries"] = [matrix_to_json(np.asarray(u, dtype=complex)) for u in exit_unitaries]
+    if labels is not None:
+        doc["labels"] = list(labels)
+    return doc
 
 
 def trine_document():

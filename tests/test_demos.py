@@ -15,6 +15,8 @@ from povmcascade.verify import verify_plan
 
 R3 = math.sqrt(3.0)
 I2 = np.eye(2, dtype=complex)
+EPS = np.finfo(float).eps
+EKERT_PAIRS = [(0.1, 0.9), (0.2, 0.7), (-0.4, 0.8), (1.0, 1.3), (0.0, math.pi / 4), (-1.0, -0.2), (2.0, 2.5)]
 
 
 def ekert_closed_forms(alpha, beta):
@@ -138,3 +140,27 @@ class TestEkert:
             EkertParams(0.5, 0.5)
         with pytest.raises(DomainError):
             EkertParams(0.0, 2.5)
+
+
+@pytest.mark.parametrize("case", ["trine", *EKERT_PAIRS], ids=["trine", *(f"ekert{pair}" for pair in EKERT_PAIRS)])
+def test_synthesizer_gives_the_published_angles(case):
+    # the worked examples held at the angle level, not only at the operators
+    # the angles realize.  The trine's (theta, phi) come out as published.
+    # Ekert's come out as the published (phi, theta): the CS split orders the
+    # cosines in descending order, so the H and V roles trade places.
+    if case == "trine":
+        _, kraus, plan = trine_povm()
+        published = [(math.acos(math.sqrt(2.0 / 3.0)), math.pi / 2), (0.0, math.pi / 2)]
+        expected = published
+    else:
+        alpha, beta = case
+        povm, plan = ekert_povm(EkertParams(alpha, beta))
+        kraus = kraus_from_povm(povm)
+        k = 1.0 / (1.0 + math.cos(beta - alpha))
+        published = [(math.pi / 2, math.acos(math.sqrt(k))), (math.pi / 2, 0.0)]
+        expected = [(phi, theta) for theta, phi in published]
+    assert [(module.theta, module.phi) for module in plan.modules] == published
+    synthesized = synthesize_cascade(kraus).modules
+    assert len(synthesized) == len(expected)
+    for module, (theta, phi) in zip(synthesized, expected):
+        assert abs(module.theta - theta) <= EPS and abs(module.phi - phi) <= EPS

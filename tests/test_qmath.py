@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcascade import qmath
+from povmcascade.povm import validation_residuals
 from povmcascade.qmath import (
     NotHermitian,
     NotPsd,
@@ -15,7 +16,6 @@ from povmcascade.qmath import (
     as_matrix2,
     dagger,
     eig_hermitian2,
-    hermitian_residuals,
     identity2,
     max_abs,
     phase_fixed,
@@ -152,7 +152,7 @@ class TestSqrtPsd:
             a = random_complex_matrix(rng)
             f = a @ dagger(a)
             root = sqrt_psd(f)
-            herm_residual, min_eigenvalue = hermitian_residuals(root)
+            herm_residual, min_eigenvalue = validation_residuals([root])[0][0]
             assert herm_residual <= 1e-12
             assert herm_residual <= 1e-9 and min_eigenvalue >= -1e-9
             assert max_abs(root @ root - f) <= 1e-10
@@ -282,11 +282,11 @@ class TestPublicChecks:
             eig_hermitian2,
             sqrt_psd,
             svd2,
-            hermitian_residuals,
+            lambda m: validation_residuals([m]),
             lambda m: aligning_unitary(m, I2),
             lambda m: aligning_unitary(I2, m),
         ],
-        ids=["eig_hermitian2", "sqrt_psd", "svd2", "hermitian_residuals", "aligning_target", "aligning_source"],
+        ids=["eig_hermitian2", "sqrt_psd", "svd2", "validation_residuals", "aligning_target", "aligning_source"],
     )
     def test_rejects_non_finite_and_wrong_shape(self, call, bad):
         with pytest.raises(ValueError):
@@ -374,7 +374,7 @@ class TestCores:
             v, d, u = qmath._svd(m.tolist())
             assert bits(v, d, u) == bits(*svd2(m))
             residual, _, low, _, _ = qmath._spectra(m[None])
-            assert (residual[0], low[0]) == hermitian_residuals(m)
+            assert (residual[0], low[0]) == validation_residuals([m])[0][0]
             f = m @ dagger(m)
             assert bits(qmath._psd_roots(f[None])[0][0]) == bits(sqrt_psd(f))
 

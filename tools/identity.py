@@ -21,6 +21,18 @@ fingerprinted as its type and message.  Each tree runs in its own interpreter
 with only that tree's package on the path; the CLI documents are drawn here,
 not by the tree, so both trees read the same bytes.
 
+Next to the fingerprints each tree prints two counts over its own corpus.
+They are diagnostics of known defects and never change the exit code:
+
+    one-ulp    rank-one plans whose final_exit_unitary, and separately any
+               exit_unitary, moves by more than 1e-6 when every element is
+               scaled by (1 + 2^-52): a gauge that round-off sets
+    boundary   corpus POVMs with F_1 scaled by 1 + 0.9 DEFAULT_TOL / max|F_1|
+               that validation rejects, that validate but do not compile, and
+               that compile but fail verify_plan (default trials and seed);
+               then the outcome of two known repros of a valid POVM that
+               fails verification (n = 2) or does not compile (n = 3, 80)
+
     python tools/identity.py src                        # fingerprints of one tree
     python tools/identity.py --compare OLD/src NEW/src  # exit 1 if a family differs
     python tools/identity.py --max-n 6 --seeds 2 src    # a small corpus
@@ -234,6 +246,76 @@ def _cli(records: dict) -> None:
             os.chdir(cwd)
 
 
+#: a plan entry that moves by more than this under a one-ulp change of the input counts as moved
+MOVE = 1e-6
+
+
+def _pipeline(povm, synthesis, verify, elements) -> str:
+    """Where elements stop on validate -> compile -> verify_plan: "rejected: ",
+    "not compiling: " (each with the error) or "failing: " (with the failed
+    checks and their residuals), else "verified"."""
+    try:
+        povm_set = povm.validate_povm(elements)
+    except ValueError as exc:
+        return f"rejected: {_error(exc).decode()}"
+    try:
+        kraus = povm.kraus_from_povm(povm_set)
+        plan = synthesis.synthesize_cascade(kraus)
+    except ValueError as exc:
+        return f"not compiling: {_error(exc).decode()}"
+    failed = [f"{c.name} {c.max_residual:.3e}" for c in verify.verify_plan(kraus, plan).checks if not c.passed]
+    return f"failing: {', '.join(failed)}" if failed else "verified"
+
+
+def _repros(n: int) -> list:
+    """The two known boundary repros: a valid POVM whose plan fails verify_plan
+    (n = 2), and n - 1 copies of diag(1/(n-1), -9e-10) plus the complement,
+    valid but not compiling."""
+    if n == 2:
+        return [0.001 * np.eye(2), 0.999 * np.eye(2) + 9e-10 * np.ones((2, 2))]
+    return [np.diag([1 / (n - 1), -9e-10])] * (n - 1) + [np.diag([0.0, 1 + (n - 1) * 9e-10])]
+
+
+def counts(max_n: int, seeds: int) -> dict:
+    """The one-ulp and boundary counts of the importable package over the corpus."""
+    from povmcascade import povm, qmath, synthesis, verify
+
+    moves = {"plans": 0, "final": 0, "exit": 0}
+    for n in range(2, max_n + 1):
+        for seed in range(seeds):
+            elements = verify.random_rank_one_povm(n, seed).elements
+            old, new = (
+                synthesis.synthesize_cascade(povm.kraus_from_povm(povm.validate_povm([f * scale for f in elements])))
+                for scale in (1.0, 1.0 + 2.0**-52)
+            )
+            moves["plans"] += 1
+            moves["final"] += qmath.max_abs(np.subtract(old.final_exit_unitary, new.final_exit_unitary)) > MOVE
+            moves["exit"] += any(
+                qmath.max_abs(np.subtract(a.exit_unitary, b.exit_unitary)) > MOVE for a, b in zip(old.modules, new.modules)
+            )
+    boundary = dict.fromkeys(("rejected", "not compiling", "failing", "verified"), 0)
+    for family in ("random_povm", "random_rank_one_povm"):
+        for n in range(2, max_n + 1):
+            for seed in range(seeds):
+                first, *rest = getattr(verify, family)(n, seed).elements
+                first = first * (1.0 + 0.9 * qmath.DEFAULT_TOL / qmath.max_abs(first))
+                boundary[_pipeline(povm, synthesis, verify, [first, *rest]).split(":")[0]] += 1
+    repros = {f"n = {n}": _pipeline(povm, synthesis, verify, _repros(n)) for n in (2, 3, 80)}
+    return {"one-ulp": moves, "boundary": boundary, "repros": repros}
+
+
+def count_lines(result: dict, tree: str) -> list[str]:
+    """The two count lines of one tree's counts()."""
+    moves, boundary = result["one-ulp"], result["boundary"]
+    repros = "; ".join(f"{n}: {outcome}" for n, outcome in result["repros"].items())
+    return [
+        f"one-ulp    {moves['final']} final and {moves['exit']} exit unitaries of {moves['plans']} rank-one plans"
+        f" move by > {MOVE:g}  {tree}",
+        f"boundary   {boundary['rejected']} rejected, {boundary['not compiling']} not compiling,"
+        f" {boundary['failing']} failing verify_plan of {sum(boundary.values())} inputs; repros {repros}  {tree}",
+    ]
+
+
 def fingerprint(max_n: int, seeds: int) -> dict:
     """{family: {"digest": sha256, "items": {label: sha256}}} for the importable package."""
     records: dict[str, list] = {family: [] for family in FAMILIES}
@@ -283,19 +365,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.json:  # the child run of run_tree: the package is already on the path
-        json.dump(fingerprint(args.max_n, args.seeds), sys.stdout)
+        json.dump(dict(fingerprint(args.max_n, args.seeds), counts=counts(args.max_n, args.seeds)), sys.stdout)
         return 0
     if args.compare:
         if len(args.trees) != 2:
             parser.error("--compare takes exactly two trees")
         old, new = (run_tree(tree, args.max_n, args.seeds) for tree in args.trees)
         lines = compare(old, new)
-        print("\n".join(lines))
+        print("\n".join(lines + count_lines(old["counts"], args.trees[0]) + count_lines(new["counts"], args.trees[1])))
         return 0 if all("identical" in line for line in lines) else 1
     for tree in args.trees:
         result = run_tree(tree, args.max_n, args.seeds)
         for family in FAMILIES:
             print(f"{result[family]['digest']}  {family:<10} {len(result[family]['items']):5d} items  {tree}")
+        print("\n".join(count_lines(result["counts"], tree)))
     return 0
 
 
