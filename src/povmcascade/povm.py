@@ -192,11 +192,15 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
 
 
 def _check_unitary(m, name: str, index: int | None = None) -> Rows2:
-    """The one unitarity check: m, given as rows of Python complex numbers or
-    as anything array-like, as rows (as_matrix2's checks, under name), or
+    """m, given as rows of Python complex numbers or as anything array-like,
+    as rows (as_matrix2's checks, under name) that pass _require_unitary."""
+    return _require_unitary(_matrix2_rows(m, name), name, index)
+
+
+def _require_unitary(rows: Rows2, name: str, index: int | None = None) -> Rows2:
+    """The one unitarity check: rows of Python complex numbers as they are, or
     NotUnitary("name is not unitary", index) if m^dag m is off the identity
-    by more than DEFAULT_TOL."""
-    rows = _matrix2_rows(m, name)
+    by more than DEFAULT_TOL (a NaN or Inf entry is off it too)."""
     if not _unitary_residual(rows) <= DEFAULT_TOL:
         raise NotUnitary(f"{name} is not unitary", index)
     return rows

@@ -29,6 +29,13 @@ split a closed-form SVD and column completion.  The settings keep that
 form: ModuleSettings and CascadePlan hold their unitaries as rows of Python
 complex numbers, which reconstruct_kraus and the network walk read as they
 are.  Only the Kraus stacks on either side are numpy arrays.
+
+synthesize_cascade does not run the ModuleSettings constructor: it stores
+its own floats and rows as they are and keeps, per module, the checks that
+can fail on them, with the constructor's functions, errors and order: the
+angles' range (_check_angles), then the unitarity of pre_unitary and of
+exit_unitary (povm._require_unitary, which a NaN or Inf entry fails too).
+CascadePlan checks final_exit_unitary once per plan either way.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import KrausSet, _check_complete, _check_unitary, validate_kraus
+from .povm import KrausSet, _check_complete, _check_unitary, _require_unitary, validate_kraus
 from .qmath import (
     _IDENTITY,
     Rows2,
@@ -80,7 +87,13 @@ class ModuleSettings:
     The unitaries may be given as rows of Python complex numbers or as
     anything array-like; they are checked once and held as rows
     ``((m00, m01), (m10, m11))``, the form the scalar cores read
-    (``np.array(settings.pre_unitary)`` gives the array).
+    (``np.array(settings.pre_unitary)`` gives the array).  The constructor
+    (and so ``dataclasses.replace`` and the plan reader of :mod:`cli`)
+    converts and checks every field, in field order: the angles' range,
+    zeta's and xi's finiteness, then each unitary read as rows and checked
+    unitary.  synthesize_cascade stores its own values without that
+    conversion and keeps the range and unitarity checks (see the module
+    docstring).
     """
 
     theta: float
@@ -91,11 +104,7 @@ class ModuleSettings:
     exit_unitary: Rows2 = _IDENTITY
 
     def __post_init__(self):
-        theta, phi = float(self.theta), float(self.phi)
-        if not -BOUNDARY_EPS <= theta <= math.pi / 2 + BOUNDARY_EPS:
-            raise ValueError(f"theta = {theta!r} outside [0, pi/2]")
-        if not -BOUNDARY_EPS <= phi <= math.pi / 2 + BOUNDARY_EPS:
-            raise ValueError(f"phi = {phi!r} outside [0, pi/2]")
+        theta, phi = _check_angles(float(self.theta), float(self.phi))
         zeta, xi = float(self.zeta), float(self.xi)
         if not math.isfinite(zeta):
             raise ValueError("zeta must be finite")
@@ -113,6 +122,17 @@ class ModuleSettings:
             (cmath.exp(1j * self.zeta) * math.cos(self.theta), complex(math.cos(self.phi))),
             (cmath.exp(1j * self.xi) * math.sin(self.theta), complex(math.sin(self.phi))),
         )
+
+
+def _check_angles(theta: float, phi: float) -> tuple[float, float]:
+    """The one range check of the rotator angles: (theta, phi), or ValueError
+    ("theta = ... outside [0, pi/2]"), theta first, for an angle outside
+    [0, pi/2] by more than BOUNDARY_EPS (NaN included)."""
+    if not -BOUNDARY_EPS <= theta <= math.pi / 2 + BOUNDARY_EPS:
+        raise ValueError(f"theta = {theta!r} outside [0, pi/2]")
+    if not -BOUNDARY_EPS <= phi <= math.pi / 2 + BOUNDARY_EPS:
+        raise ValueError(f"phi = {phi!r} outside [0, pi/2]")
+    return theta, phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +196,13 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     for a, b in reversed(blocks):
         x, (c0, c1), w_dag = _svd(a)
         y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
-        theta, phi = math.atan2(s0, c0), math.atan2(s1, c1)
-        modules.append(ModuleSettings(theta, phi, pre_unitary=_mul(w_dag, y), exit_unitary=x))
+        theta, phi = _check_angles(math.atan2(s0, c0), math.atan2(s1, c1))
+        pre, x = _require_unitary(_mul(w_dag, y), "pre_unitary"), _require_unitary(x, "exit_unitary")
+        # ModuleSettings(theta, phi, pre_unitary=pre, exit_unitary=x) without re-reading
+        # checked floats and rows: the constructor's fields, in its order
+        settings = object.__new__(ModuleSettings)
+        settings.__dict__.update(theta=theta, phi=phi, zeta=0.0, xi=0.0, pre_unitary=pre, exit_unitary=x)
+        modules.append(settings)
         y = y_next
     return CascadePlan(tuple(modules), _mul(_rows(final_q0, final_q1, 0), y))
 

@@ -263,6 +263,8 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
         simulate = capsys.readouterr().out.splitlines()
         assert abtime.main([src, src, "--workload", "synthesize", *tiny]) == 0
         synthesize = capsys.readouterr().out.splitlines()
+        assert abtime.main([src, src, "--workload", "compile", *tiny]) == 0
+        compile_ = capsys.readouterr().out.splitlines()
     finally:
         for name in [name for name in sys.modules if name.startswith("povmcascade_")]:
             del sys.modules[name]
@@ -271,8 +273,13 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
     assert sys.modules["povmcascade"] is povmcascade
     assert sys.path == path
     for (title, header, *rows), wanted, layers in (
-        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", (*abtime.LAYERS, "invocation")),
+        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", (*abtime.LAYERS["simulate"], "invocation")),
         (synthesize, "pool of 2 documents, n = 3..4, 2 repetitions", ("main", "invocation")),
+        (
+            compile_,
+            "pool of 2 POVMs, n = 3..4, 2 repetitions",
+            ("validate", "kraus", "synthesize", "reconstruct", "op", "invocation"),
+        ),
     ):
         assert title == wanted
         assert header.split() == ["layer", "old", "ms", "new", "ms", "new/old", "wins", "old", "gc0", "new", "gc0"]

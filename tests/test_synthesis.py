@@ -1,13 +1,14 @@
 """Cascade synthesis: settings extraction, round trips, and invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmcascade import synthesis
 from povmcascade.demos import trine_povm
 from povmcascade.povm import IncompleteSum, KrausSet, NotUnitary, kraus_from_povm, validate_kraus, validate_povm
 from povmcascade.qmath import DEFAULT_TOL, dagger, eig_hermitian2, max_abs, rotation
@@ -323,6 +324,114 @@ class TestSynthesizeCascade:
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))
         assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
+
+
+def _bits(value):
+    """A field's type and exact bits, signed zeros included."""
+    if type(value) is float:
+        return "float", value.hex()
+    if type(value) is complex:
+        return "complex", value.real.hex(), value.imag.hex()
+    assert type(value) is tuple, type(value)
+    return ("tuple", *map(_bits, value))
+
+
+def _scaled(rows, factor):
+    return tuple(tuple(z * factor for z in row) for row in rows)
+
+
+class TestSynthesizedSettings:
+    """synthesize_cascade stores its ModuleSettings without the constructor; what
+    it stores, and the checks it keeps, must be the constructor's."""
+
+    @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+    def test_settings_equal_the_public_constructors_bit_for_bit(self, make):
+        order = [field.name for field in fields(ModuleSettings)]
+        for n in range(2, 81):
+            for seed in range(5):
+                for module in synthesize_cascade(kraus_from_povm(make(n, seed))).modules:
+                    stored = vars(module)
+                    # rebuilt from every stored field, and as the synthesizer would
+                    # call the constructor (zeta and xi left at their defaults)
+                    call = ModuleSettings(
+                        module.theta, module.phi, pre_unitary=module.pre_unitary, exit_unitary=module.exit_unitary
+                    )
+                    for public in (vars(ModuleSettings(**stored)), vars(call)):
+                        assert list(stored) == list(public) == order
+                        assert [_bits(v) for v in stored.values()] == [_bits(v) for v in public.values()]
+
+    @staticmethod
+    def _raised(build):
+        with pytest.raises(ValueError) as info:
+            build()
+        return type(info.value), str(info.value), getattr(info.value, "index", None)
+
+    #: each field's mutant value, from the value the synthesizer would have stored
+    BROKEN = {
+        "theta": lambda theta: -theta,
+        "phi": lambda phi: -phi,
+        "pre_unitary": lambda rows: _scaled(rows, 1.0 + 1e-6),
+        "exit_unitary": lambda rows: _scaled(rows, 2.0),
+    }
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            ("theta",),
+            ("phi",),
+            ("pre_unitary",),
+            ("exit_unitary",),
+            ("theta", "phi"),
+            ("pre_unitary", "exit_unitary"),
+            ("phi", "pre_unitary"),
+            ("theta", "phi", "pre_unitary", "exit_unitary"),
+        ],
+        ids="+".join,
+    )
+    def test_the_guard_raises_the_constructors_first_error(self, monkeypatch, broken):
+        # mutants monkeypatched into synthesis break the first module's fields:
+        # an angle through a _column_split weight negated (atan2 then gives minus
+        # the angle), pre_unitary through the product W_1^dag Y_0 (the _mul whose
+        # right factor is Y_0, the first product made) and exit_unitary through
+        # the block splits' left factor X_1 (every _svd call after the first,
+        # which is R_1's polar factor)
+        kraus = random_kraus(4, 3)
+        first = vars(synthesize_cascade(kraus).modules[0])
+        assert first["theta"] > 0.0 and first["phi"] > 0.0
+        column_split, mul, svd = synthesis._column_split, synthesis._mul, synthesis._svd
+        negated = [name in broken for name in ("theta", "phi")]
+        products, svd_calls = [], []
+
+        def split_mutant(m):
+            y, weights = column_split(m)
+            return y, tuple(-w if flip else w for w, flip in zip(weights, negated))
+
+        def mul_mutant(a, b):
+            out = mul(a, b)
+            if products and b is products[0]:
+                return self.BROKEN["pre_unitary"](out)
+            products.append(out)
+            return out
+
+        def svd_mutant(m):
+            v, d, u = svd(m)
+            svd_calls.append(m)
+            return (self.BROKEN["exit_unitary"](v) if len(svd_calls) > 1 else v), d, u
+
+        if any(negated):
+            monkeypatch.setattr(synthesis, "_column_split", split_mutant)
+        if "pre_unitary" in broken:
+            monkeypatch.setattr(synthesis, "_mul", mul_mutant)
+        if "exit_unitary" in broken:
+            monkeypatch.setattr(synthesis, "_svd", svd_mutant)
+        raised = self._raised(lambda: synthesize_cascade(kraus))
+        name = broken[0]
+        if name in ("theta", "phi"):
+            assert raised == (ValueError, f"{name} = {-first[name]!r} outside [0, pi/2]", None)
+        else:
+            assert raised == (NotUnitary, f"{name} is not unitary", None)
+        values = {**first, **{field: self.BROKEN[field](first[field]) for field in broken}}
+        assert raised == self._raised(lambda: ModuleSettings(**values))
 
 
 def _unitary(rng):

@@ -9,9 +9,10 @@ many repetitions the new tree was the faster, and each tree's median count
 of young-generation (generation 0) garbage collections per pool pass, read
 through gc.callbacks: a layer's time moves with the collections that its
 own and earlier allocations set off, so a gain is explained by counts.
-The pools and ops are bench/workloads.py's own Simulate and Synthesize at
-the benchmark's default seed: that file runs once per tree, bound to it,
-and --pool and --sizes set its workload's pool and outcome counts LO..HI.
+The pools and ops are bench/workloads.py's own Simulate, Synthesize and
+Compile at the benchmark's default seed: that file runs once per tree,
+bound to it, and --pool and --sizes set its workload's pool (by default
+the workload's own: 64, 64 and 256) and outcome counts LO..HI.
 
 --workload simulate (the default; LO..HI = 10..80).  The layers, over the
 instance's plans, Kraus sets and prepared inputs:
@@ -43,9 +44,23 @@ instance's plans, Kraus sets and prepared inputs:
                        with stdout to the null device; the median of one run
                        each, and in how many pairs of runs the new tree won
 
+--workload compile (LO..HI = 3..80).  The layers, over the instance's POVM
+inputs, each fed the outputs of the layer before:
+
+    validate           povm.validate_povm(elements)
+    kraus              povm.kraus_from_povm(povm set)
+    synthesize         synthesize_cascade(Kraus set)
+    reconstruct        reconstruct_kraus(plan)
+    op                 the benchmark's op: all four in turn on one input
+    invocation         one compile (the four layers) at n = HI per fresh
+                       interpreter, --reps of them per tree, trees alternated:
+                       timed after the imports; the median of one run each,
+                       and in how many pairs of runs the new tree won
+
     python tools/abtime.py OLD/src NEW/src                  # 21 repetitions, 64 plans
     python tools/abtime.py --reps 5 --pool 8 OLD/src NEW/src
     python tools/abtime.py --workload synthesize OLD/src NEW/src
+    python tools/abtime.py --workload compile OLD/src NEW/src    # 256 POVMs
 """
 
 from __future__ import annotations
@@ -67,7 +82,12 @@ import numpy as np
 #: the benchmark's default seed (bench/run.py) and the directory of its workloads
 SEED = 1
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-LAYERS = ("build", "external_inputs", "propagate", "transfer_matrices", "exit_amplitudes", "verify_density", "op")
+#: the in-process rows of each workload
+LAYERS = {
+    "simulate": ("build", "external_inputs", "propagate", "transfer_matrices", "exit_amplitudes", "verify_density", "op"),
+    "synthesize": ("main",),
+    "compile": ("validate", "kraus", "synthesize", "reconstruct", "op"),
+}
 
 #: one `povm synthesize` in a fresh interpreter: prints its seconds from after the import, exits with its code
 _SYNTHESIZE = """
@@ -91,6 +111,17 @@ plan = synthesis.synthesize_cascade(povm.kraus_from_povm(povm.validate_povm(list
 start = time.perf_counter()
 network = optics.build_cascade_network(plan)
 optics.propagate(optics.PhotonState.pure(network.input, saved["psi"]), network)
+print(time.perf_counter() - start, file=sys.stderr)
+"""
+
+#: one cold compile in a fresh interpreter, of the POVM saved at argv[1]: prints the seconds of its four calls
+_COMPILE = """
+import sys, time
+import numpy as np
+from povmcascade import povm, synthesis
+elements = list(np.load(sys.argv[1])["elements"])
+start = time.perf_counter()
+synthesis.reconstruct_kraus(synthesis.synthesize_cascade(povm.kraus_from_povm(povm.validate_povm(elements))))
 print(time.perf_counter() - start, file=sys.stderr)
 """
 
@@ -152,11 +183,12 @@ class Side:
 
     def __init__(self, workloads, workload):
         self.optics, self.verify, self.workload = workloads.optics, workloads.verify, workload
+        self.povm, self.synthesis = workloads.povm, workloads.synthesis
         self.inputs = [workload.prepare(k) for k in range(workload.pool)]
 
     def time_layers(self) -> dict[str, tuple[float, int]]:
         """Seconds and young collections per layer over the whole pool: for synthesize,
-        the op's cli.main alone, which raises if a run fails."""
+        the op's cli.main alone, which raises if a run fails; for compile, time_compile's."""
         optics, verify, workload = self.optics, self.verify, self.workload
         if workload.name == "synthesize":
             codes = []
@@ -164,6 +196,8 @@ class Side:
             if any(codes):
                 raise RuntimeError(f"cli.main failed on {[workload.docs[k] for k, c in zip(self.inputs, codes) if c]}")
             return {"main": main}
+        if workload.name == "compile":
+            return self.time_compile()
         times = {}
         built = []
         times["build"] = time_calls([lambda p=p: built.append(optics.build_cascade_network(p)) for p in workload.plans])
@@ -179,6 +213,18 @@ class Side:
             [lambda a=a: verify.verify_density(a[3], workload.kraus[a[0]], a[1]) for a in self.inputs]
         )
         times["op"] = time_calls([lambda a=a: workload.op(a) for a in self.inputs])
+        return times
+
+    def time_compile(self) -> dict[str, tuple[float, int]]:
+        """Seconds and young collections per layer of the compile op over the whole pool,
+        each layer run on what the one before returned."""
+        povm, synthesis, workload = self.povm, self.synthesis, self.workload
+        times, sets, kraus, plans = {}, [], [], []
+        times["validate"] = time_calls([lambda k=k: sets.append(povm.validate_povm(workload.inputs[k])) for k in self.inputs])
+        times["kraus"] = time_calls([lambda s=s: kraus.append(povm.kraus_from_povm(s)) for s in sets])
+        times["synthesize"] = time_calls([lambda k=k: plans.append(synthesis.synthesize_cascade(k)) for k in kraus])
+        times["reconstruct"] = time_calls([lambda p=p: synthesis.reconstruct_kraus(p) for p in plans])
+        times["op"] = time_calls([lambda k=k: workload.op(k) for k in self.inputs])
         return times
 
 
@@ -233,35 +279,38 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="source directory holding the baseline povmcascade package")
     parser.add_argument("new", help="source directory holding the changed povmcascade package")
-    parser.add_argument("--workload", choices=("simulate", "synthesize"), default="simulate", help="the benchmark pool to time")
+    parser.add_argument("--workload", choices=tuple(LAYERS), default="simulate", help="the benchmark pool to time")
     parser.add_argument("--reps", type=int, default=21, help="repetitions, alternating which tree goes first")
-    parser.add_argument("--pool", type=int, default=64, help="plans in the pool, a power of two")
+    parser.add_argument("--pool", type=int, help="inputs in the pool, a power of two (default: the workload's)")
     parser.add_argument("--sizes", type=int, nargs=2, metavar=("LO", "HI"), help="outcome counts (default: the workload's)")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    if args.pool < 1 or args.pool & (args.pool - 1):
+    if args.pool is not None and (args.pool < 1 or args.pool & (args.pool - 1)):
         parser.error("--pool must be a power of two")
     if args.sizes and not 2 <= args.sizes[0] <= args.sizes[1]:
         parser.error("--sizes needs 2 <= LO <= HI")
     srcs = (args.old, args.new)
     trees = (load_workloads(args.old, "povmcascade_old"), load_workloads(args.new, "povmcascade_new"))
-    sizes = args.sizes or trees[0].WORKLOADS[args.workload].sizes
+    base = trees[0].WORKLOADS[args.workload]
+    pool, sizes = args.pool or base.pool, args.sizes or base.sizes
     with tempfile.TemporaryDirectory() as workdir:
-        old, new = (Side(tree, instance(tree, args.workload, args.pool, sizes, workdir)) for tree in trees)
+        old, new = (Side(tree, instance(tree, args.workload, pool, sizes, workdir)) for tree in trees)
         counts = [len(f) for f in old.workload.elements]
-        if args.workload == "simulate":
-            what, runs = "plans", measure(old, new, args.reps, LAYERS)
-            cold = instance(trees[0], "simulate", 1, (sizes[1], sizes[1]), workdir)
-            saved = os.path.join(workdir, "cold.npz")
-            np.savez(saved, elements=cold.elements[0], psi=cold.prepare(0)[2])
-            runs["invocation"] = measure_invocations(_BUILD, srcs, [[saved]], args.reps, workdir)
-        else:
-            what, runs = "documents", measure(old, new, args.reps, ("main",))
+        runs = measure(old, new, args.reps, LAYERS[args.workload])
+        if args.workload == "synthesize":
+            what = "documents"
             paths = ["-o", old.workload.plan_path, "--report", old.workload.report_path]
             argvs = [["synthesize", doc, *paths] for doc in old.workload.docs]
             runs["invocation"] = measure_invocations(_SYNTHESIZE, srcs, argvs, args.reps, workdir)
-    print(f"pool of {args.pool} {what}, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
+        else:
+            simulate = args.workload == "simulate"
+            what, script = ("plans", _BUILD) if simulate else ("POVMs", _COMPILE)
+            cold = instance(trees[0], args.workload, 1, (sizes[1], sizes[1]), workdir)
+            saved = os.path.join(workdir, "cold.npz")
+            np.savez(saved, elements=cold.elements[0], **({"psi": cold.prepare(0)[2]} if simulate else {}))
+            runs["invocation"] = measure_invocations(script, srcs, [[saved]], args.reps, workdir)
+    print(f"pool of {pool} {what}, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
     print("\n".join(report(runs)))
     return 0
 
