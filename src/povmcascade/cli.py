@@ -8,8 +8,7 @@ File formats are JSON with complex numbers as [re, im] pairs; see the
 README for the POVM-document and plan-document schemas.  Plans and reports,
 whose keys are all strings, are written as ``json.dump(doc, fh, indent=2)``
 writes them, plus a final newline, but built in one pass and written at
-once.  When the first argument names a command, only that command's
-subparser is built.
+once.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache, partial
 
 import numpy as np
 
@@ -45,7 +45,8 @@ _json_string = json.encoder.encode_basestring_ascii
 
 
 class DocumentError(ValueError):
-    """Malformed input file (schema or JSON problems), with field context."""
+    """Malformed input file (schema or JSON problems), with field context, or
+    a file that cannot be read or written."""
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +202,11 @@ def _json_text(obj, indent: str = "\n") -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     text = _json_text(payload) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -390,19 +394,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _trial_count(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
+    """The integer options' argparse type, bound to a minimum with partial."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
 
 
 def _add_verification_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=_trial_count, default=100, help="verification trial states (>= 1)")
-    parser.add_argument("--seed", type=int, default=42, help="verification seed")
+    parser.add_argument("--trials", type=partial(_int_at_least, 1), default=100, help="verification trial states (>= 1)")
+    parser.add_argument("--seed", type=partial(_int_at_least, 0), default=42, help="verification seed")
     parser.add_argument("--report", help="write the verification report (JSON) here")
 
 
@@ -446,30 +451,25 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `povm` parser; given a command's name, with that command's subparser only.
-
-    argparse hands every argument after the command's name to its subparser,
-    so when the first argument names a command, the other subparsers are
-    never consulted, and building them is the most of a parser's cost."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `povm` parser, built once per process: parse_args leaves it as it
+    was, so every call of main shares it."""
     parser = _Parser(
         prog="povm",
         description="Compile polarization POVMs into beamsplitter-cascade settings and simulate them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, add_arguments) in _COMMANDS.items():
-        if command is None or command == name:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # help, no command, an unknown word or a leading option: the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

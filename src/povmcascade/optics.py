@@ -35,13 +35,17 @@ holds a matrix, compares by identity.  Elements have no order: < and its kin
 raise TypeError.
 
 propagate keeps one amplitude table per call and lets each element act on
-it in place, in one loop with no Python call per element, so a network costs
-the same per element at any depth; the caller's state is never modified.
+it in place, in one loop, so a network costs the same per element at any
+depth; the caller's state is never modified.  Besides builtins (dict pops,
+math and cmath), the one call an element makes is a ModeUnitary's, to
+qmath._matrix2_rows on its matrix.
 Each element is dispatched on its exact type and read by unpacking its
 fields; an object of any other type, a subclass of an element kind included,
 is not an optical element.  A beamsplitter moves whole pairs between modes;
 a one-mode element replaces its mode's pair using Python-complex arithmetic
-on the four entries of its 2x2 matrix, with no numpy call per element.
+on the four entries of its 2x2 matrix.  A rotator or phase shifter makes no
+numpy call; a ModeUnitary makes none when its matrix is already rows of
+Python complex numbers, as a build makes it, and goes through numpy otherwise.
 transfer_matrices runs the same elements once over a table whose pairs are
 the two rows of each mode's 2x2 map, so both input polarizations go through
 the network in one walk.
@@ -250,7 +254,8 @@ def _walk(amps, network: OpticalNetwork) -> None:
     An entry is a mode's (H, V) pair: two complex amplitudes in propagate,
     or the two rows of the mode's 2x2 map in transfer_matrices.  Each element
     is dispatched on its exact type and read by unpacking its fields, in this
-    one loop, with no Python call per element.  An element's pop of a mode
+    one loop; besides builtins, the one call an element makes is a
+    ModeUnitary's, to _matrix2_rows on its matrix.  An element's pop of a mode
     the table lacks, the one KeyError a walk can raise, becomes UnknownMode
     naming that mode.
     """
@@ -266,8 +271,8 @@ def _walk(amps, network: OpticalNetwork) -> None:
                     raise ValueError(f"beamsplitter output mode {out_a if out_a in amps else out_b} already occupied")
                 amps[out_a], amps[out_b] = (a_h, b_v), (b_h, a_v)
                 continue
-            # Four Python-complex coefficients, no numpy call per element; complex
-            # rotator entries keep the image of a float amplitude complex
+            # Four Python-complex coefficients; complex rotator entries keep
+            # the image of a float amplitude complex
             if kind is Rotator or kind is PhaseShifter:
                 mode, angle = element
                 # checked where the element acts, not at construction: networks are built per use

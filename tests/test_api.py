@@ -193,7 +193,7 @@ def _tool(monkeypatch, name: str):
         sys.modules.pop(name, None)
 
 
-def test_logical_line_counter(monkeypatch):
+def test_logical_line_counter(monkeypatch, capsys, tmp_path):
     # tools/lloc.py is the LOC figure the ROADMAP quotes: code lines only
     lloc = _tool(monkeypatch, "lloc")
     source = '''"""Module docstring,
@@ -216,6 +216,12 @@ class A:
         )
 '''
     assert lloc.logical_lines(source) == 9
+    # its own usage on --help, and one line for a path that is not there
+    assert lloc.main(["--help"]) == 0
+    assert capsys.readouterr() == (lloc.__doc__.strip() + "\n", "")
+    missing = str(tmp_path / "no_such.py")
+    assert lloc.main([missing]) == 1
+    assert capsys.readouterr() == ("", f"lloc.py: no such file or directory: {missing}\n")
 
 
 def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
@@ -272,12 +278,14 @@ def test_ab_timer_prints_one_line_per_layer(monkeypatch, capsys):
     # leaked entry would make every later test import the wrong tree
     assert sys.modules["povmcascade"] is povmcascade
     assert sys.path == path
+    # the header line says how the fresh interpreters treat bytecode
+    settled = "; invocations compile from source, no bytecode cache read or written"
     for (title, header, *rows), wanted, layers in (
-        (simulate, "pool of 2 plans, n = 3..4, 2 repetitions", (*abtime.LAYERS["simulate"], "invocation")),
-        (synthesize, "pool of 2 documents, n = 3..4, 2 repetitions", ("main", "invocation")),
+        (simulate, f"pool of 2 plans, n = 3..4, 2 repetitions{settled}", (*abtime.LAYERS["simulate"], "invocation")),
+        (synthesize, f"pool of 2 documents, n = 3..4, 2 repetitions{settled}", ("main", "invocation")),
         (
             compile_,
-            "pool of 2 POVMs, n = 3..4, 2 repetitions",
+            f"pool of 2 POVMs, n = 3..4, 2 repetitions{settled}",
             ("validate", "kraus", "synthesize", "reconstruct", "op", "invocation"),
         ),
     ):

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, document round trips, and output."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -434,20 +436,33 @@ class TestVerifyCommand:
         assert "outcomes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize(("option", "value", "minimum"), [("--trials", "0", 1), ("--trials", "-5", 1), ("--seed", "-1", 0)])
 @pytest.mark.parametrize("command", ["synthesize", "verify", "demo"])
-def test_trials_below_one_is_usage_error(command, trials, trine_file, tmp_path, capsys):
+def test_integer_option_below_its_minimum_is_usage_error(command, option, value, minimum, trine_file, tmp_path, capsys):
+    # the parser rejects it before any work: a negative seed would otherwise
+    # reach numpy's generator and come back as a domain failure
     plan_path = tmp_path / "plan.json"
     argv = {
         "synthesize": ["synthesize", trine_file, "-o", str(plan_path)],
         "verify": ["verify", trine_file],
         "demo": ["demo", "trine"],
     }[command]
-    assert main(argv + ["--trials", trials]) == 1
-    captured = capsys.readouterr()
-    assert "usage error" in captured.err and "--trials" in captured.err
-    assert "verification" not in captured.out
+    assert main(argv + [option, value]) == 1
+    assert capsys.readouterr() == ("", f"usage error: argument {option}: must be at least {minimum}, got {value}\n")
     assert not plan_path.exists()
+
+
+@pytest.mark.parametrize("target", ["-o", "--report"])
+def test_unwritable_output_is_input_error(target, trine_file, tmp_path, capsys):
+    paths = {"-o": str(tmp_path / "plan.json"), "--report": str(tmp_path / "report.json")}
+    missing = paths[target] = str(tmp_path / "missing" / "out.json")
+    with pytest.raises(OSError) as reason:
+        open(missing, "w")
+    assert main(["synthesize", trine_file, "-o", paths["-o"], "--report", paths["--report"], "--trials", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"input error: cannot write {missing}: {reason.value}\n"
+    # the plan is written before the first line is printed, the report after the verification lines
+    assert out.endswith("verification: PASS (5 trial states, seed 42)\n") if target == "--report" else out == ""
 
 
 class TestDemoCommand:
@@ -538,18 +553,63 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", PARSER_RUNS, ids=" ".join)
-def test_command_parser_answers_as_the_full_parser(argv, trine_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize("k", range(len(PARSER_RUNS)), ids=[" ".join(argv) for argv in PARSER_RUNS])
+def test_the_shared_parser_answers_as_a_fresh_one(k, trine_file, tmp_path, monkeypatch):
+    # main builds the `povm` parser once per process; after every run of the
+    # list, in order, each run answers as it does on a parser built for it alone
+    def run(argv):
+        files = {"trine": trine_file, "plan": write_json(tmp_path / "plan.json", TRINE_PLAN), "rho": write_json(tmp_path / "rho.json", RHO)}
+        return _run([arg.format(**files) for arg in argv])
+
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")  # the shared parser is built at another width than it prints at
+    assert build_parser() is build_parser()
     monkeypatch.setenv("COLUMNS", "80")
-    files = {"trine": trine_file, "plan": write_json(tmp_path / "plan.json", TRINE_PLAN), "rho": write_json(tmp_path / "rho.json", RHO)}
-    argv = [arg.format(**files) for arg in argv]
-    asked = []
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or build_parser(command))
-    own = _run(argv)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert _run(argv) == own
-    # a first argument that names a command gets that command's parser only
-    assert asked == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    for argv in PARSER_RUNS:
+        run(argv)
+    shared = run(PARSER_RUNS[k])
+    assert build_parser.cache_info().misses == 1
+    build_parser.cache_clear()
+    assert run(PARSER_RUNS[k]) == shared
+
+
+def test_the_shared_parser_parses_alike_in_every_thread():
+    # the one parser is shared between threads too, which holds because
+    # parse_args never changes it: each thread's results are the serial ones
+    argvs = [[arg.format(trine="trine.json", plan="plan.json", rho="rho.json") for arg in argv] for argv in PARSER_RUNS if "-h" not in argv]
+
+    def parse(argv):
+        try:
+            return build_parser().parse_args(argv)
+        except cli._UsageError as exc:
+            return str(exc)
+
+    serial = [parse(argv) for argv in argvs]
+    assert [type(result) for result in serial] == [str] * 7 + [argparse.Namespace] * 4
+    results = {}
+    start = threading.Barrier(4, timeout=60)
+
+    def work(worker):
+        order = list(range(len(argvs)))
+        start.wait()
+        for rep in range(20):
+            # each thread walks the argvs from its own starting point
+            for k in order[3 * worker :] + order[: 3 * worker]:
+                results[worker, rep, k] = parse(argvs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * 20 * len(argvs)
+    assert all(result == serial[k] for (_, _, k), result in results.items())
 
 
 def test_main_reads_the_console_scripts_argv(monkeypatch, capsys):

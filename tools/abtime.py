@@ -14,6 +14,12 @@ Compile at the benchmark's default seed: that file runs once per tree,
 bound to it, and --pool and --sizes set its workload's pool (by default
 the workload's own: 64, 64 and 256) and outcome counts LO..HI.
 
+Every invocation row's fresh interpreter runs as tools/trajectory.py runs
+its own: with PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX at an empty
+directory, so no bytecode cache is read or written and every module it
+imports, inside the timed call too, compiles from source; the header line
+says so.
+
 --workload simulate (the default; LO..HI = 10..80).  The layers, over the
 instance's plans, Kraus sets and prepared inputs:
 
@@ -88,6 +94,9 @@ LAYERS = {
     "synthesize": ("main",),
     "compile": ("validate", "kraus", "synthesize", "reconstruct", "op"),
 }
+
+#: how the invocation rows' fresh interpreters treat bytecode, stated in the header line
+BYTECODE = "invocations compile from source, no bytecode cache read or written"
 
 #: one `povm synthesize` in a fresh interpreter: prints its seconds from after the import, exits with its code
 _SYNTHESIZE = """
@@ -229,8 +238,11 @@ class Side:
 
 
 def invocation(script: str, src: str, argv: list[str], workdir: str) -> float:
-    """The seconds that script prints last, run with argv in a fresh interpreter that imports the tree at src."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """The seconds that script prints last, run with argv in a fresh interpreter that imports the tree at src,
+    with bytecode settled as BYTECODE says."""
+    pycache = os.path.join(workdir, "pycache")  # stays empty: nothing is written to it
+    os.makedirs(pycache, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=False,
@@ -310,7 +322,7 @@ def main(argv: list[str]) -> int:
             saved = os.path.join(workdir, "cold.npz")
             np.savez(saved, elements=cold.elements[0], **({"psi": cold.prepare(0)[2]} if simulate else {}))
             runs["invocation"] = measure_invocations(script, srcs, [[saved]], args.reps, workdir)
-    print(f"pool of {pool} {what}, n = {min(counts)}..{max(counts)}, {args.reps} repetitions")
+    print(f"pool of {pool} {what}, n = {min(counts)}..{max(counts)}, {args.reps} repetitions; {BYTECODE}")
     print("\n".join(report(runs)))
     return 0
 

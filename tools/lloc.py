@@ -6,6 +6,10 @@ statement spread over several lines counts each line that holds a token.
 
     python tools/lloc.py src/povmcascade        # per file, then the total
     python tools/lloc.py a.py b.py              # any files or directories
+    python tools/lloc.py --help                 # this text
+
+With no argument it prints this text to stderr and exits with 1; a path
+that does not exist gets one line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -57,8 +61,13 @@ def python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip(), file=sys.stderr)
+    if not argv or "-h" in argv or "--help" in argv:
+        print(__doc__.strip(), file=sys.stdout if argv else sys.stderr)
+        return 0 if argv else 1
+    missing = [path for path in argv if not Path(path).exists()]
+    for path in missing:
+        print(f"lloc.py: no such file or directory: {path}", file=sys.stderr)
+    if missing:
         return 1
     total = 0
     for path in python_files(argv):
