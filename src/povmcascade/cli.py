@@ -103,23 +103,25 @@ def parse_povm_document(doc) -> tuple[list[np.ndarray], list[np.ndarray] | None,
     if not isinstance(raw, list) or len(raw) < 2:
         raise DocumentError("elements: expected a list of at least 2 matrices")
     elements = [matrix_from_json(m, f"elements[{i}]") for i, m in enumerate(raw)]
-    exit_unitaries = None
-    if "exit_unitaries" in doc:
-        raw_units = doc["exit_unitaries"]
-        if not isinstance(raw_units, list):
-            raise DocumentError("exit_unitaries: expected a list of matrices")
-        if len(raw_units) != len(elements):
-            raise DocumentError(f"exit_unitaries: expected {len(elements)} matrices, got {len(raw_units)}")
-        exit_unitaries = [matrix_from_json(m, f"exit_unitaries[{i}]") for i, m in enumerate(raw_units)]
-    labels = None
-    if "labels" in doc:
-        raw_labels = doc["labels"]
-        if not isinstance(raw_labels, list) or not all(isinstance(s, str) for s in raw_labels):
-            raise DocumentError("labels: expected a list of strings")
-        if len(raw_labels) != len(elements):
-            raise DocumentError(f"labels: expected {len(elements)} strings, got {len(raw_labels)}")
-        labels = list(raw_labels)
+    exit_unitaries = _per_element(doc, "exit_unitaries", len(elements), "matrices", object)
+    if exit_unitaries is not None:
+        exit_unitaries = [matrix_from_json(m, f"exit_unitaries[{i}]") for i, m in enumerate(exit_unitaries)]
+    labels = _per_element(doc, "labels", len(elements), "strings", str)
     return elements, exit_unitaries, labels
+
+
+def _per_element(doc: dict, key: str, count: int, noun: str, accepts: type) -> list | None:
+    """A copy of the optional list doc[key] of count entries, each an instance
+    of accepts, or None when the key is absent; the list and its entries'
+    type are checked before its length."""
+    if key not in doc:
+        return None
+    raw = doc[key]
+    if not isinstance(raw, list) or not all(isinstance(entry, accepts) for entry in raw):
+        raise DocumentError(f"{key}: expected a list of {noun}")
+    if len(raw) != count:
+        raise DocumentError(f"{key}: expected {count} {noun}, got {len(raw)}")
+    return list(raw)
 
 
 def plan_document(plan: CascadePlan) -> dict:

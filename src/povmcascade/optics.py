@@ -41,11 +41,13 @@ math and cmath), the one call an element makes is a ModeUnitary's, to
 qmath._matrix2_rows on its matrix.
 Each element is dispatched on its exact type and read by unpacking its
 fields; an object of any other type, a subclass of an element kind included,
-is not an optical element.  A beamsplitter moves whole pairs between modes;
-a one-mode element replaces its mode's pair using Python-complex arithmetic
-on the four entries of its 2x2 matrix.  A rotator or phase shifter makes no
-numpy call; a ModeUnitary makes none when its matrix is already rows of
-Python complex numbers, as a build makes it, and goes through numpy otherwise.
+is not an optical element, and network.external_inputs(), from which both
+walks seed their table, turns it away with TypeError.  A beamsplitter moves
+whole pairs between modes; a one-mode element replaces its mode's pair using
+Python-complex arithmetic on the four entries of its 2x2 matrix.  A rotator
+or phase shifter makes no numpy call; a ModeUnitary makes none when its
+matrix is already rows of Python complex numbers, as a build makes it, and
+goes through numpy otherwise.
 transfer_matrices runs the same elements once over a table whose pairs are
 the two rows of each mode's 2x2 map, so both input polarizations go through
 the network in one walk.
@@ -209,7 +211,8 @@ class OpticalNetwork:
         These are the photon input plus the vacuum ports; propagate and
         transfer_matrices seed them all with explicit zeros.  A cascade build
         supplies them from its module layouts, in the order a walk would find
-        them; a hand-made network walks its elements for them once.
+        them; a hand-made network walks its elements for them once, and one
+        that holds a non-element raises TypeError here.
         """
         return self._external_inputs
 
@@ -231,7 +234,7 @@ class OpticalNetwork:
                 if element[0] not in produced:
                     needed[element[0]] = None
             else:
-                raise _not_an_element(element)
+                raise TypeError(f"not an optical element: {element!r}")
         return tuple(needed)
 
 
@@ -244,17 +247,16 @@ class ExitAmplitude(NamedTuple):
     polarization: np.ndarray | None
 
 
-def _not_an_element(element) -> TypeError:
-    return TypeError(f"not an optical element: {element!r}")
-
-
 def _walk(amps, network: OpticalNetwork) -> None:
     """Act with the network's elements in order on the amplitude table, in place.
 
     An entry is a mode's (H, V) pair: two complex amplitudes in propagate,
     or the two rows of the mode's 2x2 map in transfer_matrices.  Each element
     is dispatched on its exact type and read by unpacking its fields, in this
-    one loop; besides builtins, the one call an element makes is a
+    one loop.  Both callers seed the table from network.external_inputs()
+    first, which turns away a non-element with TypeError, so the loop reads
+    any element that is not a beamsplitter, rotator or phase shifter as a
+    ModeUnitary.  Besides builtins, the one call an element makes is a
     ModeUnitary's, to _matrix2_rows on its matrix.  An element's pop of a mode
     the table lacks, the one KeyError a walk can raise, becomes UnknownMode
     naming that mode.
@@ -284,11 +286,9 @@ def _walk(amps, network: OpticalNetwork) -> None:
                 else:
                     m00 = m11 = cmath.exp(1j * angle)
                     m01 = m10 = 0j
-            elif kind is ModeUnitary:
+            else:  # a ModeUnitary: external_inputs() has turned away anything else
                 mode, matrix = element
                 (m00, m01), (m10, m11) = _matrix2_rows(matrix)
-            else:
-                raise _not_an_element(element)
             h, v = pop(mode)
             if type(h) is complex:
                 amps[mode] = (m00 * h + m01 * v, m10 * h + m11 * v)

@@ -115,14 +115,6 @@ class ModuleSettings:
         # frozen: the checked values are stored past __setattr__
         self.__dict__.update(theta=theta, phi=phi, zeta=zeta, xi=xi, pre_unitary=pre, exit_unitary=exit_unitary)
 
-    def _transfers(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        # the diagonals of the exit and pass transfers, diag(e^{i zeta} cos theta,
-        # cos phi) and diag(e^{i xi} sin theta, sin phi), as Python complex numbers
-        return (
-            (cmath.exp(1j * self.zeta) * math.cos(self.theta), complex(math.cos(self.phi))),
-            (cmath.exp(1j * self.xi) * math.sin(self.theta), complex(math.sin(self.phi))),
-        )
-
 
 def _check_angles(theta: float, phi: float) -> tuple[float, float]:
     """The one range check of the rotator angles: (theta, phi), or ValueError
@@ -217,7 +209,10 @@ def reconstruct_kraus(plan: CascadePlan) -> KrausSet:
     ops = []
     prefix = _IDENTITY
     for settings in plan.modules:
-        (e_h, e_v), (p_h, p_v) = settings._transfers()
+        # the diagonals of the exit and pass transfers, diag(e^{i zeta} cos theta,
+        # cos phi) and diag(e^{i xi} sin theta, sin phi), as Python complex numbers
+        e_h, e_v = cmath.exp(1j * settings.zeta) * math.cos(settings.theta), complex(math.cos(settings.phi))
+        p_h, p_v = cmath.exp(1j * settings.xi) * math.sin(settings.theta), complex(math.sin(settings.phi))
         (a, b), (c, d) = _mul(settings.pre_unitary, prefix)
         ops.append(_mul(settings.exit_unitary, ((e_h * a, e_h * b), (e_v * c, e_v * d))))
         prefix = (p_h * a, p_h * b), (p_v * c, p_v * d)

@@ -234,7 +234,7 @@ def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
     families, counts = lines[: len(identity.FAMILIES)], lines[len(identity.FAMILIES) :]
     assert [line.split()[0] for line in families] == list(identity.FAMILIES)
     assert all(" identical (" in line for line in families)
-    assert "povms      identical (20 items)" in families and "cli        identical (46 items)" in families
+    assert "povms      identical (20 items)" in families and "cli        identical (53 items)" in families
     assert "propagate  identical (58 items)" in families
     # then each tree's two count lines over the same tiny corpus: the plans a
     # one-ulp input change moves, and the boundary outcomes with both repros

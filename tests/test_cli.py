@@ -117,6 +117,29 @@ SCHEMA_ERRORS = {
         )
     },
 }
+TRINE_MODULE = TRINE_PLAN["modules"][0]
+# case -> (argv, document written to {doc}, the message after "input error: ")
+READER_ERRORS = {
+    "element-row-entries": (["validate", "{doc}"], edited(trine_document(), ("elements", 0, 1), [[0, 0]]), "elements[0][1]: expected 2 entries"),
+    "povm-not-an-object": (["validate", "{doc}"], [trine_document()], "POVM document must be a JSON object"),
+    "plan-not-an-object": (["simulate", "{doc}", "--pure", "1,0,0,0"], [TRINE_PLAN], "plan document must be a JSON object"),
+    "modules-empty": (["simulate", "{doc}", "--pure", "1,0,0,0"], edited(TRINE_PLAN, ("modules",), []), "modules: expected a non-empty list"),
+    "module-not-an-object": (
+        ["simulate", "{doc}", "--pure", "1,0,0,0"],
+        edited(TRINE_PLAN, ("modules", 0), [TRINE_MODULE]),
+        "modules[0]: expected an object",
+    ),
+    "module-without-pre-unitary": (
+        ["simulate", "{doc}", "--pure", "1,0,0,0"],
+        edited(TRINE_PLAN, ("modules", 0), {key: value for key, value in TRINE_MODULE.items() if key != "pre_unitary"}),
+        "modules[0]: needs pre_unitary and exit_unitary",
+    ),
+    "plan-without-final-exit-unitary": (
+        ["verify", "{povm}", "--plan", "{doc}"],
+        {key: value for key, value in TRINE_PLAN.items() if key != "final_exit_unitary"},
+        "final_exit_unitary: missing",
+    ),
+}
 
 
 @pytest.fixture
@@ -166,8 +189,22 @@ class TestDocuments:
             ("exit_unitaries", [matrix_to_json(np.eye(2))] * 4, "exit_unitaries: expected 3 matrices, got 4"),
             ("labels", ["a", "b"], "labels: expected 3 strings, got 2"),
             ("labels", [], "labels: expected 3 strings, got 0"),
+            ("exit_unitaries", {"0": matrix_to_json(np.eye(2))}, "exit_unitaries: expected a list of matrices"),
+            ("labels", "abc", "labels: expected a list of strings"),
+            ("labels", ["a", "b", 3], "labels: expected a list of strings"),
+            # the entries' type is checked before the list's length
+            ("labels", ["a", 2], "labels: expected a list of strings"),
         ],
-        ids=["exit_unitaries-short", "exit_unitaries-long", "labels-short", "labels-empty"],
+        ids=[
+            "exit_unitaries-short",
+            "exit_unitaries-long",
+            "labels-short",
+            "labels-empty",
+            "exit_unitaries-not-a-list",
+            "labels-not-a-list",
+            "labels-not-strings",
+            "labels-short-not-strings",
+        ],
     )
     def test_per_element_lists_have_one_entry_per_element(self, tmp_path, capsys, field, value, message):
         path = write_json(tmp_path / "doc.json", edited(trine_document(), (field,), value))
@@ -188,6 +225,13 @@ class TestDocuments:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {location}: ")
         assert err.count(location) == 1
+
+    @pytest.mark.parametrize("case", list(READER_ERRORS))
+    def test_reader_errors_are_one_exact_line(self, tmp_path, capsys, case):
+        argv, document, message = READER_ERRORS[case]
+        files = {"{doc}": write_json(tmp_path / "doc.json", document), "{povm}": write_json(tmp_path / "povm.json", trine_document())}
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 class TestValidateCommand:
@@ -436,11 +480,15 @@ class TestVerifyCommand:
         assert "outcomes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(("option", "value", "minimum"), [("--trials", "0", 1), ("--trials", "-5", 1), ("--seed", "-1", 0)])
+@pytest.mark.parametrize(
+    ("option", "value", "minimum"),
+    [("--trials", "0", 1), ("--trials", "-5", 1), ("--seed", "-1", 0), ("--trials", "abc", None), ("--seed", "x", None)],
+)
 @pytest.mark.parametrize("command", ["synthesize", "verify", "demo"])
 def test_integer_option_below_its_minimum_is_usage_error(command, option, value, minimum, trine_file, tmp_path, capsys):
     # the parser rejects it before any work: a negative seed would otherwise
-    # reach numpy's generator and come back as a domain failure
+    # reach numpy's generator and come back as a domain failure; a value that
+    # is not an integer (minimum None) has no minimum to be below
     plan_path = tmp_path / "plan.json"
     argv = {
         "synthesize": ["synthesize", trine_file, "-o", str(plan_path)],
@@ -448,7 +496,8 @@ def test_integer_option_below_its_minimum_is_usage_error(command, option, value,
         "demo": ["demo", "trine"],
     }[command]
     assert main(argv + [option, value]) == 1
-    assert capsys.readouterr() == ("", f"usage error: argument {option}: must be at least {minimum}, got {value}\n")
+    reason = f"invalid int value: {value!r}" if minimum is None else f"must be at least {minimum}, got {value}"
+    assert capsys.readouterr() == ("", f"usage error: argument {option}: {reason}\n")
     assert not plan_path.exists()
 
 

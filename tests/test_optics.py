@@ -1,5 +1,6 @@
 """Element-level simulator: beamsplitter semantics, module transfer, cascades."""
 
+import dataclasses
 import math
 import operator
 import re
@@ -147,6 +148,15 @@ class TestApplyElement:
             # without a mode it is turned away before the network's inputs are traced
             with pytest.raises(TypeError, match="not an optical element"):
                 walk(state, OpticalNetwork((object(),), (IN,), IN))
+        # a copy of a built network traces its inputs again, and turns the stranger away there
+        built = build_cascade_network(trine_povm()[2])
+        for stranger in (*strangers, object()):
+            copy = dataclasses.replace(built, elements=(*built.elements[:5], stranger, *built.elements[5:]))
+            with pytest.raises(TypeError, match="not an optical element"):
+                copy.external_inputs()
+            for walk in WALKS:
+                with pytest.raises(TypeError, match="not an optical element"):
+                    walk(PhotonState.pure(copy.input, [0.6, 0.8]), copy)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("kind", [Rotator, PhaseShifter])

@@ -434,3 +434,18 @@ def test_one_completeness_check_raises_every_incomplete_sum(call, message, resid
         assert math.isnan(info.value.residual)
     else:
         assert info.value.residual == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_povm([]), "a POVM needs at least 2 elements, got 0"),
+        (lambda: validate_kraus([I2]), "a Kraus set needs at least 2 operators, got 1"),
+    ],
+    ids=["validate_povm-empty", "validate_kraus-one"],
+)
+def test_too_few_outcomes_are_counted_in_the_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -207,6 +207,11 @@ class TestGaugeAndHelpers:
             assert fixed[i].real >= 0.0
             np.testing.assert_allclose(np.abs(fixed), np.abs(v), atol=1e-15)
 
+    def test_phase_fixed_leaves_the_zero_vector_zero(self):
+        fixed = phase_fixed([0, 0])
+        assert fixed.dtype == complex
+        assert fixed.tobytes() == np.zeros(2, dtype=complex).tobytes()
+
     def test_unitary_columns_are_gauge_fixed(self):
         rng = np.random.default_rng(8)
         for _ in range(100):

@@ -56,6 +56,12 @@ class TestModuleSettings:
         with pytest.raises(ValueError):
             ModuleSettings(theta=0.2, phi=math.pi)
 
+    @pytest.mark.parametrize("field, value", [("zeta", math.nan), ("xi", math.inf)])
+    def test_phases_must_be_finite(self, field, value):
+        with pytest.raises(ValueError) as info:
+            ModuleSettings(0.1, 0.2, **{field: value})
+        assert str(info.value) == f"{field} must be finite"
+
     def test_unitarity_enforced(self):
         with pytest.raises(ValueError):
             ModuleSettings(theta=0.1, phi=0.2, pre_unitary=2.0 * I2)
@@ -253,6 +259,25 @@ class TestSynthesizeCascade:
         rebuilt = reconstruct_kraus(plan)
         assert max_abs(rebuilt[0]) <= 1e-15
         assert max_abs(rebuilt[1] - I2) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [np.zeros((2, 2)), I2],
+            [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])],
+            [I2 / 2, I2 / 2, np.zeros((2, 2))],
+            [I2, np.zeros((2, 2)), np.zeros((2, 2))],
+        ],
+        ids=["zero-first", "zero-between", "zero-last", "zeros-after-identity"],
+    )
+    def test_zero_elements_compile_and_verify(self, elements):
+        # validate_povm accepts zero elements; the last two leave a stage that
+        # passes nothing on, whose zero pass block _column_split completes with
+        # the identity
+        kraus = kraus_from_povm(validate_povm(elements))
+        plan = synthesize_cascade(kraus)
+        assert all(max_abs(np.subtract(a, b)) <= 1e-15 for a, b in zip(reconstruct_kraus(plan), kraus))
+        assert verify_plan(kraus, plan).passed
 
     def test_exit_unitaries_are_unitary(self):
         plan = synthesize_cascade(random_kraus(4, 3))

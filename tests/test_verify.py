@@ -243,8 +243,20 @@ class TestVerifyPlan:
         for entry in payload["checks"]:
             assert set(entry) == {"name", "pass", "max_residual", "tolerance"}
 
+    def test_check_of_an_unknown_name_raises_key_error(self):
+        _, kraus, plan = trine_povm()
+        with pytest.raises(KeyError):
+            verify_plan(kraus, plan, trial_states=1).check("nope")
+
 
 class TestVerifyDensity:
+    def test_outcome_count_mismatch_is_rejected(self):
+        _, kraus, _ = trine_povm()
+        plan = synthesize_cascade(validate_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+        with pytest.raises(ValueError) as info:
+            verify_density(density_matrix(I2 / 2.0), kraus, plan)
+        assert str(info.value) == "plan realizes 2 outcomes, Kraus set has 3"
+
     def test_maximally_mixed_trine(self):
         _, kraus, plan = trine_povm()
         report = verify_density(density_matrix(I2 / 2.0), kraus, plan)

@@ -12,8 +12,11 @@ For one tree it prints one SHA-256 per artifact family:
     cli        stdout, stderr, exit code (or SystemExit) and written files of the
                CLI on a fixed document set (trine with labels, n = 2, n = 12 with
                exit unitaries, rank-one n = 24, n = 80, a non-PSD document, a NaN
-               pure state, demo trine and demo ekert), and its help and usage
-               errors at COLUMNS=80
+               pure state, demo trine and demo ekert), its reader errors on
+               malformed documents (exit_unitaries and labels of the wrong
+               kind, a document that is not an object read as a POVM and as
+               a plan, an empty modules list, a plan without its
+               final_exit_unitary), and its help and usage errors at COLUMNS=80
 
 The corpus is random_povm and random_rank_one_povm at n = 2..MAX_N outcomes and
 seeds 0..SEEDS-1 (790 POVMs at the defaults).  An error raised on an input is
@@ -212,7 +215,7 @@ def _cli(records: dict) -> None:
             ["simulate", plan, "--density", "rho.json"],
         ]
     runs.append(["simulate", "trine.plan.json", "--pure", "nan,0,1,0"])
-    # help and usage errors: the parser's own output, the --trials check and
+    # help and usage errors: the parser's own output, the --trials checks and
     # the --pure/--density group, with and without a command in front
     runs += [["-h"]] + [[command, "-h"] for command in ("validate", "synthesize", "simulate", "verify", "demo")]
     runs += [
@@ -220,11 +223,29 @@ def _cli(records: dict) -> None:
         ["synth"],
         ["synthesize", "trine.json"],
         ["synthesize", "trine.json", "-o", "usage.plan.json", "--trials", "0"],
+        ["synthesize", "trine.json", "-o", "usage.plan.json", "--trials", "abc"],
         ["simulate", "trine.plan.json", "--pure", "1,0,0,0", "--density", "rho.json"],
         ["validate", "trine.json", "--bogus"],
         ["-x", "synthesize"],
     ]
     documents["rho"] = [[[0.7, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]]
+    # documents the readers turn away, one message each
+    module = {"theta": 0.5, "phi": 1.0, "zeta": 0.0, "xi": 0.0, "pre_unitary": _pairs(np.eye(2)), "exit_unitary": _pairs(np.eye(2))}
+    documents |= {
+        "bad_exits": {**documents["n2"], "exit_unitaries": {"0": _pairs(np.eye(2))}},
+        "bad_labels": {**documents["n2"], "labels": ["E1", 2]},
+        "not_an_object": [documents["n2"]],
+        "no_modules": {"schema_version": "1", "modules": [], "final_exit_unitary": _pairs(np.eye(2))},
+        "no_final": {"schema_version": "1", "modules": [module]},
+    }
+    runs += [
+        ["validate", "bad_exits.json"],
+        ["validate", "bad_labels.json"],
+        ["validate", "not_an_object.json"],
+        ["simulate", "not_an_object.json", "--pure", "1,0,0,0"],
+        ["simulate", "no_modules.json", "--pure", "1,0,0,0"],
+        ["verify", "n2.json", "--plan", "no_final.json"],
+    ]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
