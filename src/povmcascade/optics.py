@@ -36,9 +36,12 @@ raise TypeError.
 
 propagate keeps one amplitude table per call and lets each element act on
 it in place, in one loop, so a network costs the same per element at any
-depth; the caller's state is never modified.  Besides builtins (dict pops,
-math and cmath), the one call an element makes is a ModeUnitary's, to
-qmath._matrix2_rows on its matrix.
+depth; the caller's state is never modified.  A rotator or phase shifter
+reads its four coefficients from a table made once at import for the
+layout's fixed rotator angles (pi/2, -pi/2 and pi) and the synthesizer's
+phase 0.0, and computes them with math and cmath at any other angle.
+Besides that and builtins (dict pops), the one call an element makes is a
+ModeUnitary's, to qmath._matrix2_rows on its matrix.
 Each element is dispatched on its exact type and read by unpacking its
 fields; an object of any other type, a subclass of an element kind included,
 is not an optical element, and network.external_inputs(), from which both
@@ -51,6 +54,9 @@ goes through numpy otherwise.
 transfer_matrices runs the same elements once over a table whose pairs are
 the two rows of each mode's 2x2 map, so both input polarizations go through
 the network in one walk.
+exit_amplitudes reads all exits at once: their pairs in one array, every
+probability in one stacked product with np.vdot's bits, one numpy division
+by the square roots, and the phase gauge in Python on each live row.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .povm import PROBABILITY_FLOOR
-from .qmath import Rows2, _matrix2_rows, phase_fixed
+from .qmath import Rows2, _matrix2_rows, _phase_fixed
 from .synthesis import CascadePlan
 
 __all__ = [
@@ -247,6 +253,26 @@ class ExitAmplitude(NamedTuple):
     polarization: np.ndarray | None
 
 
+def _coefficients(kind, angle) -> tuple[complex, complex, complex, complex]:
+    """A rotator's or phase shifter's 2x2 matrix as four Python complex numbers
+    (m00, m01, m10, m11); complex rotator entries keep the image of a float
+    amplitude complex."""
+    if kind is Rotator:
+        c, s = complex(math.cos(angle)), complex(math.sin(angle))
+        return c, -s, s, c
+    phase = cmath.exp(1j * angle)
+    return phase, 0j, 0j, phase
+
+
+#: per kind, _coefficients at the layout's fixed rotator angles and at the phase 0.0 the
+#: synthesizer sets, made once at import; the walk reads it for an angle of exact type float
+_FIXED = {
+    Rotator: {angle: _coefficients(Rotator, angle) for angle in (math.pi / 2, -math.pi / 2, math.pi)},
+    # -0.0 finds 0.0's entry, so there is one only where the formula gives both zeros the same bits
+    PhaseShifter: {0.0: one for one in [_coefficients(PhaseShifter, 0.0)] if repr(one) == repr(_coefficients(PhaseShifter, -0.0))},
+}
+
+
 def _walk(amps, network: OpticalNetwork) -> None:
     """Act with the network's elements in order on the amplitude table, in place.
 
@@ -256,8 +282,11 @@ def _walk(amps, network: OpticalNetwork) -> None:
     one loop.  Both callers seed the table from network.external_inputs()
     first, which turns away a non-element with TypeError, so the loop reads
     any element that is not a beamsplitter, rotator or phase shifter as a
-    ModeUnitary.  Besides builtins, the one call an element makes is a
-    ModeUnitary's, to _matrix2_rows on its matrix.  An element's pop of a mode
+    ModeUnitary.  A rotator or phase shifter whose angle is an exact float
+    found in _FIXED reads its coefficients there, and any other calls
+    _coefficients; either way its angle's finiteness is checked first.  Besides these and
+    builtins, the one call an element makes is a ModeUnitary's, to
+    _matrix2_rows on its matrix.  An element's pop of a mode
     the table lacks, the one KeyError a walk can raise, becomes UnknownMode
     naming that mode.
     """
@@ -273,19 +302,12 @@ def _walk(amps, network: OpticalNetwork) -> None:
                     raise ValueError(f"beamsplitter output mode {out_a if out_a in amps else out_b} already occupied")
                 amps[out_a], amps[out_b] = (a_h, b_v), (b_h, a_v)
                 continue
-            # Four Python-complex coefficients; complex rotator entries keep
-            # the image of a float amplitude complex
             if kind is Rotator or kind is PhaseShifter:
                 mode, angle = element
                 # checked where the element acts, not at construction: networks are built per use
                 if not math.isfinite(angle):
                     raise ValueError(f"{kind.__name__} on mode {mode} has non-finite angle {angle!r}")
-                if kind is Rotator:
-                    c, s = complex(math.cos(angle)), complex(math.sin(angle))
-                    m00, m01, m10, m11 = c, -s, s, c
-                else:
-                    m00 = m11 = cmath.exp(1j * angle)
-                    m01 = m10 = 0j
+                m00, m01, m10, m11 = (type(angle) is float and _FIXED[kind].get(angle)) or _coefficients(kind, angle)
             else:  # a ModeUnitary: external_inputs() has turned away anything else
                 mode, matrix = element
                 (m00, m01), (m10, m11) = _matrix2_rows(matrix)
@@ -348,21 +370,24 @@ def exit_amplitudes(state: PhotonState, network: OpticalNetwork) -> list[ExitAmp
 
     Conditional states are reported in the fixed phase gauge (largest
     component real positive); exits with probability below PROBABILITY_FLOOR
-    get None.
+    get None.  An exit the state does not carry reads as the pair (0j, 0j).
     """
-    records = []
-    for i, mode in enumerate(network.exits, start=1):
-        vec = state.mode_vector(mode)
-        # numpy's vdot, not |h|^2 + |v|^2 in Python: its BLAS sums the squares in
-        # fused multiply-adds, which no FMA-free Python order reproduces bit for bit
-        p = float(np.vdot(vec, vec).real)
-        if p >= PROBABILITY_FLOOR:
-            # numpy's division, not h * (1 / sqrt(p)) in Python: numpy divides by the
-            # complex sqrt(p) + 0j, and the plain product would flip some zero parts' signs
-            records.append(ExitAmplitude(i, p, phase_fixed(vec / math.sqrt(p))))
-        else:
-            records.append(ExitAmplitude(i, p, None))
-    return records
+    pairs = np.array([state.amplitudes.get(mode, (0j, 0j)) for mode in network.exits], dtype=complex).reshape(-1, 2)
+    # each row's conjugate times the row in BLAS, not |h|^2 + |v|^2 in Python: the bits
+    # np.vdot gives, whose fused multiply-adds no FMA-free Python order reproduces; unlike
+    # np.vdot, matmul would warn of an overflowing or non-finite product
+    with np.errstate(all="ignore"):
+        probabilities = (pairs.conj()[:, None, :] @ pairs[:, :, None])[:, 0, 0].real
+    live = probabilities >= PROBABILITY_FLOOR
+    # numpy's division, not h * (1 / sqrt(p)) in Python: numpy divides by the complex
+    # sqrt(p) + 0j, and the plain product would flip some zero parts' signs
+    units = (pairs[live] / np.sqrt(probabilities[live])[:, None]).tolist()
+    # the gauge on each live row in Python, then one array whose rows the records hold
+    polarizations = iter(np.array([_phase_fixed(*unit)[0] for unit in units], dtype=complex).reshape(-1, 2))
+    return [
+        ExitAmplitude(i, p, next(polarizations) if on else None)
+        for i, (p, on) in enumerate(zip(probabilities.tolist(), live.tolist()), start=1)
+    ]
 
 
 #: the names of a module's own modes; its input mode is the previous module's pass arm

@@ -48,7 +48,6 @@ __all__ = [
     "max_abs",
     "identity2",
     "rotation",
-    "phase_fixed",
     "eig_hermitian2",
     "sqrt_psd",
     "svd2",
@@ -143,12 +142,6 @@ def rotation(angle: float) -> np.ndarray:
     """Polarization rotation taking |H> to cos(angle)|H> + sin(angle)|V>."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rescale a 2-vector by a unit phase so its largest-modulus entry is real >= 0."""
-    fixed, _ = _phase_fixed(*np.asarray(v, dtype=complex).tolist())
-    return np.array(fixed, dtype=complex)
 
 
 def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +383,7 @@ def _qr(a: list[complex], b: list[complex]):
 
     Gauge: r00 and r11 real >= 0; a zero pivot leaves its column of q free
     (any unit vector orthogonal to the other), and that column is
-    gauge-fixed like phase_fixed with its row of r rephased to match.
+    gauge-fixed like _phase_fixed with its row of r rephased to match.
     """
     beta0, tau0, v0 = _reflector(a)
     b = _reflect(tau0.conjugate(), v0, b)

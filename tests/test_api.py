@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +76,6 @@ def test_module_exports():
         "max_abs",
         "identity2",
         "rotation",
-        "phase_fixed",
         "eig_hermitian2",
         "sqrt_psd",
         "svd2",
@@ -326,6 +326,53 @@ def test_trajectory_recorder_stops_on_an_incorrect_run(monkeypatch):
     monkeypatch.setattr(trajectory.subprocess, "run", lambda *args, **kwargs: done)
     with pytest.raises(RuntimeError, match="reports correct: false"):
         trajectory.bench("tree", ["--seed", "1"], "pycache")
+
+
+def test_trajectory_check_reads_bounds_as_benchmark_json_states_them(monkeypatch, capsys, tmp_path):
+    # --check on two checked-in files passes; a doctored child whose every run
+    # sits just beyond a bound fails on that row alone, and one just inside passes
+    trajectory = _tool(monkeypatch, "trajectory")
+    root = Path(__file__).resolve().parent.parent
+    parent_path, child_path = (str(root / f"BENCH_pr{n}.json") for n in (24, 25))
+    assert trajectory.main(["--check", parent_path, child_path]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["compile"], ["synthesize"], ["simulate"])]
+    assert len(rows) == 15 and all(" ".join(row[9:]) == "within bound" for row in rows)
+    assert out.splitlines()[-1] == "0 regressions beyond a bound"
+    assert "failed inputs: parent 16/3840, child 16/3840" in out
+    parent = json.loads(Path(parent_path).read_text(encoding="utf-8"))
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+    def doctored(key, factor, failed=0):
+        document = json.loads(Path(child_path).read_text(encoding="utf-8"))
+        median = statistics.median(run["metrics"][key]["value"] for run in parent["runs"])
+        for run in document["runs"]:
+            run["metrics"][key]["value"] = median * factor
+            run["failed"] += failed
+        path = tmp_path / f"BENCH_{key}_{factor}_{failed}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return str(path)
+
+    cases = [
+        ("simulate.ops_per_s", 1 - bounds["ops_per_s"] * 1.01, 1),
+        ("simulate.ops_per_s", 1 - bounds["ops_per_s"] * 0.99, 0),
+        ("compile.peak_rss_mb", 1 + bounds["peak_rss_mb"] * 1.01, 1),
+        ("compile.peak_rss_mb", 1 + bounds["peak_rss_mb"] * 0.99, 0),
+        ("synthesize.op_p90_ms", 0.5, 0),
+    ]
+    for key, factor, code in cases:
+        assert trajectory.main(["--check", parent_path, doctored(key, factor)]) == code, (key, factor)
+        workload, metric = key.split(".")
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:2] == [workload, metric])
+        verdict = "WORSE beyond bound" if code else "better beyond bound" if factor == 0.5 else "within bound"
+        assert row.endswith(verdict) and row.split()[5] == ("0/10" if factor != 0.5 else "10/10"), row
+    # one more failed input on the child's side is a regression even with every metric in bounds
+    assert trajectory.main(["--check", parent_path, doctored("simulate.setup_s", 1.0, failed=1)]) == 1
+    assert "failed inputs: parent 16/3840, child 26/3840  MORE FAILED" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        trajectory.main(["--check", parent_path, child_path, "--tree", "a", "tree", "commit"])
+    assert info.value.code == 2
 
 
 def test_bench_files_hold_the_benchmarks_metric_names():

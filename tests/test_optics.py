@@ -1,5 +1,6 @@
 """Element-level simulator: beamsplitter semantics, module transfer, cascades."""
 
+import cmath
 import dataclasses
 import math
 import operator
@@ -30,8 +31,8 @@ from povmcascade.optics import (
     propagate,
     transfer_matrices,
 )
-from povmcascade.povm import density_matrix, kraus_from_povm, outcome_probabilities
-from povmcascade.qmath import max_abs, phase_fixed, rotation
+from povmcascade.povm import PROBABILITY_FLOOR, density_matrix, kraus_from_povm, outcome_probabilities
+from povmcascade.qmath import _phase_fixed, max_abs, rotation
 from povmcascade.synthesis import CascadePlan, ModuleSettings, reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
 
@@ -52,6 +53,11 @@ def state_with_vacuum(mode, amplitudes, *vacuum_modes):
 def apply_one(state, element, *exits):
     """Propagate through a network of the one element, entered at IN."""
     return propagate(state, OpticalNetwork((element,), exits, IN))
+
+
+def gauge(vec):
+    """The phase gauge of a 2-vector, as an array."""
+    return np.array(_phase_fixed(*np.asarray(vec, dtype=complex).tolist())[0], dtype=complex)
 
 
 def total_probability(state):
@@ -736,7 +742,7 @@ class TestExitAmplitudes:
             p = float(np.vdot(target, target).real)
             assert record.probability == pytest.approx(p, abs=1e-12)
             np.testing.assert_allclose(
-                record.polarization, phase_fixed(target / math.sqrt(p)), atol=1e-12
+                record.polarization, gauge(target / math.sqrt(p)), atol=1e-12
             )
 
     def test_polarization_pivot_is_exactly_real(self):
@@ -790,7 +796,154 @@ class TestExitAmplitudes:
             if p == 0.0:
                 assert record.polarization is None
             else:
-                assert record.polarization.tobytes() == phase_fixed(vec / math.sqrt(p)).tobytes(), (h, v)
+                assert record.polarization.tobytes() == gauge(vec / math.sqrt(p)).tobytes(), (h, v)
+
+
+def per_exit_read(state, network):
+    """exit_amplitudes as one numpy read per exit, the reference the stacked read
+    must match bit for bit: np.vdot, numpy's division by math.sqrt(p), the gauge."""
+    records = []
+    for i, mode in enumerate(network.exits, start=1):
+        vec = np.array(state.amplitudes.get(mode, (0j, 0j)), dtype=complex)
+        p = float(np.vdot(vec, vec).real)
+        records.append((i, p, gauge(vec / math.sqrt(p)) if p >= PROBABILITY_FLOOR else None))
+    return records
+
+
+def assert_exit_read_bits(state, network):
+    records = exit_amplitudes(state, network)
+    expected = per_exit_read(state, network)
+    assert len(records) == len(expected)
+    for record, (i, p, polarization) in zip(records, expected):
+        assert record.index == i
+        assert type(record.probability) is float
+        assert np.float64(record.probability).tobytes() == np.float64(p).tobytes(), (i, record.probability, p)
+        if polarization is None:
+            assert record.polarization is None, i
+        else:
+            assert isinstance(record.polarization, np.ndarray) and record.polarization.dtype == complex
+            assert record.polarization.tobytes() == polarization.tobytes(), i
+
+
+class TestStackedExitRead:
+    """exit_amplitudes reads all exits in one stacked pass; every bit must be
+    the per-exit read's, on both cascade families and on hand-made pairs."""
+
+    @pytest.mark.parametrize("family", [random_povm, random_rank_one_povm], ids=["random", "rank_one"])
+    @pytest.mark.parametrize("n", [2, 5, 17, 40])
+    def test_cascade_exits_match_the_per_exit_read(self, family, n):
+        network = build_cascade_network(synthesize_cascade(kraus_from_povm(family(n, n))))
+        rng = np.random.default_rng(n)
+        inputs = [[1.0, 0.0], [0.0, 1.0], [0.0, 1j]] + [random_pure_state(rng) for _ in range(6)]
+        for psi in inputs:
+            assert_exit_read_bits(propagate(PhotonState.pure(network.input, psi), network), network)
+
+    def test_dead_exits_of_a_projective_plan(self):
+        from povmcascade.povm import validate_kraus
+
+        network = build_cascade_network(synthesize_cascade(validate_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])))
+        for psi in ([0.0, 1.0], [1.0, 0.0], [0.6, 0.8j]):
+            out = propagate(PhotonState.pure(network.input, psi), network)
+            assert_exit_read_bits(out, network)
+        assert exit_amplitudes(out, network)[0].polarization is not None
+
+    def test_hand_made_pairs_on_many_exits(self):
+        parts = (0.0, -0.0, 0.3, -0.7, 5e-324, -1e-310)
+        pairs = [(complex(a, b), complex(c, d)) for a in parts for b in parts for c in (0.0, -0.0, 0.6) for d in (-0.0, 0.8, 2e-320)]
+        nan = math.nan
+        pairs += [(complex(nan, 0.0), 0j), (complex(nan, nan), complex(0.6, 0.0)), (0j, -0j), (-0j, 0j), (1e-6 + 0j, 0j)]
+        modes = [ModeLabel(0, f"e{k}") for k in range(len(pairs))]
+        absent = ModeLabel(0, "absent")
+        state = PhotonState(dict(zip(modes, pairs)))
+        # an exit the state does not carry, first, among the others and last
+        network = OpticalNetwork((), (absent, *modes[:50], ModeLabel(1, "absent"), *modes[50:], ModeLabel(2, "absent")), IN)
+        records = exit_amplitudes(state, network)
+        assert sum(record.polarization is None for record in records) > 3
+        assert sum(record.polarization is not None for record in records) > 100
+        assert_exit_read_bits(state, network)
+        # one exit at a time reads the same as among the others
+        for mode in modes[::7]:
+            assert_exit_read_bits(state, OpticalNetwork((), (mode,), IN))
+
+    def test_no_exits_and_only_absent_exits(self):
+        assert exit_amplitudes(PhotonState({IN: (0.6, 0.8)}), OpticalNetwork((), (), IN)) == []
+        network = OpticalNetwork((), (OUT_A, OUT_B), IN)
+        assert_exit_read_bits(PhotonState({IN: (0.6, 0.8)}), network)
+        assert [record.polarization for record in exit_amplitudes(PhotonState({}), network)] == [None, None]
+
+
+def table_free_walk(pair, elements):
+    """The one-mode walk with each element's four coefficients computed from its
+    angle by the walk's formulas, with no table: the reference for the table."""
+    h, v = pair
+    for element in elements:
+        if type(element) is Rotator:
+            c, s = complex(math.cos(element.angle)), complex(math.sin(element.angle))
+            m00, m01, m10, m11 = c, -s, s, c
+        else:
+            m00 = m11 = cmath.exp(1j * element.phase)
+            m01 = m10 = 0j
+        if type(h) is complex:
+            h, v = m00 * h + m01 * v, m10 * h + m11 * v
+        else:
+            (a, b), (c, d) = h, v
+            h, v = (m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d)
+    return h, v
+
+
+class TestCoefficientTable:
+    """Rotators at the layout's fixed angles and phase shifters at zero read their
+    coefficients from a table; every bit must be the formulas', whatever the
+    angle's type and the sign of its zero."""
+
+    ANGLES = [math.pi / 2, -math.pi / 2, math.pi, 0.37, np.float64(math.pi / 2), -math.pi]
+    PHASES = [0.0, -0.0, 0, np.float64(0.0), np.float64(-0.0), False, 0.41]
+
+    def elements(self):
+        rotators = [Rotator(IN, angle) for angle in self.ANGLES]
+        phases = [PhaseShifter(IN, phase) for phase in self.PHASES]
+        # every element alone, then all of them in one chain, twice in turn
+        return [(element,) for element in rotators + phases] + [tuple(rotators + phases) * 2]
+
+    def test_propagate_matches_the_table_free_walk(self):
+        parts = (0.0, -0.0, 0.6, -0.8)
+        pairs = [(complex(a, b), complex(c, d)) for a in parts for b in parts for c in parts for d in (0.0, -0.0, 0.8)]
+        for elements in self.elements():
+            network = OpticalNetwork(elements, (IN,), IN)
+            for pair in pairs:
+                out = propagate(PhotonState({IN: pair}), network).amplitudes[IN]
+                expected = table_free_walk(pair, elements)
+                assert np.array(out).tobytes() == np.array(expected).tobytes(), (elements, pair)
+
+    def test_transfer_matrices_match_the_table_free_walk(self):
+        for elements in self.elements():
+            rows = table_free_walk(((1 + 0j, 0j), (0j, 1 + 0j)), elements)
+            assert transfer_matrices(OpticalNetwork(elements, (IN,), IN))[IN].tobytes() == np.array(rows).tobytes()
+
+    def test_a_cascade_walk_matches_the_walk_without_table(self, monkeypatch):
+        network = build_cascade_network(synthesize_cascade(kraus_from_povm(random_povm(6, 6))))
+        state = PhotonState.pure(network.input, random_pure_state(np.random.default_rng(6)))
+        with_table = propagate(state, network).amplitudes, transfer_matrices(network)
+        monkeypatch.setattr(optics, "_FIXED", {Rotator: {}, PhaseShifter: {}})
+        without = propagate(state, network).amplitudes, transfer_matrices(network)
+        assert repr(with_table[0]) == repr(without[0])
+        assert list(with_table[1]) == list(without[1])
+        assert all(with_table[1][mode].tobytes() == without[1][mode].tobytes() for mode in with_table[1])
+
+    @pytest.mark.parametrize("kind", [Rotator, PhaseShifter])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), complex(math.pi / 2), 0j, 1j])
+    def test_bad_angles_raise_as_before(self, kind, bad):
+        # the finiteness check comes before the table: a complex angle equal to a
+        # tabled value is still turned away by math.isfinite
+        if isinstance(bad, complex):
+            with pytest.raises(TypeError) as expected:
+                math.isfinite(bad)
+            error, message = TypeError, f"^{re.escape(str(expected.value))}$"
+        else:
+            error, message = ValueError, f"^{re.escape(f'{kind.__name__} on mode {IN} has non-finite angle {bad!r}')}$"
+        for walk in WALKS:
+            with pytest.raises(error, match=message):
+                walk(PhotonState.pure(IN, [0.6, 0.8]), OpticalNetwork((kind(IN, bad),), (IN,), IN))
 
 
 def cascade_plan(spec):

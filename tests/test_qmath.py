@@ -17,8 +17,8 @@ from povmcascade.qmath import (
     dagger,
     eig_hermitian2,
     identity2,
+    _phase_fixed,
     max_abs,
-    phase_fixed,
     rotation,
     sqrt_psd,
     svd2,
@@ -201,16 +201,17 @@ class TestGaugeAndHelpers:
         rng = np.random.default_rng(17)
         for _ in range(100):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            fixed = phase_fixed(v)
+            fixed = np.array(_phase_fixed(*v.tolist())[0])
             i = int(np.argmax(np.abs(fixed)))
             assert abs(fixed[i].imag) <= 1e-15
             assert fixed[i].real >= 0.0
             np.testing.assert_allclose(np.abs(fixed), np.abs(v), atol=1e-15)
 
     def test_phase_fixed_leaves_the_zero_vector_zero(self):
-        fixed = phase_fixed([0, 0])
-        assert fixed.dtype == complex
-        assert fixed.tobytes() == np.zeros(2, dtype=complex).tobytes()
+        fixed, phase = _phase_fixed(0j, 0j)
+        assert [type(x) for x in fixed] == [complex, complex]
+        assert np.array(fixed).tobytes() == np.zeros(2, dtype=complex).tobytes()
+        assert phase == 1 + 0j
 
     def test_unitary_columns_are_gauge_fixed(self):
         rng = np.random.default_rng(8)

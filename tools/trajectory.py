@@ -25,8 +25,19 @@ or written (PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX at an empty
 directory), so each fresh interpreter compiles the package from source and
 ``setup_s`` moves with source bytes, docstrings and comments included.
 
+With --check PARENT CHILD it records nothing: it reads two such files and
+prints, per workload and end-to-end metric of BENCHMARK.json, both medians
+over the seeds, their ratio CHILD/PARENT, the seed-paired runs CHILD wins
+(ties count for neither), the parent's interquartile range, whether the
+medians differ by more than that range, and where the change stands against
+the metric's bound (a fraction of the parent's median); then the failed and
+attempted inputs of all runs on each side, and the traced per-layer rows
+side by side.  It exits 1 when a median is worse than the parent's beyond
+its bound or a larger share of inputs failed, and 0 otherwise.
+
     python tools/trajectory.py --tree LABEL TREE COMMIT [--tree ...] [--out DIR]
     python tools/trajectory.py --tree old ../parent 874d21e --tree new . "874d21e + working tree"
+    python tools/trajectory.py --check BENCH_pr24.json BENCH_pr25.json
 """
 
 from __future__ import annotations
@@ -85,19 +96,64 @@ def record(runs: list[dict], traced: dict, spec: dict) -> dict:
     return {"end_to_end": end_to_end, "per_layer": per_layer, "traced_correct": traced["correct"], "runs": runs}
 
 
+def check(parent: dict, child: dict, spec: dict) -> int:
+    """Print CHILD's end-to-end metrics against PARENT's and the traced layers side
+    by side; 1 if a median is worse beyond its bound or more inputs failed."""
+    regressions = 0
+    print(f"{'workload':<11}{'metric':<12}{'parent':>11}{'child':>11}{'ratio':>7}{'wins':>7}"
+          f"{'parent IQR':>11}{'>IQR':>6}{'bound':>7}  verdict")
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            key = f"{workload}.{metric['name']}"
+            old, new = ({run["seed"]: run["metrics"][key]["value"] for run in side["runs"]} for side in (parent, child))
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (new[seed] - value) > 0 for seed, value in old.items() if seed in new)
+            pairs = sum(seed in new for seed in old)
+            old_median, new_median = statistics.median(old.values()), statistics.median(new.values())
+            q1, _, q3 = statistics.quantiles(old.values(), n=4)
+            gain = sign * (new_median - old_median) / old_median  # > 0: the child is better
+            verdict = "within bound" if abs(gain) <= metric["bound"] else "better beyond bound" if gain > 0 else "WORSE beyond bound"
+            regressions += gain < -metric["bound"]
+            print(f"{workload:<11}{metric['name']:<12}{old_median:>11.4g}{new_median:>11.4g}{new_median / old_median:>7.3f}"
+                  f"{f'{wins}/{pairs}':>7}{q3 - q1:>11.4g}{'yes' if abs(new_median - old_median) > q3 - q1 else 'no':>6}"
+                  f"{metric['bound']:>7g}  {verdict}")
+    (old_failed, old_attempted), (new_failed, new_attempted) = (
+        (sum(run["failed"] for run in side["runs"]), sum(run["attempted"] for run in side["runs"])) for side in (parent, child)
+    )
+    more_failed = new_failed * old_attempted > old_failed * new_attempted
+    regressions += more_failed
+    print(f"failed inputs: parent {old_failed}/{old_attempted}, child {new_failed}/{new_attempted}"
+          f"{'  MORE FAILED' if more_failed else ''}")
+    print(f"\n{'traced layer':<56}{'parent':>12}{'child':>12}{'ratio':>8}")
+    for name in (metric["name"] for metric in spec["per_layer"]):
+        old, new = parent["per_layer"].get(name), child["per_layer"].get(name)
+        ratio = f"{new / old:.3f}" if old and new is not None else "-"
+        print(f"{name:<56}{'-' if old is None else f'{old:.4g}':>12}{'-' if new is None else f'{new:.4g}':>12}{ratio:>8}")
+    print(f"{regressions} regression{'' if regressions == 1 else 's'} beyond a bound")
+    return 1 if regressions else 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", nargs=3, action="append", required=True, metavar=("LABEL", "TREE", "COMMIT"),
+    parser.add_argument("--tree", nargs=3, action="append", metavar=("LABEL", "TREE", "COMMIT"),
                         help="a label, a tree holding bench/ and src/, and the commit it was taken from")
     parser.add_argument("--out", default=str(ROOT), help="directory the BENCH_<label>.json files go to")
+    parser.add_argument("--check", nargs=2, metavar=("PARENT", "CHILD"),
+                        help="compare two BENCH_<label>.json files instead of recording; exit 1 on a regression beyond a bound")
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.check:
+        if args.tree:
+            parser.error("--check records nothing: give it no --tree")
+        return check(*(json.loads(Path(path).read_text(encoding="utf-8")) for path in args.check), spec)
+    if not args.tree:
+        parser.error("give --tree LABEL TREE COMMIT at least once, or --check PARENT CHILD")
     labels = [label for label, _, _ in args.tree]
     if len(set(labels)) != len(labels):
         parser.error("labels must differ")
     for _, tree, _ in args.tree:
         if not (Path(tree) / "bench" / "run.py").is_file():
             parser.error(f"{tree} holds no bench/run.py")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {label: [] for label in labels}
     machines = {}
     with tempfile.TemporaryDirectory() as pycache:
