@@ -13,8 +13,9 @@ The work is done by cores of two kinds, each idea written once:
   call: the phase gauge (``_phase_fixed``), the Hermitian
   eigendecomposition (``_eig``), the completion of two orthogonal columns
   into a unitary and its weights (``_column_split``), the SVD built from
-  those two (``_svd``) and the thin QR of two columns by Householder
-  reflections (``_qr``).  The synthesizer runs on them.
+  those two (``_svd``) and the sweep's QR step (``_qr``): one fixed-size
+  4-row step of two unrolled Householder reflections, whose first stage is
+  ``[M_n; 0]``.  The synthesizer runs on them.
 * The stacked core ``_spectra`` evaluates ``_eig``'s closed form on a whole
   ``(n, 2, 2)`` array at once: Hermiticity residuals, eigenvalues and top
   eigenvectors, from which ``_psd_roots`` takes every square root.  POVM
@@ -136,6 +137,7 @@ def identity2() -> np.ndarray:
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 _TINY = np.finfo(float).tiny
 _LIFT = 2.0**60
+_ONE_CONJ = (1 + 0j).conjugate()  # v[0].conjugate() for a reflector's v[0] = 1
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -251,19 +253,27 @@ def _unit_scale(scale: float) -> tuple[float, float]:
     return (1.0, 1.0 / scale) if scale >= _TINY else (_LIFT, 1.0 / (scale * _LIFT))
 
 
-def _phase_fixed(*v: complex) -> tuple[list[complex], complex]:
+def _phase_fixed(*v: complex) -> tuple[tuple[complex, ...], complex]:
     """The phase gauge: (v * phase, phase) with |phase| = 1 and the
     largest-modulus entry (the first on a tie) made exactly real >= 0; a
     zero vector is returned unchanged with phase 1."""
+    if len(v) == 2:  # the one arity outside _qr's zero pivots, without lists
+        x, y = v
+        abs_x, abs_y = abs(x), abs(y)
+        if abs_y > abs_x:  # as max(): a later entry wins only if strictly larger
+            phase = y.conjugate() / abs_y
+            return (x * phase, complex(abs_y)), phase
+        if abs_x == 0.0:
+            return v, 1 + 0j
+        phase = x.conjugate() / abs_x
+        return (complex(abs_x), y * phase), phase
     moduli = [abs(x) for x in v]
     top = max(moduli)
     if top == 0.0:
-        return list(v), 1 + 0j
+        return v, 1 + 0j
     i = moduli.index(top)
     phase = v[i].conjugate() / top
-    fixed = [x * phase for x in v]
-    fixed[i] = complex(top)
-    return fixed, phase
+    return tuple(complex(top) if k == i else x * phase for k, x in enumerate(v)), phase
 
 
 def _eig(a: float, b: complex, c: float):
@@ -345,62 +355,78 @@ def _svd(m):
     return v, (scale * d0, scale * d1), u
 
 
-def _reflector(x: list[complex]):
-    """Householder reflector in LAPACK's zlarfg convention: (beta, tau, v)
-    with H^dag x = beta e_0 for H = I - tau v v^dag, v[0] = 1 and beta real;
-    tau = 0 (H = I, beta = x[0]) when x is already real along e_0.  A
-    subnormal x is reflected through its exact lift, as zlarfg rescales it."""
-    alpha = x[0]
-    tail = math.hypot(*map(abs, x[1:]))
-    if tail == 0.0 and alpha.imag == 0.0:
-        return alpha.real, 0j, [1 + 0j] + [0j] * (len(x) - 1)
-    norm = math.hypot(alpha.real, alpha.imag, tail)
-    if norm < _TINY:
-        beta, tau, v = _reflector([z * _LIFT for z in x])
-        return beta / _LIFT, tau, v
-    beta = -math.copysign(norm, alpha.real)
-    tau = complex((beta - alpha.real) / beta, -alpha.imag / beta)
-    pivot = alpha - beta
-    return beta, tau, [1 + 0j] + [z / pivot for z in x[1:]]
+def _qr(a: tuple[complex, ...], b: tuple[complex, ...]):
+    """The QR step of the sweep, one fixed-size 4-row step: (top, bottom, r)
+    with [a b] = [top; bottom] r for two 4-row columns a and b, top and
+    bottom the 2x2 row blocks of the isometry Q = [q0 q1] and
+    r = ((r00, r01), (0j, r11)).  Every stage runs it; the first stage is
+    [M_n; 0], whose top block and r are bit for bit those of M_n's own QR.
 
-
-def _reflect(tau: complex, v: list[complex], x: list[complex]) -> list[complex]:
-    """(I - tau v v^dag) x."""
-    t = tau * sum([vk.conjugate() * xk for vk, xk in zip(v, x)])
-    return [xk - t * vk for vk, xk in zip(v, x)]
-
-
-def _first_column(tau: complex, v: list[complex]) -> list[complex]:
-    """(I - tau v v^dag) e_0, for v[0] = 1."""
-    column = [-tau * z for z in v]
-    column[0] += 1.0
-    return column
-
-
-def _qr(a: list[complex], b: list[complex]):
-    """The QR step: (q0, q1, r) with [a b] = [q0 q1] r, r = [[r00, r01], [0, r11]],
-    for two columns of equal length, by two Householder reflections.
+    Two Householder reflections in LAPACK's zlarfg convention, unrolled:
+    H = I - tau v v^dag with v[0] = 1 and H^dag x = beta e_0, beta real;
+    tau = 0 (H = I, beta = x[0]) when x is already real along e_0, and a
+    subnormal x is reflected through its exact lift, as zlarfg rescales it.
+    The first reflects a, the second the last three rows of H0^dag b.  Each
+    sum of products starts from the int 0 and each product by v[0] = 1 is
+    kept, as a generic loop over the rows would compute them.
 
     Gauge: r00 and r11 real >= 0; a zero pivot leaves its column of q free
     (any unit vector orthogonal to the other), and that column is
-    gauge-fixed like _phase_fixed with its row of r rephased to match.
+    gauge-fixed by _phase_fixed with its row of r rephased to match.
     """
-    beta0, tau0, v0 = _reflector(a)
-    b = _reflect(tau0.conjugate(), v0, b)
-    beta1, tau1, v1 = _reflector(b[1:])
-    q0 = _first_column(tau0, v0)
-    q1 = _reflect(tau0, v0, [0j, *_first_column(tau1, v1)])
-    r00, r01, r11 = complex(beta0), b[0], complex(beta1)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # H0 = I - tau0 v v^dag, v = (1, u1, u2, u3), with H0^dag a = beta0 e_0
+    tail = math.hypot(abs(a1), abs(a2), abs(a3))
+    if tail == 0.0 and a0.imag == 0.0:
+        beta0, tau0, u1, u2, u3 = a0.real, 0j, 0j, 0j, 0j
+    else:
+        norm = math.hypot(a0.real, a0.imag, tail)
+        lifted = norm < _TINY
+        if lifted:
+            a0, a1, a2, a3 = a0 * _LIFT, a1 * _LIFT, a2 * _LIFT, a3 * _LIFT
+            norm = math.hypot(a0.real, a0.imag, math.hypot(abs(a1), abs(a2), abs(a3)))
+        beta0 = -math.copysign(norm, a0.real)
+        tau0 = complex((beta0 - a0.real) / beta0, -a0.imag / beta0)
+        pivot = a0 - beta0
+        u1, u2, u3 = a1 / pivot, a2 / pivot, a3 / pivot
+        if lifted:
+            beta0 /= _LIFT
+    # H0^dag b: its row 0 is r01, rows 1-3 are c
+    t = tau0.conjugate() * (0 + _ONE_CONJ * b0 + u1.conjugate() * b1 + u2.conjugate() * b2 + u3.conjugate() * b3)
+    r01, c1, c2, c3 = b0 - t * (1 + 0j), b1 - t * u1, b2 - t * u2, b3 - t * u3
+    # H1 = I - tau1 w w^dag on rows 1-3, w = (1, w2, w3), with H1^dag c = beta1 e_0
+    tail = math.hypot(abs(c2), abs(c3))
+    if tail == 0.0 and c1.imag == 0.0:
+        beta1, tau1, w2, w3 = c1.real, 0j, 0j, 0j
+    else:
+        norm = math.hypot(c1.real, c1.imag, tail)
+        lifted = norm < _TINY
+        if lifted:
+            c1, c2, c3 = c1 * _LIFT, c2 * _LIFT, c3 * _LIFT
+            norm = math.hypot(c1.real, c1.imag, math.hypot(abs(c2), abs(c3)))
+        beta1 = -math.copysign(norm, c1.real)
+        tau1 = complex((beta1 - c1.real) / beta1, -c1.imag / beta1)
+        pivot = c1 - beta1
+        w2, w3 = c2 / pivot, c3 / pivot
+        if lifted:
+            beta1 /= _LIFT
+    # q0 = H0 e_0; q1 = H0 (0, f) with f = H1 e_0, whose e_0 term in the sum, (1 - 0j) * 0j, is 0j
+    q00, q10, q20, q30 = -tau0 * (1 + 0j) + 1.0, -tau0 * u1, -tau0 * u2, -tau0 * u3
+    f1, f2, f3 = -tau1 * (1 + 0j) + 1.0, -tau1 * w2, -tau1 * w3
+    t = tau0 * (0 + 0j + u1.conjugate() * f1 + u2.conjugate() * f2 + u3.conjugate() * f3)
+    q01, q11, q21, q31 = 0j - t * (1 + 0j), f1 - t * u1, f2 - t * u2, f3 - t * u3
+    r00, r11 = complex(beta0), complex(beta1)
     if beta0 < 0.0:
-        q0, r00, r01 = [-z for z in q0], -r00, -r01
+        q00, q10, q20, q30, r00, r01 = -q00, -q10, -q20, -q30, -r00, -r01
     elif beta0 == 0.0:
-        q0, phase = _phase_fixed(*q0)
+        (q00, q10, q20, q30), phase = _phase_fixed(q00, q10, q20, q30)
         r01 *= phase.conjugate()
     if beta1 < 0.0:
-        q1, r11 = [-z for z in q1], -r11
+        q01, q11, q21, q31, r11 = -q01, -q11, -q21, -q31, -r11
     elif beta1 == 0.0:
-        q1, _ = _phase_fixed(*q1)
-    return q0, q1, ((r00, r01), (0j, r11))
+        (q01, q11, q21, q31), _ = _phase_fixed(q01, q11, q21, q31)
+    return ((q00, q01), (q10, q11)), ((q20, q21), (q30, q31)), ((r00, r01), (0j, r11))
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ pass arm of the last stage is outcome n.
 That split is a 2x2 cosine-sine (CS) decomposition of one block of an
 isometry (Paige & Wei, Linear Algebra Appl. 208, 1994), so the synthesizer
 inverts nothing.  A backward sweep of thin QR factorizations,
-M_n = Q_n R_n and [M_j; R_{j+1}] = Q_j R_j, stacks the operators still to
-be measured: R_j^dag R_j = F_j + ... + F_n.  The top block A_j of Q_j
+[M_j; R_{j+1}] = Q_j R_j, stacks the operators still to be measured:
+R_j^dag R_j = F_j + ... + F_n.  The first stage is [M_n; 0], R_{n+1} = 0,
+so Q_n's top block is M_n's own Q.  The top block A_j of Q_j
 splits as X_j diag(cos) W_j^dag (an SVD) and the bottom block B_j as
 B_j W_j = Y_j diag(sin), with cos^2 + sin^2 = 1 because Q_j is an
 isometry.  Stage j then gets the angles atan2(sin, cos), the exit unitary
@@ -24,8 +25,9 @@ X_j and the pre-unitary W_j^dag Y_{j-1}; the pass arm it hands on is
 exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
 
 The sweep and the splits run on the scalar cores of :mod:`qmath`, on
-Python complex numbers: each QR step is two Householder reflections, each
-split a closed-form SVD and column completion.  The settings keep that
+Python complex numbers: every QR step, the first included, is the one
+fixed-size 4-row step of qmath._qr, two unrolled Householder reflections;
+each split is a closed-form SVD and column completion.  The settings keep that
 form: ModuleSettings and CascadePlan hold their unitaries as rows of Python
 complex numbers, which reconstruct_kraus and the network walk read as they
 are.  Only the Kraus stacks on either side are numpy arrays.
@@ -153,11 +155,6 @@ class CascadePlan:
         return len(self.modules) + 1
 
 
-def _rows(q0: list[complex], q1: list[complex], i: int):
-    """Rows i and i + 1 of the matrix with columns q0 and q1."""
-    return (q0[i], q1[i]), (q0[i + 1], q1[i + 1])
-
-
 def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     """Compile a Kraus set into cascade settings.
 
@@ -174,12 +171,12 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     """
     ops = np.array(kraus.operators, dtype=complex).tolist()
     (m00, m01), (m10, m11) = ops[-1]
-    final_q0, final_q1, r = _qr([m00, m10], [m01, m11])
+    final, _, r = _qr((m00, m10, 0j, 0j), (m01, m11, 0j, 0j))  # [M_n; 0] = Q_n R_n
     blocks = []
     for (m00, m01), (m10, m11) in reversed(ops[:-1]):
         (r00, r01), (_, r11) = r
-        q0, q1, r = _qr([m00, m10, r00, 0j], [m01, m11, r01, r11])
-        blocks.append((_rows(q0, q1, 0), _rows(q0, q1, 2)))
+        top, bottom, r = _qr((m00, m10, r00, 0j), (m01, m11, r01, r11))
+        blocks.append((top, bottom))
     # R_1^dag R_1 is the sum of all M^dag M; written so NaN and Inf fail too
     _check_complete(_unitary_residual(r), "M^dag M")
     v, _, u = _svd(r)
@@ -196,7 +193,7 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
         settings.__dict__.update(theta=theta, phi=phi, zeta=0.0, xi=0.0, pre_unitary=pre, exit_unitary=x)
         modules.append(settings)
         y = y_next
-    return CascadePlan(tuple(modules), _mul(_rows(final_q0, final_q1, 0), y))
+    return CascadePlan(tuple(modules), _mul(final, y))
 
 
 def reconstruct_kraus(plan: CascadePlan) -> KrausSet:

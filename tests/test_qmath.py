@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcascade import qmath
-from povmcascade.povm import validation_residuals
+from povmcascade.povm import kraus_from_povm, validation_residuals
 from povmcascade.qmath import (
     NotHermitian,
     NotPsd,
@@ -23,9 +23,10 @@ from povmcascade.qmath import (
     sqrt_psd,
     svd2,
 )
-from povmcascade.verify import random_rank_one_povm
+from povmcascade.verify import random_povm, random_rank_one_povm
 
 I2 = np.eye(2, dtype=complex)
+SUBNORMAL = 5e-324
 
 
 def random_complex_matrix(rng):
@@ -196,6 +197,17 @@ class TestSqrtPsd:
             assert d[1] >= -1e-12
 
 
+# two-entry gauge cases: signed zeros and zero vectors, ties (the first entry wins), subnormals
+PAIRS = [
+(0j, 0j), (-0j, complex(0.0, -0.0)), (complex(-0.0, 0.0), -0j),  # zero vectors, signed
+    (1 + 0j, 1j), (1j, -1 + 0j), (0.6 - 0.8j, -0.8 + 0.6j),  # ties: the first entry wins
+    (-0j, 1 + 0j), (complex(0.0, -0.0), -1j), (1 + 0j, -0j), (-1 + 0j, complex(-0.0, 0.0)),  # one signed zero
+    (SUBNORMAL + 0j, 0j), (complex(0.0, -SUBNORMAL), complex(3 * SUBNORMAL, 0.0)),  # subnormals
+    (complex(SUBNORMAL, SUBNORMAL), complex(-SUBNORMAL, SUBNORMAL)),
+    (0.3 + 0.4j, -0.2 + 0.9j), (-2 + 0j, 1 - 1j),
+]
+
+
 class TestGaugeAndHelpers:
     def test_phase_fixed_largest_entry_real_positive(self):
         rng = np.random.default_rng(17)
@@ -212,6 +224,21 @@ class TestGaugeAndHelpers:
         assert [type(x) for x in fixed] == [complex, complex]
         assert np.array(fixed).tobytes() == np.zeros(2, dtype=complex).tobytes()
         assert phase == 1 + 0j
+
+    @pytest.mark.parametrize("v", PAIRS)
+    def test_phase_fixed_pair_matches_the_list_form(self, v):
+        fixed, phase = _phase_fixed(*v)
+        expected, expected_phase = _reference_phase_fixed(*v)
+        assert repr((tuple(fixed), phase)) == repr((tuple(expected), expected_phase))
+        assert [type(x) for x in fixed] == [complex, complex]
+
+    def test_phase_fixed_random_pairs_match_the_list_form(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            v = tuple((rng.standard_normal(2) + 1j * rng.standard_normal(2)).tolist())
+            fixed, phase = _phase_fixed(*v)
+            expected, expected_phase = _reference_phase_fixed(*v)
+            assert repr((tuple(fixed), phase)) == repr((tuple(expected), expected_phase))
 
     def test_unitary_columns_are_gauge_fixed(self):
         rng = np.random.default_rng(8)
@@ -318,7 +345,6 @@ def bits(*arrays):
     return [np.asarray(a).dtype.str + np.ascontiguousarray(a).tobytes().hex() for a in arrays]
 
 
-SUBNORMAL = 5e-324
 SCALES = (1.0, 1e-13, SUBNORMAL)
 KINDS = ("random", "zero", "scalar", "rank_one", "degenerate")
 
@@ -435,13 +461,170 @@ def test_svd_and_root_match_lapack(kind, seed, scale):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(KINDS), rows=st.sampled_from((2, 4)), **CASE)
 def test_qr_matches_lapack(kind, rows, seed, scale):
+    # the step takes 4 rows; a 2-row case is [m; 0], as the sweep's first stage
     m = general_case(kind, np.random.default_rng(seed), scale, rows)
-    q0, q1, r = qmath._qr(m[:, 0].tolist(), m[:, 1].tolist())
-    q, r = np.array([q0, q1]).T, np.array(r)
+    m4 = np.vstack([m, np.zeros((4 - rows, 2), complex)])
+    top, bottom, r = qmath._qr(tuple(m4[:, 0].tolist()), tuple(m4[:, 1].tolist()))
+    q, r = np.array(top + bottom), np.array(r)
     size = max_abs(m)
     assert unitary_to(q)
-    assert agree(q @ r, m, size)
+    assert agree(q @ r, m4, size)
     assert r[0, 0].imag == r[1, 1].imag == 0.0 and r[0, 0].real >= 0.0 and r[1, 1].real >= 0.0
     # LAPACK's R has a real diagonal; flipping its negative rows gives the same gauge
     lapack_r = np.linalg.qr(m)[1]
     assert agree(np.where(lapack_r.diagonal().real < 0, -1.0, 1.0)[:, None] * lapack_r, r, size)
+
+
+# ----------------------------------------------------------------------
+# the generic Householder QR that qmath._qr unrolls, kept as its reference
+
+
+def _reference_phase_fixed(*v):
+    moduli = [abs(x) for x in v]
+    top = max(moduli)
+    if top == 0.0:
+        return list(v), 1 + 0j
+    i = moduli.index(top)
+    phase = v[i].conjugate() / top
+    fixed = [x * phase for x in v]
+    fixed[i] = complex(top)
+    return fixed, phase
+
+
+def _reference_reflector(x):
+    alpha = x[0]
+    tail = math.hypot(*map(abs, x[1:]))
+    if tail == 0.0 and alpha.imag == 0.0:
+        return alpha.real, 0j, [1 + 0j] + [0j] * (len(x) - 1)
+    norm = math.hypot(alpha.real, alpha.imag, tail)
+    if norm < np.finfo(float).tiny:
+        beta, tau, v = _reference_reflector([z * 2.0**60 for z in x])
+        return beta / 2.0**60, tau, v
+    beta = -math.copysign(norm, alpha.real)
+    tau = complex((beta - alpha.real) / beta, -alpha.imag / beta)
+    pivot = alpha - beta
+    return beta, tau, [1 + 0j] + [z / pivot for z in x[1:]]
+
+
+def _reference_reflect(tau, v, x):
+    t = tau * sum([vk.conjugate() * xk for vk, xk in zip(v, x)])
+    return [xk - t * vk for vk, xk in zip(v, x)]
+
+
+def _reference_first_column(tau, v):
+    column = [-tau * z for z in v]
+    column[0] += 1.0
+    return column
+
+
+def _reference_qr(a, b):
+    """(q0, q1, r) for two columns of any equal length."""
+    beta0, tau0, v0 = _reference_reflector(a)
+    b = _reference_reflect(tau0.conjugate(), v0, b)
+    beta1, tau1, v1 = _reference_reflector(b[1:])
+    q0 = _reference_first_column(tau0, v0)
+    q1 = _reference_reflect(tau0, v0, [0j, *_reference_first_column(tau1, v1)])
+    r00, r01, r11 = complex(beta0), b[0], complex(beta1)
+    if beta0 < 0.0:
+        q0, r00, r01 = [-z for z in q0], -r00, -r01
+    elif beta0 == 0.0:
+        q0, phase = _reference_phase_fixed(*q0)
+        r01 *= phase.conjugate()
+    if beta1 < 0.0:
+        q1, r11 = [-z for z in q1], -r11
+    elif beta1 == 0.0:
+        q1, _ = _reference_phase_fixed(*q1)
+    return q0, q1, ((r00, r01), (0j, r11))
+
+
+def _as_reference(a, b):
+    """_reference_qr's output in _qr's form, (top, bottom, r), for 4 rows."""
+    q0, q1, r = _reference_qr(list(a), list(b))
+    return ((q0[0], q1[0]), (q0[1], q1[1])), ((q0[2], q1[2]), (q0[3], q1[3])), r
+
+
+def _assert_step_matches(a, b):
+    a, b = tuple(a), tuple(b)
+    got = qmath._qr(a, b)
+    assert repr(got) == repr(_as_reference(a, b)), (a, b)
+    return got
+
+
+def _assert_first_step_matches(m):
+    # [M_n; 0] through the 4-row step: its top block and r are the 2-row QR of M_n
+    (m00, m01), (m10, m11) = m
+    top, _, r = _assert_step_matches((m00, m10, 0j, 0j), (m01, m11, 0j, 0j))
+    q0, q1, r2 = _reference_qr([m00, m10], [m01, m11])
+    assert repr((top, r)) == repr((((q0[0], q1[0]), (q0[1], q1[1])), r2)), m
+    return r
+
+
+SPECIAL = (0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0), 1 + 0j, -1 + 0j, 1j, -1j, complex(-0.0, 1.0),
+           complex(1.0, -0.0), 0.5 - 2j, SUBNORMAL + 0j, complex(0.0, -SUBNORMAL), complex(-3 * SUBNORMAL, SUBNORMAL))
+
+
+class TestQrStep:
+    """qmath._qr is the generic Householder QR above at 4 rows, bit for bit."""
+
+    @pytest.mark.parametrize("family", [random_povm, random_rank_one_povm])
+    def test_sweeps_match_the_reference(self, family):
+        for n in range(2, 41):
+            ops = np.array(kraus_from_povm(family(n, n)).operators).tolist()
+            r = _assert_first_step_matches(ops[-1])
+            for (m00, m01), (m10, m11) in reversed(ops[:-1]):
+                (r00, r01), (_, r11) = r
+                _, _, r = _assert_step_matches((m00, m10, r00, 0j), (m01, m11, r01, r11))
+
+    def test_exact_zero_columns(self):
+        # [I, 0, 0]: the first stage and the next one see all-zero columns
+        zero = ((0j, 0j), (0j, 0j))
+        _assert_first_step_matches(zero)
+        top, bottom, r = _assert_step_matches((0j,) * 4, (0j,) * 4)
+        assert r == ((0j, 0j), (0j, 0j)) and top == ((1 + 0j, 0j), (0j, 1 + 0j)) and bottom == zero
+        _assert_step_matches((0j, 0j, 1 + 0j, 0j), (0j, 0j, 0j, 1 + 0j))
+        # a zero first column with a live second one
+        _assert_step_matches((0j,) * 4, (0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j))
+
+    def test_exact_zero_second_pivot(self):
+        # b in the span of a: H0^dag b has an exactly zero tail
+        for a, b in [((1 + 0j, 0j, 0j, 0j), (2 - 1j, 0j, 0j, 0j)),
+                     ((0.6 + 0j, 0.8 + 0j, 0j, 0j), (0j, 0j, 0j, 0j)),
+                     ((-2 + 0j, 0j, 0j, 0j), (1j, -0j, 0j, complex(-0.0, 0.0)))]:
+            _, _, r = _assert_step_matches(a, b)
+            assert r[1][1] == 0j
+        _assert_first_step_matches(((1 + 0j, 2 - 1j), (0j, 0j)))
+
+    def test_real_first_column_with_a_zero_tail(self):
+        # tau = 0: H0 = I, beta0 = a0 of either sign
+        for a0 in (2 + 0j, -2 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), SUBNORMAL + 0j, -SUBNORMAL + 0j):
+            for b in [(0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j), (1 + 0j, -0j, 0j, 0j)]:
+                _assert_step_matches((a0, 0j, -0j, 0j), b)
+
+    def test_subnormal_columns_take_the_lift(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            g = np.round(rng.standard_normal((4, 2, 2)) * 2.0**20) * SUBNORMAL
+            m = (g[..., 0] + 1j * g[..., 1]).tolist()
+            _assert_step_matches([row[0] for row in m], [row[1] for row in m])
+            _assert_first_step_matches((m[0], m[1]))
+        # a normal first column with a subnormal remainder: only the second reflector lifts
+        _assert_step_matches((1 + 0j, 0j, 0j, 0j), (0.5 + 0j, SUBNORMAL + 0j, complex(0.0, 2 * SUBNORMAL), 0j))
+
+    def test_signed_zeros_and_special_entries(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            a, b = (tuple(SPECIAL[k] for k in rng.integers(0, len(SPECIAL), 4)) for _ in range(2))
+            _assert_step_matches(a, b)
+            _assert_first_step_matches(((a[0], b[0]), (a[1], b[1])))
+
+    def test_random_kinds_and_scales(self):
+        rng = np.random.default_rng(2)
+        for kind in KINDS:
+            for scale in SCALES:
+                for rows in (2, 4):
+                    for _ in range(40):
+                        m = general_case(kind, rng, scale, rows)
+                        if rows == 2:
+                            _assert_first_step_matches(m.tolist())
+                        else:
+                            _assert_step_matches(m[:, 0].tolist(), m[:, 1].tolist())
