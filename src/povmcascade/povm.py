@@ -10,7 +10,10 @@ at once; the network simulation runs it on its exit maps.
 
 A PovmSet is valid by construction.  One stacked spectral pass over its
 elements decides every check and takes every square root sqrt(F_i); the set
-keeps those roots, so kraus_from_povm decomposes nothing again.
+keeps the (n, 2, 2) stack it checked and those roots, so kraus_from_povm
+decomposes nothing again.  A KrausSet from validate_kraus likewise holds the
+one stack its completeness check read, and the readers of either set
+(synthesis, verification, outcome_probabilities) take that stack as it is.
 """
 
 from __future__ import annotations
@@ -71,12 +74,12 @@ class NotUnitary(ValueError):
 class PovmSet:
     """Ordered POVM elements F_1..F_n, checked when built (see :func:`validate_povm`).
 
-    The elements are stored as complex 2x2 arrays; the PSD square root of
-    each, taken in the same pass as the checks, is kept privately for
-    :func:`kraus_from_povm`.
+    The elements are stored as the one complex (n, 2, 2) array the checks
+    ran on; the PSD square root of each, taken in the same pass, is kept
+    privately for :func:`kraus_from_povm`.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     _roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,7 +88,7 @@ class PovmSet:
             raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
         per_element, completeness, roots = _spectral_pass(mats)
         _check_residuals(per_element, completeness)
-        object.__setattr__(self, "elements", tuple(mats))
+        object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "_roots", roots)
 
     def __len__(self) -> int:
@@ -100,9 +103,10 @@ class PovmSet:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Validated, ordered Kraus operators M_1..M_n with sum M^dag M = I."""
+    """Validated, ordered Kraus operators M_1..M_n with sum M^dag M = I, as
+    one complex (n, 2, 2) array when built by :func:`validate_kraus`."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -170,7 +174,7 @@ def validate_kraus(operators) -> KrausSet:
     if len(mats) < 2:
         raise ValueError(f"a Kraus set needs at least 2 operators, got {len(mats)}")
     _check_complete(max_abs(np.sum(dagger(mats) @ mats, axis=0) - identity2()), "M^dag M")
-    return KrausSet(tuple(mats))
+    return KrausSet(mats)
 
 
 def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
@@ -192,15 +196,11 @@ def kraus_from_povm(povm: PovmSet, exit_unitaries=None) -> KrausSet:
 
 
 def _check_unitary(m, name: str, index: int | None = None) -> Rows2:
-    """m, given as rows of Python complex numbers or as anything array-like,
-    as rows (as_matrix2's checks, under name) that pass _require_unitary."""
-    return _require_unitary(_matrix2_rows(m, name), name, index)
-
-
-def _require_unitary(rows: Rows2, name: str, index: int | None = None) -> Rows2:
-    """The one unitarity check: rows of Python complex numbers as they are, or
+    """The one unitarity check: m, given as rows of Python complex numbers or
+    as anything array-like, as rows (as_matrix2's checks, under name), or
     NotUnitary("name is not unitary", index) if m^dag m is off the identity
-    by more than DEFAULT_TOL (a NaN or Inf entry is off it too)."""
+    by more than DEFAULT_TOL."""
+    rows = _matrix2_rows(m, name)
     if not _unitary_residual(rows) <= DEFAULT_TOL:
         raise NotUnitary(f"{name} is not unitary", index)
     return rows
@@ -226,7 +226,7 @@ def outcome_probabilities(rho: DensityMatrix, kraus: KrausSet) -> list[OutcomeRe
     is :func:`_conditional_states` on the Kraus stack, the same kernel
     :func:`verify.simulate_density` runs on the network's exit maps.
     """
-    probabilities, states = _conditional_states(np.array(kraus.operators), rho)
+    probabilities, states = _conditional_states(np.asarray(kraus.operators), rho)
     return _outcome_records(np.clip(probabilities, 0.0, 1.0), states)
 
 
@@ -256,14 +256,15 @@ def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
 
 def _stack(matrices, label: str) -> np.ndarray:
     """The matrices as one complex (n, 2, 2) array; a wrong shape or a NaN/Inf
-    entry raises as_matrix2's error for the first offending one."""
-    matrices = list(matrices)
+    entry raises as_matrix2's error for the first offending one.  An array is
+    read as it is, not split into its n matrices."""
+    matrices = matrices if type(matrices) is np.ndarray else list(matrices)
     try:
         stack = np.array(matrices, dtype=complex)
     except (ValueError, TypeError):
         stack = None
-    if stack is None or stack.shape != (len(matrices), 2, 2) or not np.isfinite(stack).all():
-        checked = [as_matrix2(m, name=f"{label} {i + 1}") for i, m in enumerate(matrices)]
+    if stack is None or stack.shape[1:] != (2, 2) or not np.isfinite(stack).all():
+        checked = [_matrix2_rows(m, f"{label} {i + 1}") for i, m in enumerate(matrices)]
         stack = np.array(checked, dtype=complex).reshape(-1, 2, 2)
     return stack
 

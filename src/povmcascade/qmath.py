@@ -94,10 +94,9 @@ class Svd2(NamedTuple):
 
 
 def as_matrix2(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex 2x2 array, rejecting wrong shapes and NaN/Inf entries."""
-    out = np.array(m, dtype=complex)
-    _matrix2_rows(out, name)
-    return out
+    """Coerce to a complex 2x2 array, rejecting entries that are not numbers,
+    wrong shapes and NaN/Inf entries."""
+    return np.array(_matrix2_rows(m, name), dtype=complex)
 
 
 def _matrix2_rows(m, name: str = "matrix") -> Rows2:
@@ -111,7 +110,10 @@ def _matrix2_rows(m, name: str = "matrix") -> Rows2:
     except (TypeError, ValueError):
         given = False
     if not given:
-        m = np.asarray(m, dtype=complex)
+        try:
+            m = np.asarray(m, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} has entries that are not numbers: {exc}") from exc
         if m.shape != (2, 2):
             raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
         (a, b), (c, d) = m.tolist()

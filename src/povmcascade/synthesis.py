@@ -30,14 +30,9 @@ fixed-size 4-row step of qmath._qr, two unrolled Householder reflections;
 each split is a closed-form SVD and column completion.  The settings keep that
 form: ModuleSettings and CascadePlan hold their unitaries as rows of Python
 complex numbers, which reconstruct_kraus and the network walk read as they
-are.  Only the Kraus stacks on either side are numpy arrays.
-
-synthesize_cascade does not run the ModuleSettings constructor: it stores
-its own floats and rows as they are and keeps, per module, the checks that
-can fail on them, with the constructor's functions, errors and order: the
-angles' range (_check_angles), then the unitarity of pre_unitary and of
-exit_unitary (povm._require_unitary, which a NaN or Inf entry fails too).
-CascadePlan checks final_exit_unitary once per plan either way.
+are.  Only the Kraus stacks on either side are numpy arrays.  Every
+module is built by the ModuleSettings constructor, which reads rows that are
+already in that form as they are.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import KrausSet, _check_complete, _check_unitary, _require_unitary, validate_kraus
+from .povm import KrausSet, _check_complete, _check_unitary, validate_kraus
 from .qmath import (
     _IDENTITY,
     Rows2,
@@ -77,7 +72,7 @@ class DomainError(ValueError):
     """Parameters outside the region where a construction is defined."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModuleSettings:
     """Physical knobs of one cascade stage.
 
@@ -90,43 +85,35 @@ class ModuleSettings:
     anything array-like; they are checked once and held as rows
     ``((m00, m01), (m10, m11))``, the form the scalar cores read
     (``np.array(settings.pre_unitary)`` gives the array).  The constructor
-    (and so ``dataclasses.replace`` and the plan reader of :mod:`cli`)
-    converts and checks every field, in field order: the angles' range,
-    zeta's and xi's finiteness, then each unitary read as rows and checked
-    unitary.  synthesize_cascade stores its own values without that
-    conversion and keeps the range and unitarity checks (see the module
-    docstring).
+    (and so ``dataclasses.replace``, the plan reader of :mod:`cli` and
+    synthesize_cascade) converts and checks every field, in field order:
+    the angles' range, zeta's and xi's finiteness, then each unitary read
+    as rows and checked unitary.
     """
 
     theta: float
     phi: float
-    zeta: float = 0.0
-    xi: float = 0.0
-    pre_unitary: Rows2 = _IDENTITY
-    exit_unitary: Rows2 = _IDENTITY
+    zeta: float
+    xi: float
+    pre_unitary: Rows2
+    exit_unitary: Rows2
 
-    def __post_init__(self):
-        theta, phi = _check_angles(float(self.theta), float(self.phi))
-        zeta, xi = float(self.zeta), float(self.xi)
+    def __init__(self, theta: float, phi: float, zeta: float = 0.0, xi: float = 0.0, pre_unitary=_IDENTITY, exit_unitary=_IDENTITY):
+        theta, phi = float(theta), float(phi)
+        # an angle outside [0, pi/2] by more than BOUNDARY_EPS fails, NaN included
+        if not -BOUNDARY_EPS <= theta <= math.pi / 2 + BOUNDARY_EPS:
+            raise ValueError(f"theta = {theta!r} outside [0, pi/2]")
+        if not -BOUNDARY_EPS <= phi <= math.pi / 2 + BOUNDARY_EPS:
+            raise ValueError(f"phi = {phi!r} outside [0, pi/2]")
+        zeta, xi = float(zeta), float(xi)
         if not math.isfinite(zeta):
             raise ValueError("zeta must be finite")
         if not math.isfinite(xi):
             raise ValueError("xi must be finite")
-        pre = _check_unitary(self.pre_unitary, "pre_unitary")
-        exit_unitary = _check_unitary(self.exit_unitary, "exit_unitary")
-        # frozen: the checked values are stored past __setattr__
+        pre = _check_unitary(pre_unitary, "pre_unitary")
+        exit_unitary = _check_unitary(exit_unitary, "exit_unitary")
+        # frozen: the checked values are stored past __setattr__, in field order
         self.__dict__.update(theta=theta, phi=phi, zeta=zeta, xi=xi, pre_unitary=pre, exit_unitary=exit_unitary)
-
-
-def _check_angles(theta: float, phi: float) -> tuple[float, float]:
-    """The one range check of the rotator angles: (theta, phi), or ValueError
-    ("theta = ... outside [0, pi/2]"), theta first, for an angle outside
-    [0, pi/2] by more than BOUNDARY_EPS (NaN included)."""
-    if not -BOUNDARY_EPS <= theta <= math.pi / 2 + BOUNDARY_EPS:
-        raise ValueError(f"theta = {theta!r} outside [0, pi/2]")
-    if not -BOUNDARY_EPS <= phi <= math.pi / 2 + BOUNDARY_EPS:
-        raise ValueError(f"phi = {phi!r} outside [0, pi/2]")
-    return theta, phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +121,13 @@ class CascadePlan:
     """Ordered stage settings plus the unitary on the final pass-arm exit.
 
     A plan for n outcomes has n - 1 modules; reconstruct_kraus(plan) yields
-    the Kraus set the plan implements (its completeness is guaranteed by the
-    diagonal-transfer construction).  final_exit_unitary is checked and held
-    as rows of Python complex numbers, as in :class:`ModuleSettings`.
+    the Kraus set the plan implements.  The diagonal transfers partition the
+    identity exactly, so that set is complete only as far as the plan's
+    unitaries are unitary: each is accepted within DEFAULT_TOL, and their
+    defects add up, so a plan whose unitaries are each (1 + 0.49e-9) I
+    reconstructs to a sum 1.96e-9 off the identity, which validate_kraus
+    rejects with IncompleteSum.  final_exit_unitary is checked and held as
+    rows of Python complex numbers, as in :class:`ModuleSettings`.
     """
 
     modules: tuple[ModuleSettings, ...]
@@ -169,7 +160,7 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     DEFAULT_TOL (NaN and Inf included); a Kraus set that passed
     validate_kraus passes this check too, up to round-off at the boundary.
     """
-    ops = np.array(kraus.operators, dtype=complex).tolist()
+    ops = np.asarray(kraus.operators, dtype=complex).tolist()
     (m00, m01), (m10, m11) = ops[-1]
     final, _, r = _qr((m00, m10, 0j, 0j), (m01, m11, 0j, 0j))  # [M_n; 0] = Q_n R_n
     blocks = []
@@ -185,13 +176,7 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     for a, b in reversed(blocks):
         x, (c0, c1), w_dag = _svd(a)
         y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
-        theta, phi = _check_angles(math.atan2(s0, c0), math.atan2(s1, c1))
-        pre, x = _require_unitary(_mul(w_dag, y), "pre_unitary"), _require_unitary(x, "exit_unitary")
-        # ModuleSettings(theta, phi, pre_unitary=pre, exit_unitary=x) without re-reading
-        # checked floats and rows: the constructor's fields, in its order
-        settings = object.__new__(ModuleSettings)
-        settings.__dict__.update(theta=theta, phi=phi, zeta=0.0, xi=0.0, pre_unitary=pre, exit_unitary=x)
-        modules.append(settings)
+        modules.append(ModuleSettings(math.atan2(s0, c0), math.atan2(s1, c1), 0.0, 0.0, _mul(w_dag, y), x))
         y = y_next
     return CascadePlan(tuple(modules), _mul(final, y))
 

@@ -216,7 +216,7 @@ def verify_plan(
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
     network, rows, exits = _network_maps(plan)
-    wanted = np.array(kraus.operators)
+    wanted = np.asarray(kraus.operators)
     rng = np.random.default_rng(seed)
     psis = _trial_states(rng, trial_states)
 
@@ -270,7 +270,7 @@ def verify_density(rho: DensityMatrix, kraus: KrausSet, plan: CascadePlan) -> Ve
     if plan.n != len(kraus):
         raise ValueError(f"plan realizes {plan.n} outcomes, Kraus set has {len(kraus)}")
     p_sim, sim = _conditional_states(_network_maps(plan)[2], rho)
-    p_oracle, oracle = _conditional_states(np.array(kraus.operators), rho)
+    p_oracle, oracle = _conditional_states(np.asarray(kraus.operators), rho)
     p_oracle = np.clip(p_oracle, 0.0, 1.0)
     live = (p_sim >= PROBABILITY_FLOOR) & (p_oracle >= PROBABILITY_FLOOR)
     posts = sim[live] / p_sim[live, None, None] - oracle[live] / p_oracle[live, None, None]

@@ -21,7 +21,7 @@ from povmcascade.povm import (
     validation_residuals,
 )
 from povmcascade.qmath import NotHermitian, NotPsd, dagger, eig_hermitian2, max_abs, rotation, sqrt_psd
-from povmcascade.synthesis import synthesize_cascade
+from povmcascade.synthesis import ModuleSettings, reconstruct_kraus, synthesize_cascade
 from povmcascade.verify import random_povm, random_pure_state, random_rank_one_povm
 
 R3 = math.sqrt(3.0)
@@ -449,3 +449,57 @@ def test_too_few_outcomes_are_counted_in_the_message(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: validate_povm([0.5 * I2, [["a", 0], [0, 0.5]]]), "element 2"),
+        (lambda: validate_kraus([I2, [[0, "b"], [0, 0]]]), "operator 2"),
+        (lambda: density_matrix("rho"), "density matrix"),
+        (lambda: kraus_from_povm(validate_povm([0.5 * I2, 0.5 * I2]), [I2, "u"]), "exit unitary 2"),
+        (lambda: ModuleSettings(0.1, 0.2, pre_unitary=[["a", 0], [0, 1]]), "pre_unitary"),
+        (lambda: ModuleSettings(0.1, 0.2, pre_unitary={"a": 1}), "pre_unitary"),
+        (lambda: sqrt_psd(object()), "matrix"),
+    ],
+    ids=["validate_povm", "validate_kraus", "density_matrix", "kraus_from_povm", "ModuleSettings", "ModuleSettings-dict", "sqrt_psd"],
+)
+def test_a_non_numeric_entry_is_a_value_error_that_names_the_matrix(call, name):
+    # numpy's own conversion error (a ValueError or a TypeError) stays the cause
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert type(info.value.__cause__) in (ValueError, TypeError)
+    assert str(info.value) == f"{name} has entries that are not numbers: {info.value.__cause__}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_povm([I2, [[1, 0]]]), "element 2 must be 2x2, got shape (1, 2)"),
+        (lambda: validate_kraus([I2, [[1, 0]]]), "operator 2 must be 2x2, got shape (1, 2)"),
+    ],
+    ids=["validate_povm", "validate_kraus"],
+)
+def test_a_ragged_list_names_its_first_malformed_matrix(call, message):
+    # numpy cannot stack the list at all, so each matrix is read on its own
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+@pytest.mark.parametrize("n", [2, 3, 20])
+def test_validated_sets_hold_the_one_stack_they_checked(make, n):
+    povm = make(n, 4)
+    kraus = kraus_from_povm(povm)
+    rebuilt = reconstruct_kraus(synthesize_cascade(kraus))
+    for stack in (povm.elements, kraus.operators, rebuilt.operators):
+        assert type(stack) is np.ndarray
+        assert stack.dtype == complex and stack.shape == (n, 2, 2)
+    # an array handed in is read as it is: the set holds an equal copy, not the input
+    given = np.array(povm.elements)
+    again = validate_povm(given)
+    assert again.elements is not given and again.elements.tobytes() == given.tobytes()
+    assert validate_kraus(kraus.operators).operators.tobytes() == kraus.operators.tobytes()

@@ -225,6 +225,14 @@ class TestGaugeAndHelpers:
         assert np.array(fixed).tobytes() == np.zeros(2, dtype=complex).tobytes()
         assert phase == 1 + 0j
 
+    def test_phase_fixed_leaves_the_four_entry_zero_vector_as_it_is(self):
+        # the arity of _qr's zero-pivot gauge: the vector itself comes back, signed zeros kept
+        v = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j)
+        fixed, phase = _phase_fixed(*v)
+        assert repr(tuple(fixed)) == repr(v)
+        assert [type(x) for x in fixed] == [complex] * 4
+        assert phase == 1 + 0j and type(phase) is complex
+
     @pytest.mark.parametrize("v", PAIRS)
     def test_phase_fixed_pair_matches_the_list_form(self, v):
         fixed, phase = _phase_fixed(*v)

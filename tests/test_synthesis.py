@@ -139,6 +139,17 @@ class TestModuleSettings:
         assert type(info.value) is error
         assert str(info.value) == message.format(field)
 
+    def test_unitaries_at_the_tolerance_reconstruct_an_incomplete_set(self):
+        # each unitary is accepted (m^dag m is 0.98e-9 off I), but the walk multiplies
+        # three of them, so the Kraus set misses completeness by their sum: 1.96e-9
+        u = (1.0 + 0.49e-9) * I2
+        assert 0.9e-9 < max_abs(dagger(u) @ u - I2) <= DEFAULT_TOL
+        plan = CascadePlan((ModuleSettings(0.3, 0.7, pre_unitary=u, exit_unitary=u),), u)
+        with pytest.raises(IncompleteSum) as info:
+            reconstruct_kraus(plan)
+        assert str(info.value) == "sum of M^dag M deviates from identity by 1.960e-09"
+        assert info.value.residual == pytest.approx(1.96e-9, rel=1e-6)
+
     def test_plan_requires_modules(self):
         with pytest.raises(ValueError):
             CascadePlan((), I2)
@@ -366,8 +377,22 @@ def _scaled(rows, factor):
 
 
 class TestSynthesizedSettings:
-    """synthesize_cascade stores its ModuleSettings without the constructor; what
-    it stores, and the checks it keeps, must be the constructor's."""
+    """synthesize_cascade builds each ModuleSettings through the constructor, once
+    per module; what it holds, and the error a broken module raises, must be
+    the constructor's."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_every_module_is_built_by_the_constructor(self, monkeypatch, n):
+        init, built = ModuleSettings.__init__, []
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleSettings, "__init__", counted)
+        plan = synthesize_cascade(random_kraus(n, 5))
+        assert len(built) == n - 1
+        assert list(plan.modules) == built  # compared by identity (eq=False)
 
     @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
     def test_settings_equal_the_public_constructors_bit_for_bit(self, make):

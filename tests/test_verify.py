@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from povmcascade import verify
 from povmcascade.demos import trine_povm
 from povmcascade.optics import (
     ModeLabel,
@@ -410,6 +411,28 @@ class TestRandomPovm:
             kraus = kraus_from_povm(random_povm(6, seed))
             report = verify_plan(kraus, synthesize_cascade(kraus), trial_states=10, seed=seed)
             assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+    @pytest.mark.parametrize("make", [random_povm, random_rank_one_povm])
+    def test_a_rejected_draw_is_redrawn_from_the_same_stream(self, monkeypatch, make):
+        # a floor just above the first draw's smaller eigenvalue rejects that draw
+        lows = []
+
+        def recorded(h):
+            lam, basis = eig_hermitian2(h)
+            lows.append(lam[1])
+            return lam, basis
+
+        monkeypatch.setattr(verify, "eig_hermitian2", recorded)
+        first = make(3, 9)
+        assert len(lows) == 1
+        monkeypatch.setattr(verify, "SANDWICH_FLOOR", np.nextafter(lows[0], np.inf))
+        redrawn = [make(3, 9) for _ in range(2)]
+        assert len(lows) >= 5 and lows[1] == lows[0] < verify.SANDWICH_FLOOR  # each redrawn set took two draws at least
+        for povm in redrawn:  # validated when built: Hermitian, PSD and complete
+            assert len(povm) == 3 and max_abs(np.sum(povm.elements, axis=0) - np.eye(2)) <= 1e-12
+        once, again, unpatched = (np.array(povm.elements).tobytes() for povm in (*redrawn, first))
+        assert once == again != unpatched
 
 
 class TestRandomRankOnePovm:
