@@ -75,8 +75,9 @@ class PovmSet:
     """Ordered POVM elements F_1..F_n, checked when built (see :func:`validate_povm`).
 
     The elements are stored as the one complex (n, 2, 2) array the checks
-    ran on; the PSD square root of each, taken in the same pass, is kept
-    privately for :func:`kraus_from_povm`.
+    ran on, read-only so the set stays valid; the PSD square root of each,
+    taken in the same pass, is kept privately, read-only too, for
+    :func:`kraus_from_povm`.
     """
 
     elements: np.ndarray
@@ -88,6 +89,7 @@ class PovmSet:
             raise ValueError(f"a POVM needs at least 2 elements, got {len(mats)}")
         per_element, completeness, roots = _spectral_pass(mats)
         _check_residuals(per_element, completeness)
+        roots.setflags(write=False)
         object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "_roots", roots)
 
@@ -104,7 +106,7 @@ class PovmSet:
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Validated, ordered Kraus operators M_1..M_n with sum M^dag M = I, as
-    one complex (n, 2, 2) array when built by :func:`validate_kraus`."""
+    one read-only complex (n, 2, 2) array when built by :func:`validate_kraus`."""
 
     operators: np.ndarray
 
@@ -255,17 +257,19 @@ def validation_residuals(elements) -> tuple[list[tuple[float, float]], float]:
 
 
 def _stack(matrices, label: str) -> np.ndarray:
-    """The matrices as one complex (n, 2, 2) array; a wrong shape or a NaN/Inf
-    entry raises as_matrix2's error for the first offending one.  An array is
-    read as it is, not split into its n matrices."""
+    """The matrices as one read-only complex (n, 2, 2) array, a copy; a wrong
+    shape or a NaN/Inf entry (an int beyond the double range included) raises
+    as_matrix2's error for the first offending one.  An array is read as it
+    is, not split into its n matrices."""
     matrices = matrices if type(matrices) is np.ndarray else list(matrices)
     try:
         stack = np.array(matrices, dtype=complex)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         stack = None
     if stack is None or stack.shape[1:] != (2, 2) or not np.isfinite(stack).all():
         checked = [_matrix2_rows(m, f"{label} {i + 1}") for i, m in enumerate(matrices)]
         stack = np.array(checked, dtype=complex).reshape(-1, 2, 2)
+    stack.setflags(write=False)
     return stack
 
 

@@ -14,8 +14,8 @@ The work is done by cores of two kinds, each idea written once:
   eigendecomposition (``_eig``), the completion of two orthogonal columns
   into a unitary and its weights (``_column_split``), the SVD built from
   those two (``_svd``) and the sweep's QR step (``_qr``): one fixed-size
-  4-row step of two unrolled Householder reflections, whose first stage is
-  ``[M_n; 0]``.  The synthesizer runs on them.
+  4-row Gram-Schmidt step with one re-orthogonalization, whose first stage
+  is ``[M_n; 0]``.  The synthesizer runs on them.
 * The stacked core ``_spectra`` evaluates ``_eig``'s closed form on a whole
   ``(n, 2, 2)`` array at once: Hermiticity residuals, eigenvalues and top
   eigenvectors, from which ``_psd_roots`` takes every square root.  POVM
@@ -59,7 +59,8 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 #: sqrt_psd treats eigenvalues at or below this fraction of the largest as exactly 0
 RANK_FLOOR = 16 * np.finfo(float).eps
-#: _column_split gauge-fixes a column whose weight is at most this fraction of the other's
+#: _column_split gauge-fixes a column whose weight is at most this fraction of the other's,
+#: and _qr its second column where at most this fraction of it survives the projection
 GAUGE_CUTOFF = 1e-15
 
 
@@ -112,6 +113,8 @@ def _matrix2_rows(m, name: str = "matrix") -> Rows2:
     if not given:
         try:
             m = np.asarray(m, dtype=complex)
+        except OverflowError as exc:  # an int beyond the double range
+            raise ValueError(f"{name} contains non-finite entries") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} has entries that are not numbers: {exc}") from exc
         if m.shape != (2, 2):
@@ -139,7 +142,6 @@ def identity2() -> np.ndarray:
 _IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 _TINY = np.finfo(float).tiny
 _LIFT = 2.0**60
-_ONE_CONJ = (1 + 0j).conjugate()  # v[0].conjugate() for a reflector's v[0] = 1
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -259,7 +261,7 @@ def _phase_fixed(*v: complex) -> tuple[tuple[complex, ...], complex]:
     """The phase gauge: (v * phase, phase) with |phase| = 1 and the
     largest-modulus entry (the first on a tie) made exactly real >= 0; a
     zero vector is returned unchanged with phase 1."""
-    if len(v) == 2:  # the one arity outside _qr's zero pivots, without lists
+    if len(v) == 2:  # every call but _qr's dead column, without lists
         x, y = v
         abs_x, abs_y = abs(x), abs(y)
         if abs_y > abs_x:  # as max(): a later entry wins only if strictly larger
@@ -361,74 +363,49 @@ def _qr(a: tuple[complex, ...], b: tuple[complex, ...]):
     """The QR step of the sweep, one fixed-size 4-row step: (top, bottom, r)
     with [a b] = [top; bottom] r for two 4-row columns a and b, top and
     bottom the 2x2 row blocks of the isometry Q = [q0 q1] and
-    r = ((r00, r01), (0j, r11)).  Every stage runs it; the first stage is
-    [M_n; 0], whose top block and r are bit for bit those of M_n's own QR.
+    r = ((r00, r01), (0j, r11)) with r00, r11 real >= 0.  Every stage runs
+    it; the first stage is [M_n; 0].
 
-    Two Householder reflections in LAPACK's zlarfg convention, unrolled:
-    H = I - tau v v^dag with v[0] = 1 and H^dag x = beta e_0, beta real;
-    tau = 0 (H = I, beta = x[0]) when x is already real along e_0, and a
-    subnormal x is reflected through its exact lift, as zlarfg rescales it.
-    The first reflects a, the second the last three rows of H0^dag b.  Each
-    sum of products starts from the int 0 and each product by v[0] = 1 is
-    kept, as a generic loop over the rows would compute them.
-
-    Gauge: r00 and r11 real >= 0; a zero pivot leaves its column of q free
-    (any unit vector orthogonal to the other), and that column is
-    gauge-fixed by _phase_fixed with its row of r rephased to match.
+    Gram-Schmidt with one re-orthogonalization ("twice is enough"; Giraud,
+    Langou & Rozloznik, 2005): q0 = a / |a| (e_0 for a zero a), then two
+    passes of s = q0^dag b, b -= s q0, r01 += s, then q1 = b / |b|.  A column
+    of subnormal norm is normalized, and b projected, through its exact lift.
+    Gauge: where the second column is dead, |b| after the passes at or below
+    GAUGE_CUTOFF times its norm before them (b zero included), r11 = 0 and
+    q1 is e_1 with q0 projected out (e_0 where q0 leans more on e_1),
+    gauge-fixed by _phase_fixed, so round-off cannot set its phase; on the
+    first stage that keeps Q in rows 0-1.
     """
-    a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    # H0 = I - tau0 v v^dag, v = (1, u1, u2, u3), with H0^dag a = beta0 e_0
-    tail = math.hypot(abs(a1), abs(a2), abs(a3))
-    if tail == 0.0 and a0.imag == 0.0:
-        beta0, tau0, u1, u2, u3 = a0.real, 0j, 0j, 0j, 0j
-    else:
-        norm = math.hypot(a0.real, a0.imag, tail)
-        lifted = norm < _TINY
-        if lifted:
-            a0, a1, a2, a3 = a0 * _LIFT, a1 * _LIFT, a2 * _LIFT, a3 * _LIFT
-            norm = math.hypot(a0.real, a0.imag, math.hypot(abs(a1), abs(a2), abs(a3)))
-        beta0 = -math.copysign(norm, a0.real)
-        tau0 = complex((beta0 - a0.real) / beta0, -a0.imag / beta0)
-        pivot = a0 - beta0
-        u1, u2, u3 = a1 / pivot, a2 / pivot, a3 / pivot
-        if lifted:
-            beta0 /= _LIFT
-    # H0^dag b: its row 0 is r01, rows 1-3 are c
-    t = tau0.conjugate() * (0 + _ONE_CONJ * b0 + u1.conjugate() * b1 + u2.conjugate() * b2 + u3.conjugate() * b3)
-    r01, c1, c2, c3 = b0 - t * (1 + 0j), b1 - t * u1, b2 - t * u2, b3 - t * u3
-    # H1 = I - tau1 w w^dag on rows 1-3, w = (1, w2, w3), with H1^dag c = beta1 e_0
-    tail = math.hypot(abs(c2), abs(c3))
-    if tail == 0.0 and c1.imag == 0.0:
-        beta1, tau1, w2, w3 = c1.real, 0j, 0j, 0j
-    else:
-        norm = math.hypot(c1.real, c1.imag, tail)
-        lifted = norm < _TINY
-        if lifted:
-            c1, c2, c3 = c1 * _LIFT, c2 * _LIFT, c3 * _LIFT
-            norm = math.hypot(c1.real, c1.imag, math.hypot(abs(c2), abs(c3)))
-        beta1 = -math.copysign(norm, c1.real)
-        tau1 = complex((beta1 - c1.real) / beta1, -c1.imag / beta1)
-        pivot = c1 - beta1
-        w2, w3 = c2 / pivot, c3 / pivot
-        if lifted:
-            beta1 /= _LIFT
-    # q0 = H0 e_0; q1 = H0 (0, f) with f = H1 e_0, whose e_0 term in the sum, (1 - 0j) * 0j, is 0j
-    q00, q10, q20, q30 = -tau0 * (1 + 0j) + 1.0, -tau0 * u1, -tau0 * u2, -tau0 * u3
-    f1, f2, f3 = -tau1 * (1 + 0j) + 1.0, -tau1 * w2, -tau1 * w3
-    t = tau0 * (0 + 0j + u1.conjugate() * f1 + u2.conjugate() * f2 + u3.conjugate() * f3)
-    q01, q11, q21, q31 = 0j - t * (1 + 0j), f1 - t * u1, f2 - t * u2, f3 - t * u3
-    r00, r11 = complex(beta0), complex(beta1)
-    if beta0 < 0.0:
-        q00, q10, q20, q30, r00, r01 = -q00, -q10, -q20, -q30, -r00, -r01
-    elif beta0 == 0.0:
-        (q00, q10, q20, q30), phase = _phase_fixed(q00, q10, q20, q30)
-        r01 *= phase.conjugate()
-    if beta1 < 0.0:
-        q01, q11, q21, q31, r11 = -q01, -q11, -q21, -q31, -r11
-    elif beta1 == 0.0:
-        (q01, q11, q21, q31), _ = _phase_fixed(q01, q11, q21, q31)
-    return ((q00, q01), (q10, q11)), ((q20, q21), (q30, q31)), ((r00, r01), (0j, r11))
+    norm_b = math.hypot(abs(b0), abs(b1), abs(b2), abs(b3))
+    if 0.0 < norm_b < _TINY:  # a subnormal b is projected through its exact lift
+        top, bottom, ((r00, r01), (_, r11)) = _qr(a, (b0 * _LIFT, b1 * _LIFT, b2 * _LIFT, b3 * _LIFT))
+        return top, bottom, ((r00, r01 / _LIFT), (0j, r11 / _LIFT))
+    (q00, q10, q20, q30), r00 = _unit(*a)
+    r01 = 0j
+    for _ in range(2):
+        s = q00.conjugate() * b0 + q10.conjugate() * b1 + q20.conjugate() * b2 + q30.conjugate() * b3
+        b0, b1, b2, b3 = b0 - s * q00, b1 - s * q10, b2 - s * q20, b3 - s * q30
+        r01 += s
+    (q01, q11, q21, q31), r11 = _unit(b0, b1, b2, b3)
+    if r11 <= GAUGE_CUTOFF * norm_b:
+        r11 = 0.0
+        e0, e1 = (1.0, 0.0) if abs(q10) > abs(q00) else (0.0, 1.0)
+        k = e0 * q00.conjugate() + e1 * q10.conjugate()  # q0^dag e
+        (q01, q11, q21, q31), _ = _phase_fixed(*_unit(e0 - k * q00, e1 - k * q10, -k * q20, -k * q30)[0])
+    return ((q00, q01), (q10, q11)), ((q20, q21), (q30, q31)), ((complex(r00), r01), (0j, complex(r11)))
+
+
+def _unit(v0: complex, v1: complex, v2: complex, v3: complex):
+    """(v / |v|, |v|) for a 4-entry column, through the exact lift when |v|
+    is subnormal, where |v| itself is rounded; e_0 for a zero v."""
+    norm = math.hypot(abs(v0), abs(v1), abs(v2), abs(v3))
+    if norm < _TINY:  # NaN and Inf fall through to the division
+        if norm == 0.0:
+            return (1 + 0j, 0j, 0j, 0j), 0.0
+        v, lifted = _unit(v0 * _LIFT, v1 * _LIFT, v2 * _LIFT, v3 * _LIFT)
+        return v, lifted / _LIFT
+    return (v0 / norm, v1 / norm, v2 / norm, v3 / norm), norm
 
 
 # ----------------------------------------------------------------------

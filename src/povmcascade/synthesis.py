@@ -26,13 +26,14 @@ exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
 
 The sweep and the splits run on the scalar cores of :mod:`qmath`, on
 Python complex numbers: every QR step, the first included, is the one
-fixed-size 4-row step of qmath._qr, two unrolled Householder reflections;
-each split is a closed-form SVD and column completion.  The settings keep that
-form: ModuleSettings and CascadePlan hold their unitaries as rows of Python
-complex numbers, which reconstruct_kraus and the network walk read as they
-are.  Only the Kraus stacks on either side are numpy arrays.  Every
-module is built by the ModuleSettings constructor, which reads rows that are
-already in that form as they are.
+fixed-size 4-row step of qmath._qr, Gram-Schmidt with one
+re-orthogonalization; each split is a closed-form SVD and column
+completion.  The settings keep that form: ModuleSettings and CascadePlan
+hold their unitaries as rows of Python complex numbers, which
+reconstruct_kraus and the network walk read as they are.  Only the Kraus
+stacks on either side are numpy arrays.  Every module is built by the
+ModuleSettings constructor, which reads rows that are already in that form
+as they are.
 """
 
 from __future__ import annotations

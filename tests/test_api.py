@@ -240,7 +240,7 @@ def test_identity_tool_compares_a_tree_with_itself(monkeypatch, capsys):
     # one-ulp input change moves, and the boundary outcomes with both repros
     assert [line.split()[0] for line in counts] == ["one-ulp", "boundary"] * 2
     assert counts[:2] == counts[2:]
-    assert counts[0] == f"one-ulp    5 final and 0 exit unitaries of 10 rank-one plans move by > 1e-06  {src}"
+    assert counts[0] == f"one-ulp    0 final and 0 exit unitaries of 10 rank-one plans move by > 1e-06  {src}"
     assert counts[1].startswith("boundary   0 rejected, 0 not compiling, 5 failing verify_plan of 20 inputs; repros ")
     assert "n = 2: failing: probability 1.786e-09" in counts[1]
     assert "n = 3: not compiling: IncompleteSum" in counts[1] and "n = 80: not compiling: IncompleteSum" in counts[1]

@@ -474,6 +474,34 @@ def test_a_non_numeric_entry_is_a_value_error_that_names_the_matrix(call, name):
 
 
 @pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: validate_povm([[[10**400, 0], [0, 1]], I2]), "element 1"),
+        (lambda: validate_kraus([I2, [[0, 0], [-(10**400), 0]]]), "operator 2"),
+        (lambda: qmath.as_matrix2([[10**400, 0], [0, 1]]), "matrix"),
+    ],
+    ids=["validate_povm", "validate_kraus", "as_matrix2"],
+)
+def test_an_int_beyond_the_double_range_is_a_value_error_that_names_the_matrix(call, name):
+    # numpy's bare OverflowError stays the cause
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and type(info.value.__cause__) is OverflowError
+    assert str(info.value) == f"{name} contains non-finite entries"
+
+
+def test_validated_stacks_are_read_only():
+    # a set is checked once, when built: writing into its stack would leave it invalid
+    povm = validate_povm([I2 / 2, I2 / 2])
+    kraus = kraus_from_povm(povm)
+    for stack in (povm.elements, povm._roots, kraus.operators, validate_kraus([I2, 0 * I2]).operators):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0][0, 0] = 7
+    assert povm.elements[0][0, 0] == 0.5
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         (lambda: validate_povm([I2, [[1, 0]]]), "element 2 must be 2x2, got shape (1, 2)"),

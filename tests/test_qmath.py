@@ -484,7 +484,7 @@ def test_qr_matches_lapack(kind, rows, seed, scale):
 
 
 # ----------------------------------------------------------------------
-# the generic Householder QR that qmath._qr unrolls, kept as its reference
+# a generic Householder QR, kept as the numerical reference for qmath._qr
 
 
 def _reference_phase_fixed(*v):
@@ -545,25 +545,49 @@ def _reference_qr(a, b):
     return q0, q1, ((r00, r01), (0j, r11))
 
 
-def _as_reference(a, b):
-    """_reference_qr's output in _qr's form, (top, bottom, r), for 4 rows."""
-    q0, q1, r = _reference_qr(list(a), list(b))
-    return ((q0[0], q1[0]), (q0[1], q1[1])), ((q0[2], q1[2]), (q0[3], q1[3])), r
+def _power_of_two_unit(column):
+    """The column times the power of two that brings its largest modulus into
+    [0.5, 1), exactly."""
+    top = max(abs(z) for z in column)
+    e = math.frexp(top)[1]
+    return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in column]
 
 
-def _assert_step_matches(a, b):
+def _assert_step(a, b):
+    """qmath._qr's contract on one 4-row step: Q an isometry, [a b] = Q r,
+    r upper triangular with a real diagonal >= 0, q0 and r as the reference
+    QR's; q1 as the reference's where the second column is well inside full
+    rank (the thin QR with a real positive diagonal is unique there), and
+    gauge-fixed where r11 is set to 0."""
     a, b = tuple(a), tuple(b)
-    got = qmath._qr(a, b)
-    assert repr(got) == repr(_as_reference(a, b)), (a, b)
-    return got
+    top, bottom, r = qmath._qr(a, b)
+    q, m = np.array(top + bottom), np.array([a, b]).T
+    size = max_abs(m)
+    assert unitary_to(q), (a, b)
+    assert agree(q @ np.array(r), m, size), (a, b)
+    (r00, _), (r10, r11) = r
+    assert r10 == 0 and r00.imag == r11.imag == 0.0 and r00.real >= 0.0 and r11.real >= 0.0, (a, b)
+    assert agree(r, _reference_qr(list(a), list(b))[2], size), (a, b)
+    # Q from the columns brought to unit scale, exactly, where round-off cannot
+    # lose the subnormal digits; R is unchanged but for the scale of its columns
+    ref_q0, ref_q1, ref_r = _reference_qr(_power_of_two_unit(a), _power_of_two_unit(b))
+    assert agree(q[:, 0], ref_q0, 1.0), (a, b)
+    if ref_r[1][1].real > 1e-3:
+        assert agree(q[:, 1], ref_q1, 1.0), (a, b)
+    # r11 is 0 only by the gauge rule, unless b is subnormal and r11 underflows
+    if r11 == 0 and max_abs(b) >= np.finfo(float).tiny:
+        moduli = np.abs(q[:, 1])
+        top_entry = q[int(np.argmax(moduli)), 1]
+        assert top_entry.imag == 0.0 and top_entry.real > 0.0, (a, b)
+    return top, bottom, r
 
 
-def _assert_first_step_matches(m):
-    # [M_n; 0] through the 4-row step: its top block and r are the 2-row QR of M_n
+def _assert_first_step(m):
+    # [M_n; 0] through the 4-row step: Q stays in rows 0-1 and is M_n's own QR
     (m00, m01), (m10, m11) = m
-    top, _, r = _assert_step_matches((m00, m10, 0j, 0j), (m01, m11, 0j, 0j))
-    q0, q1, r2 = _reference_qr([m00, m10], [m01, m11])
-    assert repr((top, r)) == repr((((q0[0], q1[0]), (q0[1], q1[1])), r2)), m
+    top, bottom, r = _assert_step((m00, m10, 0j, 0j), (m01, m11, 0j, 0j))
+    assert bottom == ((0j, 0j), (0j, 0j)), m
+    assert unitary_to(np.array(top)), m
     return r
 
 
@@ -572,58 +596,62 @@ SPECIAL = (0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0), 1 + 0j, -1 + 0j, 1j,
 
 
 class TestQrStep:
-    """qmath._qr is the generic Householder QR above at 4 rows, bit for bit."""
+    """qmath._qr is a thin QR of two 4-row columns: an isometry, a real
+    non-negative diagonal, the Householder reference's factors to round-off,
+    and a gauge-fixed second column wherever that column is dead."""
 
     @pytest.mark.parametrize("family", [random_povm, random_rank_one_povm])
     def test_sweeps_match_the_reference(self, family):
         for n in range(2, 41):
             ops = np.array(kraus_from_povm(family(n, n)).operators).tolist()
-            r = _assert_first_step_matches(ops[-1])
+            r = _assert_first_step(ops[-1])
             for (m00, m01), (m10, m11) in reversed(ops[:-1]):
                 (r00, r01), (_, r11) = r
-                _, _, r = _assert_step_matches((m00, m10, r00, 0j), (m01, m11, r01, r11))
+                _, _, r = _assert_step((m00, m10, r00, 0j), (m01, m11, r01, r11))
 
     def test_exact_zero_columns(self):
         # [I, 0, 0]: the first stage and the next one see all-zero columns
         zero = ((0j, 0j), (0j, 0j))
-        _assert_first_step_matches(zero)
-        top, bottom, r = _assert_step_matches((0j,) * 4, (0j,) * 4)
+        _assert_first_step(zero)
+        top, bottom, r = _assert_step((0j,) * 4, (0j,) * 4)
         assert r == ((0j, 0j), (0j, 0j)) and top == ((1 + 0j, 0j), (0j, 1 + 0j)) and bottom == zero
-        _assert_step_matches((0j, 0j, 1 + 0j, 0j), (0j, 0j, 0j, 1 + 0j))
+        _assert_step((0j, 0j, 1 + 0j, 0j), (0j, 0j, 0j, 1 + 0j))
         # a zero first column with a live second one
-        _assert_step_matches((0j,) * 4, (0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j))
+        _assert_step((0j,) * 4, (0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j))
 
     def test_exact_zero_second_pivot(self):
-        # b in the span of a: H0^dag b has an exactly zero tail
+        # b in the span of a: nothing of b survives the projection
         for a, b in [((1 + 0j, 0j, 0j, 0j), (2 - 1j, 0j, 0j, 0j)),
                      ((0.6 + 0j, 0.8 + 0j, 0j, 0j), (0j, 0j, 0j, 0j)),
                      ((-2 + 0j, 0j, 0j, 0j), (1j, -0j, 0j, complex(-0.0, 0.0)))]:
-            _, _, r = _assert_step_matches(a, b)
+            _, _, r = _assert_step(a, b)
             assert r[1][1] == 0j
-        _assert_first_step_matches(((1 + 0j, 2 - 1j), (0j, 0j)))
+        _assert_first_step(((1 + 0j, 2 - 1j), (0j, 0j)))
 
     def test_real_first_column_with_a_zero_tail(self):
-        # tau = 0: H0 = I, beta0 = a0 of either sign
         for a0 in (2 + 0j, -2 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), SUBNORMAL + 0j, -SUBNORMAL + 0j):
             for b in [(0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j), (1 + 0j, -0j, 0j, 0j)]:
-                _assert_step_matches((a0, 0j, -0j, 0j), b)
+                _assert_step((a0, 0j, -0j, 0j), b)
 
     def test_subnormal_columns_take_the_lift(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            g = np.round(rng.standard_normal((4, 2, 2)) * 2.0**20) * SUBNORMAL
-            m = (g[..., 0] + 1j * g[..., 1]).tolist()
-            _assert_step_matches([row[0] for row in m], [row[1] for row in m])
-            _assert_first_step_matches((m[0], m[1]))
-        # a normal first column with a subnormal remainder: only the second reflector lifts
-        _assert_step_matches((1 + 0j, 0j, 0j, 0j), (0.5 + 0j, SUBNORMAL + 0j, complex(0.0, 2 * SUBNORMAL), 0j))
+            normal = rng.standard_normal((4, 2, 2))
+            tiny = np.round(normal * 2.0**20) * SUBNORMAL
+            normal, tiny = (g[..., 0] + 1j * g[..., 1] for g in (normal, tiny))
+            # each column alone, then both, at the subnormal scale
+            for m in (np.stack([tiny[:, 0], normal[:, 1]], 1), np.stack([normal[:, 0], tiny[:, 1]], 1), tiny):
+                _assert_step(m[:, 0].tolist(), m[:, 1].tolist())
+            _assert_first_step(tiny[:2].tolist())
+        # a normal first column with a subnormal remainder
+        _assert_step((1 + 0j, 0j, 0j, 0j), (0.5 + 0j, SUBNORMAL + 0j, complex(0.0, 2 * SUBNORMAL), 0j))
 
     def test_signed_zeros_and_special_entries(self):
         rng = np.random.default_rng(11)
         for _ in range(3000):
             a, b = (tuple(SPECIAL[k] for k in rng.integers(0, len(SPECIAL), 4)) for _ in range(2))
-            _assert_step_matches(a, b)
-            _assert_first_step_matches(((a[0], b[0]), (a[1], b[1])))
+            _assert_step(a, b)
+            _assert_first_step(((a[0], b[0]), (a[1], b[1])))
 
     def test_random_kinds_and_scales(self):
         rng = np.random.default_rng(2)
@@ -633,6 +661,44 @@ class TestQrStep:
                     for _ in range(40):
                         m = general_case(kind, rng, scale, rows)
                         if rows == 2:
-                            _assert_first_step_matches(m.tolist())
+                            _assert_first_step(m.tolist())
                         else:
-                            _assert_step_matches(m[:, 0].tolist(), m[:, 1].tolist())
+                            _assert_step(m[:, 0].tolist(), m[:, 1].tolist())
+
+    def test_each_branch_of_the_step(self):
+        e = [(1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j)]
+        live = (0.3 - 0.2j, 0.1j, -0.5 + 0j, 0.25 + 0.5j)
+        # a live second column: r11 > 0
+        assert _assert_step((0.6 + 0j, 0.8j, 0j, 0j), live)[2][1][1].real > 0.0
+        # a zero first column: q0 = e_0
+        top, bottom, r = _assert_step((0j,) * 4, live)
+        assert r[0][0] == 0 and (top[0][0], top[1][0], bottom[0][0], bottom[1][0]) == (1, 0, 0, 0)
+        # a subnormal first column is normalized through the lift
+        top, bottom, r = _assert_step((3 * SUBNORMAL, 4j * SUBNORMAL, 0j, 0j), live)
+        assert r[0][0] == 5 * SUBNORMAL and (top[0][0], top[1][0]) == (0.6, 0.8j)
+        # a subnormal second column is projected through the lift
+        _, _, r = _assert_step((0.6 + 0j, 0.8j, 0j, 0j), (4 * SUBNORMAL, 0j, 3j * SUBNORMAL, 0j))
+        assert r[1][1] == 4 * SUBNORMAL
+        # a dead second column: q1 is e_1 with q0 projected out ...
+        top, bottom, r = _assert_step((0.8 + 0j, 0.6j, 0j, 0j), (1.6 + 0j, 1.2j, 0j, 0j))
+        assert r[1][1] == 0 and max_abs(np.array(top)[:, 1] - [0.6j, 0.8]) <= 1e-15 and bottom == ((0j, 0j), (0j, 0j))
+        top, bottom, r = _assert_step(e[0], (2 - 1j, 0j, 0j, 0j))
+        assert (top[0][1], top[1][1], bottom[0][1], bottom[1][1]) == (0, 1, 0, 0)
+        # ... or e_0 where q0 leans more on e_1
+        top, bottom, r = _assert_step((0.6 + 0j, 0.8j, 0j, 0j), (1.2 + 0j, 1.6j, 0j, 0j))
+        assert r[1][1] == 0 and max_abs(np.array(top)[:, 1] - [0.8, -0.6j]) <= 1e-15
+        top, bottom, r = _assert_step(e[1], (0j, 2 - 1j, 0j, 0j))
+        assert (top[0][1], top[1][1], bottom[0][1], bottom[1][1]) == (1, 0, 0, 0)
+
+    def test_a_round_off_pivot_is_a_dead_column(self):
+        # a rank-one M_n = u v^dag: what survives the projection is round-off,
+        # which the reference keeps as its r11 and the step gauges away
+        rng = np.random.default_rng(8)
+        seen = 0
+        for _ in range(200):
+            u, v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            m = np.outer(u, v.conj())
+            r = _assert_first_step(m.tolist())
+            assert r[1][1] == 0
+            seen += _reference_qr(m[:, 0].tolist(), m[:, 1].tolist())[2][1][1] != 0
+        assert seen > 100

@@ -319,6 +319,18 @@ class TestSynthesizeCascade:
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(IncompleteSum):
             synthesize_cascade(KrausSet(tuple(ops)))
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_a_one_ulp_change_keeps_the_final_exit_unitary(self, n):
+        # a rank-one last element leaves the first stage's second column to
+        # round-off; its gauge, not that round-off, sets final_exit_unitary
+        for seed in range(3):
+            elements = random_rank_one_povm(n, seed).elements
+            old, new = (
+                synthesize_cascade(kraus_from_povm(validate_povm([f * scale for f in elements])))
+                for scale in (1.0, 1.0 + 2.0**-52)
+            )
+            assert max_abs(np.subtract(old.final_exit_unitary, new.final_exit_unitary)) <= 1e-14, seed
+
     @pytest.mark.parametrize("scale", [1e-310, 1e-320, 5e-324])
     def test_subnormal_element_compiles(self, scale):
         element = scale * np.diag([1.0, 0.0]).astype(complex)

@@ -25,11 +25,11 @@ with only that tree's package on the path; the CLI documents are drawn here,
 not by the tree, so both trees read the same bytes.
 
 Next to the fingerprints each tree prints two counts over its own corpus.
-They are diagnostics of known defects and never change the exit code:
+They are diagnostics and never change the exit code:
 
     one-ulp    rank-one plans whose final_exit_unitary, and separately any
                exit_unitary, moves by more than 1e-6 when every element is
-               scaled by (1 + 2^-52): a gauge that round-off sets
+               scaled by (1 + 2^-52): a gauge that round-off would set
     boundary   corpus POVMs with F_1 scaled by 1 + 0.9 DEFAULT_TOL / max|F_1|
                that validation rejects, that validate but do not compile, and
                that compile but fail verify_plan (default trials and seed);
