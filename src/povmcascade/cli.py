@@ -265,10 +265,10 @@ def _verify_and_report(kraus, plan: CascadePlan, args, show_roundtrip: bool = Fa
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _print_exits(records, total: float | None = None) -> None:
+def _print_exits(records) -> None:
     """One line per exit record, with a pure state's conditional polarization
     on it or a density matrix's conditional state below it, then the total
-    probability: ``total`` if given, else the running sum of the records'."""
+    probability: the running sum of the records'."""
     running = 0.0
     for record in records:
         running += record.probability
@@ -282,7 +282,7 @@ def _print_exits(records, total: float | None = None) -> None:
         if post_state is not None:
             print("  conditional state:")
             print(_fmt_matrix(post_state.rho))
-    print(f"total probability: {running if total is None else total:.12g}")
+    print(f"total probability: {running:.12g}")
 
 
 # ----------------------------------------------------------------------
@@ -354,17 +354,13 @@ def _cmd_simulate(args) -> int:
         _print_exits(exit_amplitudes(out, network))
         return EXIT_OK
     rho = density_matrix(matrix_from_json(_load_json(args.density), "density matrix"))
-    records = simulate_density(plan, rho)
-    _print_exits(records, float(np.sum([r.probability for r in records])))
+    _print_exits(simulate_density(plan, rho))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     kraus = _load_kraus(args.input)
-    if args.plan is not None:
-        plan = parse_plan_document(_load_json(args.plan))
-    else:
-        plan = synthesize_cascade(kraus)
+    plan = synthesize_cascade(kraus) if args.plan is None else parse_plan_document(_load_json(args.plan))
     return _verify_and_report(kraus, plan, args)
 
 
@@ -407,76 +403,53 @@ def _int_at_least(minimum: int, text: str) -> int:
     return value
 
 
-def _add_verification_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=partial(_int_at_least, 1), default=100, help="verification trial states (>= 1)")
-    parser.add_argument("--seed", type=partial(_int_at_least, 0), default=42, help="verification seed")
-    parser.add_argument("--report", help="write the verification report (JSON) here")
-
-
-def _validate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="POVM document (JSON)")
-
-
-def _synthesize_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="POVM document (JSON)")
-    parser.add_argument("-o", "--output", required=True, help="plan document to write")
-    _add_verification_options(parser)
-
-
-def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("plan", help="plan document (JSON)")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pure", help="pure state as a_re,a_im,b_re,b_im")
-    group.add_argument("--density", help="density-matrix file (JSON 2x2 matrix)")
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="POVM document (JSON)")
-    parser.add_argument("--plan", help="plan document (default: synthesize internally)")
-    _add_verification_options(parser)
-
-
-def _demo_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("name", choices=("trine", "ekert"))
-    parser.add_argument("--alpha", type=float, default=0.0, help="ekert: first polarization (degrees)")
-    parser.add_argument("--beta", type=float, default=45.0, help="ekert: second polarization (degrees)")
-    _add_verification_options(parser)
-
-
-#: per command: what it runs, its help line and what adds its arguments
-_COMMANDS = {
-    "validate": (_cmd_validate, "check a POVM document", _validate_arguments),
-    "synthesize": (_cmd_synthesize, "compile a POVM document into a plan", _synthesize_arguments),
-    "simulate": (_cmd_simulate, "propagate a state through a plan", _simulate_arguments),
-    "verify": (_cmd_verify, "verify a plan against a POVM document", _verify_arguments),
-    "demo": (_cmd_demo, "run a built-in example", _demo_arguments),
-}
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The `povm` parser, built once per process: parse_args leaves it as it
-    was, so every call of main shares it."""
+    was, so every call of main shares it.  Each subcommand's parser carries
+    the function that runs it as its ``run`` default."""
     parser = _Parser(
         prog="povm",
         description="Compile polarization POVMs into beamsplitter-cascade settings and simulate them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    validate = sub.add_parser("validate", help="check a POVM document")
+    validate.set_defaults(run=_cmd_validate)
+    validate.add_argument("input", help="POVM document (JSON)")
+    synthesize = sub.add_parser("synthesize", help="compile a POVM document into a plan")
+    synthesize.set_defaults(run=_cmd_synthesize)
+    synthesize.add_argument("input", help="POVM document (JSON)")
+    synthesize.add_argument("-o", "--output", required=True, help="plan document to write")
+    simulate = sub.add_parser("simulate", help="propagate a state through a plan")
+    simulate.set_defaults(run=_cmd_simulate)
+    simulate.add_argument("plan", help="plan document (JSON)")
+    group = simulate.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pure", help="pure state as a_re,a_im,b_re,b_im")
+    group.add_argument("--density", help="density-matrix file (JSON 2x2 matrix)")
+    verify = sub.add_parser("verify", help="verify a plan against a POVM document")
+    verify.set_defaults(run=_cmd_verify)
+    verify.add_argument("input", help="POVM document (JSON)")
+    verify.add_argument("--plan", help="plan document (default: synthesize internally)")
+    demo = sub.add_parser("demo", help="run a built-in example")
+    demo.set_defaults(run=_cmd_demo)
+    demo.add_argument("name", choices=("trine", "ekert"))
+    demo.add_argument("--alpha", type=float, default=0.0, help="ekert: first polarization (degrees)")
+    demo.add_argument("--beta", type=float, default=45.0, help="ekert: second polarization (degrees)")
+    for checked in (synthesize, verify, demo):  # each one's last options: the verification's
+        checked.add_argument("--trials", type=partial(_int_at_least, 1), default=100, help="verification trial states (>= 1)")
+        checked.add_argument("--seed", type=partial(_int_at_least, 0), default=42, help="verification seed")
+        checked.add_argument("--report", help="write the verification report (JSON) here")
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
+    try:  # argv None: parse_args reads sys.argv[1:] itself
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command][0](args)
+        return args.run(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

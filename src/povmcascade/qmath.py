@@ -10,7 +10,7 @@ The work is done by cores of two kinds, each idea written once:
 * Scalar cores act on Python complex numbers, a matrix being the nested
   pair ``((m00, m01), (m10, m11))`` (``Rows2``, the form a plan's settings
   hold; ``_matrix2_rows`` reads any other form into it), with no numpy
-  call: the phase gauge (``_phase_fixed``), the Hermitian
+  call: the phase gauge of a pair (``_phase_fixed``), the Hermitian
   eigendecomposition (``_eig``), the completion of two orthogonal columns
   into a unitary and its weights (``_column_split``), the SVD built from
   those two (``_svd``) and the sweep's QR step (``_qr``): one fixed-size
@@ -162,12 +162,18 @@ def eig_hermitian2(h) -> tuple[np.ndarray, np.ndarray]:
     column is the gauge-fixed eigenvector of eigenvalue k.  On a scalar
     matrix the identity basis is returned.  Raises NotHermitian ("matrix:
     hermiticity residual ...") if the input fails the Hermiticity check at
-    DEFAULT_TOL; any spectrum is accepted.
+    DEFAULT_TOL; any spectrum is accepted, an eigenvalue beyond the double
+    range as +-inf.
     """
     h = as_matrix2(h)
     _check_operator(max_abs(h - dagger(h)), 0.0, "matrix")
     (a, b), (b_conj, c) = h.tolist()
-    high, low, w = _eig(a.real, 0.5 * (b + b_conj.conjugate()), c.real)
+    b += 0.5 * (b_conj.conjugate() - b)  # the Hermitian part's b, as _spectra forms it
+    try:
+        high, low, w = _eig(a.real, b, c.real)
+    except OverflowError:  # |b| leaves the double range: h / 4 is exact, its spectrum 4 times smaller
+        high, low, w = _eig(0.25 * a.real, 0.25 * b, 0.25 * c.real)
+        high, low = 4.0 * high, 4.0 * low
     return np.array([high, low]), np.array(w)
 
 
@@ -194,9 +200,15 @@ def svd2(m) -> Svd2:
     basis-aligned on degenerate spectra).  Left singular vectors are built
     by applying m to that basis and completing orthonormally, so v and u
     are unitary to machine precision and the product reconstructs m to
-    machine precision even for rank-deficient input.
+    machine precision even for rank-deficient input.  A singular value
+    beyond the double range is inf.
     """
-    v, d, u = _svd(as_matrix2(m).tolist())
+    m = as_matrix2(m)
+    try:
+        v, d, u = _svd(m.tolist())
+    except OverflowError:  # an entry's modulus leaves the double range: m / 4 is exact
+        v, (d0, d1), u = _svd((0.25 * m).tolist())
+        d = 4.0 * d0, 4.0 * d1
     return Svd2(np.array(v), np.array(d), np.array(u))
 
 
@@ -245,7 +257,10 @@ def _unitary_residual(m) -> float:
     (a, b), (c, d) = m
     ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     top = abs(ar * ar + ai * ai + cr * cr + ci * ci - 1.0)
-    off = abs(a.conjugate() * b + c.conjugate() * d)
+    try:
+        off = abs(a.conjugate() * b + c.conjugate() * d)
+    except OverflowError:  # complex abs raises where the modulus leaves the double range
+        off = math.inf
     bottom = abs(br * br + bi * bi + dr * dr + di * di - 1.0)
     # max() alone may skip a NaN; the sum of the three is NaN exactly when one is
     return math.nan if math.isnan(top + off + bottom) else max(top, off, bottom)
@@ -257,27 +272,18 @@ def _unit_scale(scale: float) -> tuple[float, float]:
     return (1.0, 1.0 / scale) if scale >= _TINY else (_LIFT, 1.0 / (scale * _LIFT))
 
 
-def _phase_fixed(*v: complex) -> tuple[tuple[complex, ...], complex]:
-    """The phase gauge: (v * phase, phase) with |phase| = 1 and the
-    largest-modulus entry (the first on a tie) made exactly real >= 0; a
-    zero vector is returned unchanged with phase 1."""
-    if len(v) == 2:  # every call but _qr's dead column, without lists
-        x, y = v
-        abs_x, abs_y = abs(x), abs(y)
-        if abs_y > abs_x:  # as max(): a later entry wins only if strictly larger
-            phase = y.conjugate() / abs_y
-            return (x * phase, complex(abs_y)), phase
-        if abs_x == 0.0:
-            return v, 1 + 0j
-        phase = x.conjugate() / abs_x
-        return (complex(abs_x), y * phase), phase
-    moduli = [abs(x) for x in v]
-    top = max(moduli)
-    if top == 0.0:
-        return v, 1 + 0j
-    i = moduli.index(top)
-    phase = v[i].conjugate() / top
-    return tuple(complex(top) if k == i else x * phase for k, x in enumerate(v)), phase
+def _phase_fixed(x: complex, y: complex) -> tuple[tuple[complex, complex], complex]:
+    """The phase gauge: ((x, y) * phase, phase) with |phase| = 1 and the
+    larger-modulus entry (the first on a tie) made exactly real >= 0; a
+    zero pair is returned unchanged with phase 1."""
+    abs_x, abs_y = abs(x), abs(y)
+    if abs_y > abs_x:  # as max(): the second entry wins only if strictly larger
+        phase = y.conjugate() / abs_y
+        return (x * phase, complex(abs_y)), phase
+    if abs_x == 0.0:
+        return (x, y), 1 + 0j
+    phase = x.conjugate() / abs_x
+    return (complex(abs_x), y * phase), phase
 
 
 def _eig(a: float, b: complex, c: float):
@@ -373,8 +379,11 @@ def _qr(a: tuple[complex, ...], b: tuple[complex, ...]):
     Gauge: where the second column is dead, |b| after the passes at or below
     GAUGE_CUTOFF times its norm before them (b zero included), r11 = 0 and
     q1 is e_1 with q0 projected out (e_0 where q0 leans more on e_1),
-    gauge-fixed by _phase_fixed, so round-off cannot set its phase; on the
-    first stage that keeps Q in rows 0-1.
+    normalized, so round-off cannot set its phase; on the first stage that
+    keeps Q in rows 0-1.  Its rows 2-3 are never its largest entry (each is
+    at most half the modulus of row 0 or 1, whichever e picks), so the
+    pair gauge of rows 0-1 (_phase_fixed), with its phase applied to rows
+    2-3, is the gauge of the whole column.
     """
     b0, b1, b2, b3 = b
     norm_b = math.hypot(abs(b0), abs(b1), abs(b2), abs(b3))
@@ -392,7 +401,9 @@ def _qr(a: tuple[complex, ...], b: tuple[complex, ...]):
         r11 = 0.0
         e0, e1 = (1.0, 0.0) if abs(q10) > abs(q00) else (0.0, 1.0)
         k = e0 * q00.conjugate() + e1 * q10.conjugate()  # q0^dag e
-        (q01, q11, q21, q31), _ = _phase_fixed(*_unit(e0 - k * q00, e1 - k * q10, -k * q20, -k * q30)[0])
+        (q01, q11, q21, q31), _ = _unit(e0 - k * q00, e1 - k * q10, -k * q20, -k * q30)
+        (q01, q11), phase = _phase_fixed(q01, q11)
+        q21, q31 = q21 * phase, q31 * phase
     return ((q00, q01), (q10, q11)), ((q20, q21), (q30, q31)), ((complex(r00), r01), (0j, complex(r11)))
 
 

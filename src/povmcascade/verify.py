@@ -126,17 +126,14 @@ def _sandwich_povm(n: int, seed: int, shape, positive) -> PovmSet:
         raise ValueError(f"need n >= 2 outcomes, got {n}")
     rng = np.random.default_rng(seed)
     while True:
-        positives = [positive(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)]
+        positives = np.array([positive(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)])
         total = sum(positives[1:], start=positives[0])
         lam, basis = eig_hermitian2(0.5 * (total + dagger(total)))
         if lam[1] < SANDWICH_FLOOR:
             continue
         inv_sqrt = basis @ np.diag(1.0 / np.sqrt(lam)) @ dagger(basis)
-        elements = []
-        for g in positives:
-            f = inv_sqrt @ g @ inv_sqrt
-            elements.append(0.5 * (f + dagger(f)))
-        return validate_povm(elements)
+        f = inv_sqrt @ positives @ inv_sqrt
+        return validate_povm(0.5 * (f + dagger(f)))
 
 
 def random_povm(n: int, seed: int) -> PovmSet:

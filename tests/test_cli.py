@@ -365,6 +365,15 @@ class TestSynthesizeCommand:
         assert main(["synthesize", path, "-o", str(tmp_path / "plan.json")]) == 2
 
 
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_exit_unitary_whose_residual_overflows_is_not_unitary(self, command, tmp_path, capsys):
+        huge = [[1.3e154 + 1.3e154j, 1e154], [0, 1]]
+        path = write_json(tmp_path / "huge.json", povm_document(trine_povm()[0].elements, [huge, np.eye(2), np.eye(2)]))
+        argv = [command, path] + (["-o", str(tmp_path / "plan.json")] if command == "synthesize" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: exit unitary 1 is not unitary\n")
+
+
 class TestSimulateCommand:
     def test_trine_pure_horizontal(self, trine_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
@@ -426,6 +435,12 @@ class TestSimulateCommand:
         path = write_json(tmp_path / "plan.json", edited(TRINE_PLAN, keys, doubled))
         assert main(["simulate", path, "--pure", "1,0,0,0"]) == 1
         assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_pre_unitary_whose_residual_overflows_is_input_error(self, tmp_path, capsys):
+        huge = matrix_to_json(np.array([[1.3e154 + 1.3e154j, 1e154], [0, 1]]))
+        path = write_json(tmp_path / "plan.json", edited(TRINE_PLAN, ("modules", 0, "pre_unitary"), huge))
+        assert main(["simulate", path, "--pure", "1,0,0,0"]) == 1
+        assert capsys.readouterr() == ("", "input error: modules[0]: pre_unitary is not unitary\n")
 
     def test_norm_deviation_warns(self, hv_plan_file, capsys):
         assert main(["simulate", hv_plan_file, "--pure", "2,0,0,0"]) == 0

@@ -1,5 +1,6 @@
 """Closed-form 2x2 decompositions: reconstruction, gauge, and edge cases."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcascade import qmath
-from povmcascade.povm import kraus_from_povm, validation_residuals
+from povmcascade.povm import kraus_from_povm, validate_povm, validation_residuals
 from povmcascade.qmath import (
     NotHermitian,
     NotPsd,
@@ -89,6 +90,14 @@ class TestSvd2:
         assert np.array_equal(first.d, second.d)
         assert np.array_equal(first.u, second.u)
 
+    def test_singular_value_beyond_the_double_range_is_inf(self):
+        # |m00| = 1.84e308 leaves the range: the factors are those of m / 4
+        m = np.array([[1.3e308 * (1 + 1j), 0], [0, 1]])
+        v, d, u = svd2(m)
+        quarter = svd2(m / 4)
+        assert d.tolist() == [math.inf, 1.0] and math.isfinite(quarter.d[0]) and quarter.d[1] == 0.25
+        assert bits(v, u) == bits(quarter.v, quarter.u) and unitary_to(v)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             svd2(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -130,6 +139,20 @@ class TestEigHermitian2:
             conjugated = w @ h @ dagger(w)
             lam2, _ = eig_hermitian2(0.5 * (conjugated + dagger(conjugated)))
             np.testing.assert_allclose(lam, lam2, atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "h, spectrum",
+        [
+            (1e308 * np.ones((2, 2)), [math.inf, 0.0]),
+            ([[0, 1.3e308 * (1 + 1j)], [1.3e308 * (1 - 1j), 0]], [math.inf, -math.inf]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_eigenvalues_beyond_the_double_range_are_inf(self, h, spectrum):
+        # neither the Hermitian part's b nor |b| may leave the range on the way
+        lam, w = eig_hermitian2(h)
+        assert lam.tolist() == spectrum
+        assert bits(w) == bits(eig_hermitian2(np.asarray(h) / 4)[1]) and unitary_to(w)
 
     def test_ordered_swap_basis(self):
         # larger eigenvalue second on input -> swapped eigenvector columns
@@ -224,13 +247,10 @@ class TestGaugeAndHelpers:
         assert [type(x) for x in fixed] == [complex, complex]
         assert np.array(fixed).tobytes() == np.zeros(2, dtype=complex).tobytes()
         assert phase == 1 + 0j
-
-    def test_phase_fixed_leaves_the_four_entry_zero_vector_as_it_is(self):
-        # the arity of _qr's zero-pivot gauge: the vector itself comes back, signed zeros kept
-        v = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j)
+        # a signed-zero pair comes back as it is, signed zeros kept
+        v = (complex(-0.0, 0.0), complex(0.0, -0.0))
         fixed, phase = _phase_fixed(*v)
         assert repr(tuple(fixed)) == repr(v)
-        assert [type(x) for x in fixed] == [complex] * 4
         assert phase == 1 + 0j and type(phase) is complex
 
     @pytest.mark.parametrize("v", PAIRS)
@@ -338,6 +358,11 @@ class TestPublicChecks:
         big = np.full((2, 2), 1e200)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             aligning_unitary(big, big)
+
+    def test_aligning_unitary_on_an_entry_beyond_the_double_range(self):
+        # the product's svd2 runs on m / 4, where |m00| leaves the range
+        m = np.array([[1.3e308 * (1 + 1j), 0], [0, 1]])
+        assert bits(aligning_unitary(m, I2)) == bits(aligning_unitary(m / 4, I2))
 
     def test_finite_tolerance_still_enforced(self):
         skew = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -579,7 +604,38 @@ def _assert_step(a, b):
         moduli = np.abs(q[:, 1])
         top_entry = q[int(np.argmax(moduli)), 1]
         assert top_entry.imag == 0.0 and top_entry.real > 0.0, (a, b)
+        # rows 2-3 are never the dead column's largest entry, so the gauge of
+        # rows 0-1 alone is the whole column's, bit for bit
+        assert moduli[2:].max() < moduli[:2].max(), (a, b)
+        assert repr((top, bottom, r)) == repr(_four_entry_gauge_step(a, b)), (a, b)
     return top, bottom, r
+
+
+def _four_entry_gauge_step(a, b):
+    """qmath._qr with a dead second column gauge-fixed over all four of its
+    entries: the same e - (q0^dag e) q0 construction and choice of e, then the
+    list-form gauge.  For a b of normal size, where r11 = 0 marks the column
+    dead."""
+    top, bottom, r = qmath._qr(a, b)
+    ((q00, _), (q10, _)), ((q20, _), (q30, _)) = top, bottom
+    e0, e1 = (1.0, 0.0) if abs(q10) > abs(q00) else (0.0, 1.0)
+    k = e0 * q00.conjugate() + e1 * q10.conjugate()
+    column, _ = qmath._unit(e0 - k * q00, e1 - k * q10, -k * q20, -k * q30)
+    q01, q11, q21, q31 = _reference_phase_fixed(*column)[0]
+    return ((q00, q01), (q10, q11)), ((q20, q21), (q30, q31)), r
+
+
+def _assert_sweep(kraus):
+    """Every stage of the sweep over a Kraus set through _assert_step, the
+    first as [M_n; 0]; the number of stages whose second column is dead."""
+    ops = np.array(kraus.operators).tolist()
+    r = _assert_first_step(ops[-1])
+    dead = r[1][1] == 0
+    for (m00, m01), (m10, m11) in reversed(ops[:-1]):
+        (r00, r01), (_, r11) = r
+        _, _, r = _assert_step((m00, m10, r00, 0j), (m01, m11, r01, r11))
+        dead += r[1][1] == 0
+    return dead
 
 
 def _assert_first_step(m):
@@ -603,11 +659,26 @@ class TestQrStep:
     @pytest.mark.parametrize("family", [random_povm, random_rank_one_povm])
     def test_sweeps_match_the_reference(self, family):
         for n in range(2, 41):
-            ops = np.array(kraus_from_povm(family(n, n)).operators).tolist()
-            r = _assert_first_step(ops[-1])
-            for (m00, m01), (m10, m11) in reversed(ops[:-1]):
-                (r00, r01), (_, r11) = r
-                _, _, r = _assert_step((m00, m10, r00, 0j), (m01, m11, r01, r11))
+            _assert_sweep(kraus_from_povm(family(n, n)))
+
+    def test_structured_sets_keep_the_four_entry_gauge(self):
+        # H/V, +- and R/L projectors (each pair an exact tie of the gauge),
+        # BB84, a split and a zero element, in every order and turned by random
+        # unitaries: _assert_step compares each dead second column with the
+        # four-entry gauge bit for bit
+        h, v, zero = np.diag([1.0 + 0j, 0j]), np.diag([0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)
+        plus, minus = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, -0.5], [-0.5, 0.5]])
+        right, left = np.array([[0.5, -0.5j], [0.5j, 0.5]]), np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        bases = [[h, v], [plus, minus], [right, left], [0.5 * h, 0.5 * v, 0.5 * plus, 0.5 * minus],
+                 [0.5 * h, 0.5 * h, v], [plus, zero, minus]]
+        rng = np.random.default_rng(30)
+        turns = [I2] + [random_unitary(rng) for _ in range(3)]
+        seen = 0
+        for base in bases:
+            for order in itertools.permutations(base):
+                for u in turns:
+                    seen += _assert_sweep(kraus_from_povm(validate_povm([u @ f @ dagger(u) for f in order])))
+        assert seen >= 150
 
     def test_exact_zero_columns(self):
         # [I, 0, 0]: the first stage and the next one see all-zero columns

@@ -95,6 +95,22 @@ class TestModuleSettings:
         assert info.value.index == index
 
     @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda u: ModuleSettings(theta=0.1, phi=0.2, pre_unitary=u), "pre_unitary is not unitary"),
+            (lambda u: ModuleSettings(theta=0.1, phi=0.2, exit_unitary=u), "exit_unitary is not unitary"),
+            (lambda u: CascadePlan((ModuleSettings(theta=0.1, phi=0.2),), u), "final_exit_unitary is not unitary"),
+            (lambda u: kraus_from_povm(validate_povm([0.5 * I2, 0.5 * I2]), [u, I2]), "exit unitary 1 is not unitary"),
+        ],
+        ids=["pre_unitary", "exit_unitary", "final_exit_unitary", "kraus_from_povm"],
+    )
+    def test_a_residual_beyond_the_double_range_is_not_unitary(self, build, message):
+        # conj(u00) u01 = 1.3e308 (1 - 1j), whose modulus complex abs cannot return
+        with pytest.raises(NotUnitary) as info:
+            build(np.array([[1.3e154 + 1.3e154j, 1e154], [0, 1]]))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "form",
         [
             lambda m: tuple(tuple(complex(z) for z in row) for row in m),
