@@ -5,10 +5,13 @@ stable across commands: 0 success/valid, 1 usage or parse error, 2 domain
 failure (invalid POVM, failed verification, out-of-domain parameters).
 
 File formats are JSON with complex numbers as [re, im] pairs; see the
-README for the POVM-document and plan-document schemas.  Plans and reports,
-whose keys are all strings, are written as ``json.dump(doc, fh, indent=2)``
-writes them, plus a final newline, but built in one pass and written at
-once.
+README for the POVM-document and plan-document schemas.  Plans and reports
+are written as ``json.dump(doc, fh, indent=2)`` writes them, plus a final
+newline, and written at once: a plan is filled into one fixed module
+template per module, between a fixed head and a tail that holds its final
+exit unitary; a report (or any other str-keyed document) is built by one
+recursive pass of ``_json_text``.  The settings table is likewise one
+format per module.
 """
 
 from __future__ import annotations
@@ -202,13 +205,66 @@ def _json_text(obj, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = _json_text(payload) + "\n"
+def _pairs(m) -> tuple:
+    """A 2x2 matrix given as rows, row by row as [re, im] pairs, flat."""
+    (a, b), (c, d) = m
+    return a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+
+
+def _slots(skeleton, indent: str) -> str:
+    """_json_text(skeleton, indent) with each None a %r slot: filled with
+    finite floats, it is json's text for them."""
+    return _json_text(skeleton, indent).replace("null", "%r")
+
+
+_MATRIX_SKELETON = [[[None, None]] * 2] * 2
+#: a plan's module, at its indent in the modules list: theta, phi, zeta, xi,
+#: then pre_unitary's and exit_unitary's pairs
+_MODULE_TEMPLATE = _slots(
+    {
+        "theta": None,
+        "phi": None,
+        "zeta": None,
+        "xi": None,
+        "pre_unitary": _MATRIX_SKELETON,
+        "exit_unitary": _MATRIX_SKELETON,
+    },
+    "\n    ",
+)
+#: the plan document around its modules; the tail holds final_exit_unitary's pairs
+_PLAN_HEAD, _PLAN_TAIL = _slots(
+    {"schema_version": SCHEMA_VERSION, "modules": [None], "final_exit_unitary": _MATRIX_SKELETON}, "\n"
+).split("%r", 1)
+
+
+def _plan_text(plan: CascadePlan) -> str:
+    """_json_text(plan_document(plan)), filled into the module template once
+    per module.  The constructors of ModuleSettings and CascadePlan hold every
+    angle as a finite float and every unitary entry as a finite complex, so %r
+    writes float.__repr__, as json does."""
+    # one % over the whole plan, not one per module: CPython 3.11 keeps up to
+    # 2,000 freed 20-tuples, a module's own argument tuple, in a free list it
+    # never takes from, 0.35 MiB for the life of the process
+    values = []
+    for m in plan.modules:
+        values += (m.theta, m.phi, m.zeta, m.xi)
+        values += _pairs(m.pre_unitary)
+        values += _pairs(m.exit_unitary)
+    values += _pairs(plan.final_exit_unitary)
+    return (_PLAN_HEAD + ",\n    ".join([_MODULE_TEMPLATE] * len(plan.modules)) + _PLAN_TAIL) % tuple(values)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text and a final newline to path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, _json_text(payload))
 
 
 # ----------------------------------------------------------------------
@@ -219,28 +275,29 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}j"
 
 
+#: a 2x2 matrix as two printed rows, filled with _pairs
+_MATRIX_FORMAT = "    [{:+.6f}{:+.6f}j, {:+.6f}{:+.6f}j]\n    [{:+.6f}{:+.6f}j, {:+.6f}{:+.6f}j]"
+#: one module of the settings table: its number, theta and phi in radians and
+#: degrees, zeta, xi, then the pairs of its pre-unitary and exit unitary
+_SETTINGS_FORMAT = (
+    "module {}: theta {:.5f} rad ({:.3f} deg), phi {:.5f} rad ({:.3f} deg), zeta {:.5f} rad, xi {:.5f} rad\n"
+    f"  pre-unitary:\n{_MATRIX_FORMAT}\n  exit unitary:\n{_MATRIX_FORMAT}"
+)
+
+
 def _fmt_matrix(m) -> str:
-    rows = [
-        "    [" + ", ".join(_fmt_complex(complex(m[r][c])) for c in range(2)) + "]"
-        for r in range(2)
-    ]
-    return "\n".join(rows)
+    return _MATRIX_FORMAT.format(*_pairs(m))
 
 
 def _print_settings(plan: CascadePlan) -> None:
     lines = [f"cascade plan: {plan.n} outcomes, {len(plan.modules)} modules"]
-    for j, module in enumerate(plan.modules, start=1):
-        theta_deg = math.degrees(module.theta)
-        phi_deg = math.degrees(module.phi)
-        lines += [
-            f"module {j}: theta {module.theta:.5f} rad ({theta_deg:.3f} deg), "
-            f"phi {module.phi:.5f} rad ({phi_deg:.3f} deg), "
-            f"zeta {module.zeta:.5f} rad, xi {module.xi:.5f} rad",
-            "  pre-unitary:",
-            _fmt_matrix(module.pre_unitary),
-            "  exit unitary:",
-            _fmt_matrix(module.exit_unitary),
-        ]
+    for j, m in enumerate(plan.modules, start=1):
+        lines.append(
+            _SETTINGS_FORMAT.format(
+                j, m.theta, math.degrees(m.theta), m.phi, math.degrees(m.phi), m.zeta, m.xi,
+                *_pairs(m.pre_unitary), *_pairs(m.exit_unitary),
+            )
+        )
     lines += ["final exit unitary:", _fmt_matrix(plan.final_exit_unitary)]
     print("\n".join(lines))
 
@@ -315,7 +372,7 @@ def _load_kraus(path: str):
 def _cmd_synthesize(args) -> int:
     kraus = _load_kraus(args.input)
     plan = synthesize_cascade(kraus)
-    _write_json(args.output, plan_document(plan))
+    _write_text(args.output, _plan_text(plan))
     print(f"plan written to {args.output}")
     _print_settings(plan)
     return _verify_and_report(kraus, plan, args)

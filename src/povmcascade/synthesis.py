@@ -20,9 +20,15 @@ R_j^dag R_j = F_j + ... + F_n.  The first stage is [M_n; 0], R_{n+1} = 0,
 so Q_n's top block is M_n's own Q.  The top block A_j of Q_j
 splits as X_j diag(cos) W_j^dag (an SVD) and the bottom block B_j as
 B_j W_j = Y_j diag(sin), with cos^2 + sin^2 = 1 because Q_j is an
-isometry.  Stage j then gets the angles atan2(sin, cos), the exit unitary
-X_j and the pre-unitary W_j^dag Y_{j-1}; the pass arm it hands on is
-exactly Y_j^dag R_{j+1}, and the final exit unitary is Q_n Y_{n-1}.
+isometry.  Where the sines are small, ||B_j||_F^2 = sin_0^2 + sin_1^2 <
+1/2, A_j^dag A_j = I - B_j^dag B_j is near the identity and its
+eigenvectors are ill-set (an error of eps over the gap sin_1^2 - sin_0^2),
+so the roles swap: W_j comes from the SVD of B_j, with the sines
+ascending, and A_j W_j = X_j diag(cos) is the column split (Stewart,
+Numer. Math. 40, 1982).  Stage j then gets
+the angles atan2(sin, cos), the exit unitary X_j and the pre-unitary
+W_j^dag Y_{j-1}; the pass arm it hands on is exactly Y_j^dag R_{j+1}, and
+the final exit unitary is Q_n Y_{n-1}.
 
 The sweep and the splits run on the scalar cores of :mod:`qmath`, on
 Python complex numbers: every QR step, the first included, is the one
@@ -175,8 +181,15 @@ def synthesize_cascade(kraus: KrausSet) -> CascadePlan:
     y = _mul(v, u)  # Y_0: the unitary polar factor of R_1, which is I up to that residual
     modules = []
     for a, b in reversed(blocks):
-        x, (c0, c1), w_dag = _svd(a)
-        y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
+        (b00, b01), (b10, b11) = b
+        if abs(b00) ** 2 + abs(b01) ** 2 + abs(b10) ** 2 + abs(b11) ** 2 < 0.5:
+            # small sines: W from B's SVD (see the module docstring)
+            ((y00, y01), (y10, y11)), (s1, s0), (u0, u1) = _svd(b)
+            y_next, w_dag = ((y01, y00), (y11, y10)), (u1, u0)  # ascending sines
+            x, (c0, c1) = _column_split(_mul(a, _dag(w_dag)))
+        else:
+            x, (c0, c1), w_dag = _svd(a)
+            y_next, (s0, s1) = _column_split(_mul(b, _dag(w_dag)))
         modules.append(ModuleSettings(math.atan2(s0, c0), math.atan2(s1, c1), 0.0, 0.0, _mul(w_dag, y), x))
         y = y_next
     return CascadePlan(tuple(modules), _mul(final, y))

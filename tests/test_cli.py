@@ -25,11 +25,11 @@ from povmcascade.cli import (
     parse_povm_document,
     plan_document,
 )
-from povmcascade.demos import trine_povm
+from povmcascade.demos import EkertParams, ekert_povm, trine_povm
 from povmcascade.povm import IncompleteSum, kraus_from_povm, validate_kraus, validate_povm
 from povmcascade.qmath import NotHermitian, NotPsd, max_abs
-from povmcascade.synthesis import reconstruct_kraus, synthesize_cascade
-from povmcascade.verify import random_povm
+from povmcascade.synthesis import CascadePlan, ModuleSettings, reconstruct_kraus, synthesize_cascade
+from povmcascade.verify import random_povm, random_rank_one_povm
 
 R3 = math.sqrt(3.0)
 
@@ -586,6 +586,104 @@ def test_document_writer_takes_only_str_keys(tmp_path):
     # str keys, and the writer refuses any other
     with pytest.raises(TypeError):
         _write_json(str(tmp_path / "out.json"), {"a": {1: 2.0}})
+
+
+def _hand_built_plans():
+    """Plans whose entries json and %-formatting could write apart: signed
+    zeros, a subnormal, zeta and xi at +-1e300, angles at 0 and pi/2."""
+    swap = ((complex(-0.0, -0.0), complex(1.0, -0.0)), (complex(1.0, 0.0), complex(0.0, -0.0)))
+    subnormal = ((complex(1.0, 5e-324), complex(-0.0, 5e-324)), (complex(5e-324, 0.0), complex(1.0, -0.0)))
+    return [
+        CascadePlan(
+            (
+                ModuleSettings(0.0, math.pi / 2, 1e300, -1e300, swap, subnormal),
+                ModuleSettings(-0.0, 0.0, -0.0, 5e-324, subnormal, swap),
+                ModuleSettings(math.pi / 2, math.pi / 2, -1e300, 1e300),
+            ),
+            swap,
+        ),
+        CascadePlan((ModuleSettings(math.pi / 4, 0.0, -1e-9, 1e-9, ((-1e-9, 1.0), (1.0, 1e-9))),), subnormal),
+    ]
+
+
+def _plans():
+    """Plans of random_povm and random_rank_one_povm at n = 2..40, the two demo
+    plans and the hand-built ones."""
+    plans = [synthesize_cascade(kraus_from_povm(make(n, n))) for make in (random_povm, random_rank_one_povm) for n in range(2, 41)]
+    plans += [trine_povm()[2], ekert_povm(EkertParams(math.radians(10.0), math.radians(70.0)))[1]]
+    return plans + _hand_built_plans()
+
+
+PLANS = _plans()
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=range(len(PLANS)))
+def test_plan_text_is_json_dumps_of_the_plan_document(plan):
+    text = cli._plan_text(plan)
+    assert text == json.dumps(plan_document(plan), indent=2)
+    assert cli._plan_text(parse_plan_document(json.loads(text))) == text
+
+
+def test_synthesize_writes_the_plan_as_the_document_writer_would(trine_file, tmp_path, capsys):
+    for path in (trine_file, write_json(tmp_path / "povm.json", povm_document(random_povm(12, 3).elements))):
+        plan_path, reference = tmp_path / "plan.json", tmp_path / "reference.json"
+        assert main(["synthesize", path, "-o", str(plan_path), "--trials", "5"]) == 0
+        _write_json(str(reference), plan_document(synthesize_cascade(cli._load_kraus(path))))
+        assert plan_path.read_bytes() == reference.read_bytes()
+        # read back from its own file, the plan writes the same bytes again
+        reread = parse_plan_document(cli._load_json(str(plan_path)))
+        assert (cli._plan_text(reread) + "\n").encode("utf-8") == plan_path.read_bytes()
+
+
+def _reference_fmt_matrix(m) -> str:
+    rows = ["    [" + ", ".join(cli._fmt_complex(complex(m[r][c])) for c in range(2)) + "]" for r in range(2)]
+    return "\n".join(rows)
+
+
+def _reference_print_settings(plan) -> None:
+    # the settings table built line by line and entry by entry: the reference
+    # that the one format per module must match
+    lines = [f"cascade plan: {plan.n} outcomes, {len(plan.modules)} modules"]
+    for j, module in enumerate(plan.modules, start=1):
+        theta_deg = math.degrees(module.theta)
+        phi_deg = math.degrees(module.phi)
+        lines += [
+            f"module {j}: theta {module.theta:.5f} rad ({theta_deg:.3f} deg), "
+            f"phi {module.phi:.5f} rad ({phi_deg:.3f} deg), "
+            f"zeta {module.zeta:.5f} rad, xi {module.xi:.5f} rad",
+            "  pre-unitary:",
+            _reference_fmt_matrix(module.pre_unitary),
+            "  exit unitary:",
+            _reference_fmt_matrix(module.exit_unitary),
+        ]
+    lines += ["final exit unitary:", _reference_fmt_matrix(plan.final_exit_unitary)]
+    print("\n".join(lines))
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=range(len(PLANS)))
+def test_settings_table_is_the_line_by_line_table(plan, capsys):
+    cli._print_settings(plan)
+    table = capsys.readouterr().out
+    _reference_print_settings(plan)
+    assert table == capsys.readouterr().out
+
+
+def test_settings_table_keeps_signed_zeros_and_exact_angles(capsys):
+    cli._print_settings(_hand_built_plans()[0])
+    table = capsys.readouterr().out
+    assert "module 1: theta 0.00000 rad (0.000 deg), phi 1.57080 rad (90.000 deg)" in table
+    assert "    [-0.000000-0.000000j, +1.000000-0.000000j]\n    [+1.000000+0.000000j, +0.000000-0.000000j]" in table
+    assert "module 2: theta -0.00000 rad (-0.000 deg), phi 0.00000 rad (0.000 deg), zeta -0.00000 rad" in table
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.array([[-0.0, 1.0], [1.0, 0.0]]), np.array([[-0.0 - 0.0j, 1e-9j], [-1e-9, 2.5]]), [[1, -0.0], [0.0, 1]]],
+)
+def test_matrix_lines_are_the_entry_by_entry_lines(matrix):
+    # _fmt_matrix also prints POVM elements and density matrices: arrays of
+    # real or complex numpy scalars, read as complex entry by entry before
+    assert cli._fmt_matrix(matrix) == _reference_fmt_matrix(matrix)
 
 
 # help, usage errors and ordinary runs, with and without a command in front

@@ -1,5 +1,6 @@
 """Cascade synthesis: settings extraction, round trips, and invariants."""
 
+import json
 import math
 from dataclasses import fields, replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmcascade import synthesis
+from povmcascade import cli, synthesis
 from povmcascade.demos import trine_povm
 from povmcascade.povm import IncompleteSum, KrausSet, NotUnitary, kraus_from_povm, validate_kraus, validate_povm
 from povmcascade.qmath import DEFAULT_TOL, dagger, eig_hermitian2, max_abs, rotation
@@ -26,6 +27,30 @@ I2 = np.eye(2, dtype=complex)
 
 # independently evaluated arccot(sqrt(1 + 1/cos(pi/4)) * cot(pi/4))
 ALPHA_PRIME_QUARTER_PI = 0.5718588702012101
+
+
+# three valid elements whose plan, with W read from the top block A alone,
+# failed its own verification: seed 1048 of _wide_scale at lo = -18, n = 3
+CS_SPLIT_REPRO = [
+    np.array(
+        [
+            [6.5497920073796095e-06, -2.2284289690854903e-06 + 2.4039132936839446e-06j],
+            [-2.2284289690854903e-06 - 2.4039132936839446e-06j, 4.930872450858449e-06],
+        ]
+    ),
+    np.array(
+        [
+            [0.9999934502062513, 2.228429163714288e-06 - 2.403912555138539e-06j],
+            [2.228429163714288e-06 + 2.403912555138539e-06j, 0.9999950691248056],
+        ]
+    ),
+    np.array(
+        [
+            [1.7414890988129283e-12, -1.9459698336539292e-13 - 7.385292826298767e-13j],
+            [-1.9459698336539292e-13 + 7.385292826298767e-13j, 2.7439369595324944e-12],
+        ]
+    ),
+]
 
 
 def random_kraus(n, seed):
@@ -385,6 +410,23 @@ class TestSynthesizeCascade:
             assert all(type(row) is tuple and len(row) == 2 for row in rows)
             assert all(type(z) is complex for row in rows for z in row)
 
+    def test_cs_split_reads_w_from_the_better_conditioned_block(self):
+        # F_2 is near I, so stage 2's sines (1.15e-6, 1.78e-6) are both small and
+        # A^dag A = I - B^dag B has an eigengap of about 1.8e-12: W read from A
+        # carried an error of about 1e-4 into the tail's exit unitary, and the
+        # plan failed conditional_state at 1.003e-8 (kraus_roundtrip 1.28e-10)
+        kraus = kraus_from_povm(validate_povm(CS_SPLIT_REPRO))
+        report = verify_plan(kraus, synthesize_cascade(kraus))
+        assert report.passed, [(c.name, c.max_residual) for c in report.checks if not c.passed]
+        assert report.check("kraus_roundtrip").max_residual < 1e-14
+
+    def test_cs_split_repro_synthesizes_through_the_cli(self, tmp_path, capsys):
+        document = {"schema_version": cli.SCHEMA_VERSION, "elements": [cli.matrix_to_json(f) for f in CS_SPLIT_REPRO]}
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["synthesize", str(path), "-o", str(tmp_path / "plan.json")]) == 0
+        assert "verification: PASS" in capsys.readouterr().out
+
     def test_own_rank_one_generator_output_compiles(self):
         kraus = kraus_from_povm(random_rank_one_povm(72, 35))
         assert verify_plan(kraus, synthesize_cascade(kraus), trial_states=10).passed
@@ -534,12 +576,32 @@ def _tiny_element(n, rng):
     return elements
 
 
+def _wide_scale(n, rng, lo=None):
+    # A_i A_i^dag at scales 10^U(lo, 0), sandwiched by S^{-1/2} and made
+    # Hermitian: stages whose sines are all small, where A^dag A is near I
+    lo = rng.uniform(-30.0, -1.0) if lo is None else lo
+    grams = []
+    for _ in range(n):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        grams.append(10 ** rng.uniform(lo, 0) * a @ a.conj().T)
+    w, v = np.linalg.eigh(sum(grams))
+    s = v @ np.diag(w**-0.5) @ v.conj().T
+    return [(f + f.conj().T) / 2 for f in (s @ g @ s for g in grams)]
+
+
+def test_wide_scale_family_draws_the_cs_split_repro():
+    elements = _wide_scale(3, np.random.default_rng(1048), lo=-18.0)
+    for drawn, kept in zip(elements, CS_SPLIT_REPRO):
+        assert drawn.tolist() == kept.tolist()
+
+
 FAMILIES = {
     "full_rank": lambda n, rng: list(random_povm(n, int(rng.integers(2**31)))),
     "rank_one": lambda n, rng: list(random_rank_one_povm(n, int(rng.integers(2**31)))),
     "near_deficient": _near_deficient,
     "degenerate": lambda n, rng: [w * I2 for w in rng.dirichlet(np.ones(n))],
     "tiny_element": _tiny_element,
+    "wide_scale": _wide_scale,
 }
 
 
